@@ -24,8 +24,9 @@ in (J, J'):
     J4   = -4 (1 + J'^2) J^-3        J5   = 4 J' (7 + 3 J'^2) J^-4
     J6   = -8 (7 + 23 J'^2 + 6 J'^4) J^-5
 
-Point evaluations at dyadic coordinates are memoized; the partition engine
-re-visits corners heavily.
+J and J' at dyadic coordinates are memoized here, and the quantile brackets
+beneath I, J and J' in the interval module; the partition engine re-visits
+corners heavily.
 """
 
 from __future__ import annotations
@@ -79,24 +80,15 @@ class JDerivativeBundle:
 # Gaussian isoperimetric profile I
 # ---------------------------------------------------------------------------
 
-_PROFILE_CACHE: dict[float, Interval] = {}
-
-
 def _profile_point(t: float) -> Interval:
     """I at a float point in [0, 1]."""
-    cached = _PROFILE_CACHE.get(t)
-    if cached is not None:
-        return cached
     if t == 0.0 or t == 1.0:
-        res = Interval(0.0)
-    elif t == 0.5:
-        res = INV_SQRT_TWO_PI
-    else:
-        s = 1.0 - t if t > 0.5 else t  # exact for t in [1/2, 1]
-        q = normal_quantile(Interval(s, s))
-        res = INVALID if not q.valid else normal_pdf(q)
-    _PROFILE_CACHE[t] = res
-    return res
+        return Interval(0.0)
+    if t == 0.5:
+        return INV_SQRT_TWO_PI
+    s = 1.0 - t if t > 0.5 else t  # exact for t in [1/2, 1]
+    q = normal_quantile(Interval(s, s))
+    return INVALID if not q.valid else normal_pdf(q)
 
 
 def gauss_profile(x: Interval) -> Interval:

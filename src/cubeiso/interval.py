@@ -11,9 +11,15 @@ than FPU rounding-mode control, so the module is pure Python and thread-safe.
 Additions and subtractions recover the exact rounding error with a 2Sum step
 and only widen when the float result is inexact; multiplications detect the
 common exactly-representable cases (small integers, scaling by a power of
-two).  Library transcendentals (exp, log) are assumed correct to <= 1 ulp and
-are widened by 2 ulp on each side; this assumption is exercised empirically
-by the randomized containment suite against a high-precision oracle.
+two).  An interval product with finite endpoints rounds only its extremal
+float products (all of them when several tie), which gives the same
+endpoints as rounding all four because rounding is monotone.  Library
+transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
+by 2 ulp on each side; this assumption is exercised empirically by the
+randomized containment suite against a high-precision oracle.
+
+The certified quantile bisection is memoized per (p, tol), so repeated
+quantile points cost one bisection per process.
 
 Endpoints may be -inf (lower) or +inf (upper) to express one-sided bounds.
 Comparison against scalars is a partial order: ``strictly_greater(a, t)``
@@ -22,6 +28,7 @@ returning False proves nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -127,6 +134,28 @@ def _mul_up(a: float, b: float) -> float:
     if _mul_exact(a, b, p):
         return p
     return _up(p)
+
+
+def _tied_inexact(p: float, a: float, b: float, c: float, d: float,
+                  ac: float, ad: float, bc: float, bd: float) -> bool:
+    """Whether any of the finite-operand products ac, ad, bc, bd that equal
+    p is not provably exact."""
+    return ((ac == p and not _mul_exact(a, c, p)) or (ad == p and not _mul_exact(a, d, p))
+            or (bc == p and not _mul_exact(b, c, p)) or (bd == p and not _mul_exact(b, d, p)))
+
+
+def _lo_end(p: float, inexact: bool) -> float:
+    """_mul_down's result for a float product p of finite operands."""
+    if p == _INF:
+        return _MAX
+    return _down(p) if inexact and p != -_INF else p
+
+
+def _hi_end(p: float, inexact: bool) -> float:
+    """_mul_up's result for a float product p of finite operands."""
+    if p == -_INF:
+        return -_MAX
+    return _up(p) if inexact and p != _INF else p
 
 
 def _div_exact(a: float, b: float, q: float) -> bool:
@@ -300,12 +329,24 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         other = _coerce(other)
-        if not (self.valid and other.valid):
-            return INVALID
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
-        hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
-        return Interval._raw(lo, hi)
+        if a != a or c != c:
+            return INVALID
+        if a == -_INF or b == _INF or c == -_INF or d == _INF:
+            lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+            hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
+            return Interval._raw(lo, hi)
+        # Finite operands: a product above the float minimum never rounds
+        # down below it (rounding is monotone), so only the extremal float
+        # products are rounded, every one of them on a tie.
+        ac = a * c
+        if a == b and c == d:
+            inexact = not _mul_exact(a, c, ac)
+            return Interval._raw(_lo_end(ac, inexact), _hi_end(ac, inexact))
+        ad, bc, bd = a * d, b * c, b * d
+        lo, hi = min(ac, ad, bc, bd), max(ac, ad, bc, bd)
+        return Interval._raw(_lo_end(lo, _tied_inexact(lo, a, b, c, d, ac, ad, bc, bd)),
+                             _hi_end(hi, _tied_inexact(hi, a, b, c, d, ac, ad, bc, bd)))
 
     __rmul__ = __mul__
 
@@ -642,8 +683,14 @@ def _quantile_seed(p: float) -> float:
     return t
 
 
+@functools.cache
 def _quantile_point(p: float, tol: float) -> tuple[float, float]:
-    """Certified bracket [a, b] with Phi(a) < p < Phi(b)."""
+    """Certified bracket [a, b] with Phi(a) < p < Phi(b).
+
+    A pure function of (p, tol), memoized so that I, J and J' at the same
+    point share one bisection.  Two threads may both compute a missing key;
+    they store the same bracket.
+    """
     t = _quantile_seed(p)
     delta = max(4e-16 * max(1.0, abs(t)), 2e-16)
     for _ in range(64):

@@ -288,25 +288,44 @@ def _rect_from_tokens(tokens: list[str], offset: int) -> DyadicRect:
     return DyadicRect((ds[0], ds[2]), (ds[1], ds[3]))
 
 
-def load(data: bytes) -> Certificate:
-    """Parse either the text or the JSON certificate format."""
-    if data[:1] == b"{":
+def _json_dyadic(pair) -> Dyadic:
+    num, exp = pair
+    if not (isinstance(num, int) and isinstance(exp, int)):
+        raise TypeError(f"dyadic {pair!r} is not a pair of integers")
+    return Dyadic(num, exp)
+
+
+def _load_json(data: bytes) -> Certificate:
+    try:
         payload = json.loads(data.decode("utf-8"))
-        ds = [Dyadic(n, e) for n, e in payload["domain"]]
-        k = len(ds) // 2
-        domain = DyadicRect(tuple(ds[:k]), tuple(ds[k:]))
-        rects = []
-        for raw in payload["rects"]:
-            rs = [Dyadic(n, e) for n, e in raw]
-            rects.append(DyadicRect(tuple(rs[:k]), tuple(rs[k:])))
-        return Certificate(
-            claim_id=payload["claim"],
-            beta=F(payload["beta"][0], payload["beta"][1]),
-            c=F(payload["c"][0], payload["c"][1]),
-            domain=domain,
-            rects=rects,
-            margin=math.nan,
-        )
+        ds = [_json_dyadic(pair) for pair in payload["domain"]]
+        raw_rects = [[_json_dyadic(pair) for pair in raw] for raw in payload["rects"]]
+        claim_id = payload["claim"]
+        beta = F(payload["beta"][0], payload["beta"][1])
+        cc = F(payload["c"][0], payload["c"][1])
+    except (TypeError, KeyError, IndexError, ValueError, ZeroDivisionError) as exc:
+        raise CertificateParseError(f"malformed JSON certificate: {exc}", 0, "json") from None
+    k = len(ds) // 2
+    domain = DyadicRect(tuple(ds[:k]), tuple(ds[k:]))
+    rects = []
+    for i, rs in enumerate(raw_rects):
+        if len(rs) != len(ds):
+            raise CertificateParseError(
+                f"rect {i} has {len(rs)} dyadics, the domain {len(ds)}", 0, "rects")
+        rects.append(DyadicRect(tuple(rs[:k]), tuple(rs[k:])))
+    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects,
+                       margin=math.nan)
+
+
+def load(data: bytes) -> Certificate:
+    """Parse either the text or the JSON certificate format.
+
+    A malformed file raises CertificateParseError, or another ValueError
+    (a degenerate rectangle, bytes that are not UTF-8).  Every rect of the
+    result has the domain's dimension.
+    """
+    if data[:1] == b"{":
+        return _load_json(data)
     text = data.decode("utf-8")
     lines = text.splitlines()
     if not lines:
@@ -320,14 +339,18 @@ def load(data: bytes) -> Certificate:
         cn, cd = head[5].split("/")
         beta = F(int(bn), int(bd))
         cc = F(int(cn), int(cd))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise CertificateParseError("malformed rational", 0, "beta/c") from None
     domain = _rect_from_tokens(head[7:], 0)
     rects = []
     offset = len(lines[0]) + 1
     for line in lines[1:]:
         if line.strip():
-            rects.append(_rect_from_tokens(line.split(), offset))
+            rect = _rect_from_tokens(line.split(), offset)
+            if rect.n != domain.n:
+                raise CertificateParseError(
+                    f"{rect.n}-D rect in a {domain.n}-D domain", offset, "rect")
+            rects.append(rect)
         offset += len(line) + 1
     return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects, margin=math.nan)
 

@@ -3,7 +3,9 @@
 Everything here is independent of the package's interval code paths: the
 Gaussian profile goes through mpmath's erfinv/exp, the comparison functions
 are written directly from their defining formulas, and w0 is obtained by
-mpmath root finding.
+mpmath root finding.  The one exception is mul_four_products, the interval
+product that rounds all four endpoint products: Interval.__mul__ must give
+exactly its endpoints.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+
+from cubeiso.interval import INVALID, Interval, _mul_down, _mul_up
 
 mp.mp.dps = 40
 
@@ -237,3 +241,13 @@ def target_g_tail_high(v):
     u = mpf_(10) ** v
     return (2 - mpf_("1.21") * u ** mpf_("0.00057")
             - mpf_("0.4") / mp.sqrt(u) - 880 / u)
+
+
+def mul_four_products(x: Interval, y: Interval) -> Interval:
+    """The interval product as min/max over all four directed products."""
+    if not (x.valid and y.valid):
+        return INVALID
+    a, b, c, d = x.lo, x.hi, y.lo, y.hi
+    lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+    hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
+    return Interval._raw(lo, hi)

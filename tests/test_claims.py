@@ -23,6 +23,10 @@ def test_registry_shape():
         "g_QJQ", "g_QJ_1", "g_QJ_2", "g_P_2", "g_P_3", "g_tail",
     ]
     assert all(c.max_depth == 12 for c in reg)
+    # The checker matches a certificate's domain to its run's, and parsing
+    # gives every rect the domain's dimension, so no rect can reach a bound
+    # of another arity.
+    assert all(r.domain.n == r.fn.arity for c in reg for r in c.runs)
 
 
 def test_g_LJQ_2_second_coordinate_is_beta():

@@ -1,11 +1,15 @@
 """CLI behavior: exit codes, certificate round trips, CSV outputs."""
 
 import csv
+import json
+import math
 import os
 
 import pytest
 
+from cubeiso import claims
 from cubeiso.cli import main
+from cubeiso.partition import Certificate, emit_json, emit_text
 
 
 def test_verify_single_claim(tmp_path, capsys):
@@ -55,6 +59,33 @@ def test_check_cert_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check-cert", str(bad)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _one_rect_certificate(fmt):
+    """A g_Q_2 certificate whose single rect is the whole domain."""
+    run = claims.claim_by_id("g_Q_2").runs[0]
+    cert = Certificate("g_Q_2", run.fn.params.beta, run.fn.params.c, run.domain,
+                       [run.domain], math.nan)
+    return emit_text(cert) if fmt == "text" else emit_json(cert)
+
+
+def _rects_not_list():
+    payload = json.loads(_one_rect_certificate("json"))
+    return json.dumps({**payload, "rects": 5}).encode()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _one_rect_certificate("text") + b"1:2 3:3\n", id="1d_rect_in_2d"),
+    pytest.param(lambda: _one_rect_certificate("text").replace(b"beta 1/2", b"beta 1/0"),
+                 id="zero_denominator"),
+    pytest.param(_rects_not_list, id="rects_not_a_list"),
+])
+def test_check_cert_malformed_exits_1_without_traceback(tmp_path, capsys, make):
+    bad = tmp_path / "bad.cert"
+    bad.write_bytes(make())
+    assert main(["check-cert", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Interval arithmetic: containment soundness, exactness, extended semantics."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from cubeiso.interval import (
     INVALID,
+    QUANTILE_TOL,
     Interval,
+    _quantile_point,
     arith,
     elementary,
     normal_cdf,
@@ -150,6 +154,57 @@ def test_containment_add_mul(a, b, c, d):
             assert F(out.lo) <= pr <= F(out.hi)
 
 
+# Endpoints that make products exact, tied, subnormal or overflowing.
+_signs = st.sampled_from((1.0, -1.0))
+_endpoints = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 3.0)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),
+    st.integers(-(2**26) - 4, 2**26 + 4).map(float),
+    st.builds(lambda e, s: s * math.ldexp(1.0, e), st.integers(-1074, 1023), _signs),
+    st.builds(lambda m, s: s * m, st.floats(min_value=1e150, max_value=sys.float_info.max), _signs),
+)
+
+
+@st.composite
+def _mul_operands(draw):
+    lo = draw(_endpoints)
+    shape = draw(st.sampled_from(("point", "adjacent", "pair", "lo_inf", "hi_inf", "entire", "invalid")))
+    if shape == "invalid":
+        return INVALID
+    if shape == "entire":
+        return Interval(-math.inf, math.inf)
+    hi = lo
+    if shape == "adjacent":
+        for _ in range(draw(st.integers(1, 3))):
+            hi = math.nextafter(hi, math.inf)
+    elif shape == "pair":
+        lo, hi = sorted((lo, draw(_endpoints)))
+    elif shape == "lo_inf":
+        lo = -math.inf
+    elif shape == "hi_inf":
+        hi = math.inf
+    return Interval(lo, hi)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_mul_operands(), _mul_operands())
+def test_mul_matches_four_product_rule(x, y):
+    got, want = x * y, ref.mul_four_products(x, y)
+    assert got.valid == want.valid
+    if want.valid:
+        assert got.lo == want.lo and got.hi == want.hi
+
+
+def test_mul_rounds_every_tied_extremal_product():
+    # 0 * 1e-200 is exact, 1e-200 * 1e-200 underflows to the same 0.0 and is
+    # not: the lower end must step below zero, as rounding all four does.
+    x, y = Interval(0.0, 1e-200), Interval(1e-200, 1.0)
+    out = x * y
+    assert out == ref.mul_four_products(x, y)
+    assert out.lo == -math.ulp(0.0) and out.hi == 1e-200
+
+
 @settings(max_examples=150, deadline=None)
 @given(positive, positive)
 def test_containment_log_exp(a, b):
@@ -201,6 +256,24 @@ def test_quantile_domain():
     assert not normal_quantile(Interval(0.0, 0.5)).valid
     assert not normal_quantile(Interval(0.5, 1.0)).valid
     assert not normal_quantile(INVALID).valid
+
+
+def test_quantile_memo_matches_fresh_bisection():
+    for p in (0.3, 1e-5, 0.5 + 2.0**-30, 0.99999):
+        fresh = _quantile_point.__wrapped__(p, QUANTILE_TOL)
+        assert _quantile_point(p, QUANTILE_TOL) == fresh
+        assert _quantile_point(p, QUANTILE_TOL) == fresh  # served from the memo
+
+
+def test_quantile_memo_keys_on_tolerance():
+    # Deep in the tail the bisection runs, so the tolerance moves the bracket.
+    p, loose_tol = 2e-12, 2.0**-20
+    tight = _quantile_point(p, QUANTILE_TOL)
+    loose = _quantile_point(p, loose_tol)
+    assert loose == _quantile_point.__wrapped__(p, loose_tol)
+    assert loose[1] - loose[0] > tight[1] - tight[0]
+    q = normal_quantile(Interval(p), tol=loose_tol)
+    assert (q.lo, q.hi) == loose
 
 
 def test_gaussian_identities(rng):
