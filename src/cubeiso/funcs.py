@@ -80,6 +80,7 @@ class BetaConsts:
         "beta", "c", "inv_beta", "one_minus_2ib", "two_pow_beta",
         "two_pow_beta_m1", "alpha0", "alpha1", "log2_pow_mbeta",
         "c_pow_inv_beta", "c_pow_1m1b", "c_pow_1m2b", "_k_minus_inv_beta",
+        "q_a", "q_b", "q1_c0", "q1_c1", "q1_c2", "q2_c1",
     )
 
     def __init__(self, beta: Interval, c: Interval, beta_exact: Fraction | None = None):
@@ -102,6 +103,13 @@ class BetaConsts:
         self.alpha0 = Interval(4.0) * self.two_pow_beta - Interval(5.0)
         self.alpha1 = Interval(3.0) - TWO * self.two_pow_beta
         self.log2_pow_mbeta = LOG2.pow(-beta)
+        # Q(x) = (2/3) x (1-x) (q_a + q_b x) and its derivative coefficients
+        self.q_a = Interval(4.0) * self.two_pow_beta - Interval(3.0)
+        self.q_b = Interval(4.0) * self.alpha1
+        self.q1_c0 = TWO_THIRDS * self.q_a
+        self.q1_c1 = Interval(4.0) * self.alpha0
+        self.q1_c2 = Interval(8.0) * self.alpha1
+        self.q2_c1 = Interval(16.0) * self.alpha1
         if c.lo == 1.0 and c.hi == 1.0:
             self.c_pow_inv_beta = ONE
             self.c_pow_1m1b = ONE
@@ -179,29 +187,25 @@ def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
 # ---------------------------------------------------------------------------
 
 def Q(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
-    """Q_beta and derivatives, straight from the displayed formulas."""
+    """Q_beta and derivatives, from the displayed formulas with their
+    per-beta coefficients taken from BetaConsts."""
     if not x.valid:
         return INVALID
     if order == 0:
-        inner = (Interval(4.0) * bc.two_pow_beta - Interval(3.0)
-                 + Interval(4.0) * (Interval(3.0) - TWO * bc.two_pow_beta) * x)
-        return TWO_THIRDS * x * (ONE - x) * inner
+        return TWO_THIRDS * x * (ONE - x) * (bc.q_a + bc.q_b * x)
     if order == 1:
-        return (TWO_THIRDS * (Interval(4.0) * bc.two_pow_beta - Interval(3.0))
-                - Interval(4.0) * bc.alpha0 * x
-                - Interval(8.0) * bc.alpha1 * x.ipow(2))
+        return bc.q1_c0 - bc.q1_c1 * x - bc.q1_c2 * x.ipow(2)
     if order == 2:
-        return -(Interval(4.0) * bc.alpha0) - Interval(16.0) * bc.alpha1 * x
+        return -bc.q1_c1 - bc.q2_c1 * x
     if order == 3:
-        return -(Interval(16.0) * bc.alpha1)
+        return -bc.q2_c1
     raise ValueError(f"unsupported Q derivative order {order}")
 
 
 def R(y: Interval, bc: BetaConsts, order: int = 0) -> Interval:
     """R_beta(y) = (2/3)(1-y)(2^(beta+2) - 3 + 4(3 - 2^(beta+1)) y) and
     its derivatives (R''' = 0)."""
-    A = Interval(4.0) * bc.two_pow_beta - Interval(3.0)
-    B = Interval(4.0) * bc.alpha1
+    A, B = bc.q_a, bc.q_b
     if order == 0:
         return TWO_THIRDS * (ONE - y) * (A + B * y)
     if order == 1:

@@ -18,6 +18,16 @@ transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
 by 2 ulp on each side; this assumption is exercised empirically by the
 randomized containment suite against a high-precision oracle.
 
+The Gaussian cdf at a float 0 < |t| <= 4.5 is 1/2 + (2 pi)^(-1/2) t P(t^2),
+with P(x) = int_0^1 exp(-x s^2/2) ds evaluated as a Maclaurin polynomial in
+float Horner, not with interval operations.  Its error is enclosed by the
+sum of four rigorous bounds (derived above _SERIES_CUT): Horner rounding, by
+a running bound accumulated alongside the Horner value (Higham, Alg. 5.1,
+made rigorous); coefficient rounding, u times the polynomial with absolute
+coefficients; argument rounding of t*t, through |P'| <= 1/6; and truncation,
+by the first omitted term.  Only the final assembly of the cdf uses interval
+operations.
+
 The certified quantile bisection is memoized per (p, tol), so repeated
 quantile points cost one bisection per process.
 
@@ -569,49 +579,95 @@ def strictly_less(a: Interval, t: ScalarLike) -> bool:
 # Gaussian density, distribution and quantile with certified enclosures
 # ---------------------------------------------------------------------------
 #
-# For |t| <= 4.5 the cdf uses the alternating Maclaurin series of
-# int_0^t exp(-s^2/2) ds; the truncation error is bounded by the first
-# omitted term.  For |t| > 4.5 the Mills-ratio asymptotic expansion gives
+# For 0 < |t| <= _SERIES_CUT, Phi(t) = 1/2 + (2 pi)^(-1/2) t P(t^2) with
+#
+#     P(x) = int_0^1 exp(-x s^2 / 2) ds = sum_n (-1)^n a_n x^n,
+#     a_n = 1 / (n! 2^n (2n + 1)).
+#
+# The partial sum P_N (N = 28, 44, 64 for |t| <= 2, 3.2, 4.5) is evaluated in
+# float Horner at x = fl(t*t) with coefficients c_n = fl(a_n), giving y with
+# |P(t^2) - y| <= E, E the sum of four bounds (u = 2^-53, round to nearest):
+#
+# 1. Horner rounding.  z_i = fl(x y_{i+1}) and y_i = fl(z_i + c_i) each err
+#    by at most u/(1-u) times the computed result, and an error made at step
+#    i reaches y_0 multiplied by x^i, so |y - sum (-1)^n c_n x^n| <=
+#    u/(1-u) mu with mu = sum_i x^i (|z_i| + |y_i|), accumulated by Horner
+#    alongside y (Higham, Accuracy and Stability of Numerical Algorithms,
+#    Alg. 5.1, without its first-order truncation).
+# 2. Coefficient rounding.  |c_n - a_n| <= u c_n, so the coefficients move
+#    the sum by at most u sum c_n x^n, a second Horner over |c_n|.
+# 3. Argument rounding.  |t^2 - x| <= u x + 2^-1074 (t*t may underflow),
+#    and |P'(x)| = int_0^1 (s^2/2) exp(-x s^2/2) ds <= 1/6 for x >= 0.
+# 4. Truncation.  For n > N the terms a_n x^n decrease (x <= 2 (N + 2)), so
+#    the alternating tail is at most the first omitted term a_{N+1} x^{N+1}.
+#
+# Each bound is itself computed in round to nearest from nonnegative floats
+# in at most 200 operations, which loses less than a relative 2^-45; the
+# factor 1 + 2^-40 on each absorbs that and the three roundings of their
+# sum.  Gradual underflow in the multiplications costs at most
+# 2^-1075 sum_i max(1, x)^i < 2^-790 absolutely, which the 2^-780 added to
+# each bound absorbs.  The final Phi = 1/2 + (2 pi)^(-1/2) t [y - E, y + E]
+# takes a few outward-rounded interval operations.
+#
+# For |t| > _SERIES_CUT the Mills-ratio asymptotic expansion gives
 # two-sided bounds (partial sums ending on a positive term overestimate,
 # on a negative term underestimate).
 
 _SERIES_CUT = 4.5
-_N_SERIES = 64
-
-def _series_coeffs(n_max: int) -> list[Interval]:
-    out = []
-    fact = 1
-    for n in range(n_max + 1):
-        if n > 0:
-            fact *= n
-        c = Fraction(1, fact * 2**n * (2 * n + 1))
-        out.append(Interval.from_fraction(c))
-    return out
-
-_COEFFS = _series_coeffs(_N_SERIES + 1)
+_U = 2.0**-53
+_SLACK = 1.0 + 2.0**-40
+_TINY = 2.0**-780
+_K_HORNER = _U / (1.0 - _U) * _SLACK
+_K_COEFF = _U * _SLACK
+_K_ARG = _U / 6.0 * _SLACK
 
 
-def _cdf_series(t: Interval) -> Interval:
-    """Phi on an interval with |endpoints| <= _SERIES_CUT, via the series."""
-    u = t.ipow(2)
-    amax = max(abs(t.lo), abs(t.hi))
-    if amax <= 2.0:
-        n_terms = 28
-    elif amax <= 3.2:
-        n_terms = 44
-    else:
-        n_terms = _N_SERIES
-    acc = ZERO
-    power = t
-    sign = 1
-    for n in range(n_terms + 1):
-        term = power * _COEFFS[n]
-        acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-        power = power * u
-    rem = abs(power * _COEFFS[n_terms + 1])
-    acc = acc + Interval._raw(-rem.hi, rem.hi)
-    return HALF + INV_SQRT_TWO_PI * acc
+def _horner_table(n_terms: int) -> tuple:
+    """Horner data for N terms: the pairs (c_n, |c_n|) for n = N-1 down to 0,
+    c_N, a float >= a_{N+1}, and N + 1."""
+    a = [Fraction(1, math.factorial(n) * 2**n * (2 * n + 1)) for n in range(n_terms + 2)]
+    c = [float(v) if n % 2 == 0 else -float(v) for n, v in enumerate(a)]
+    return (tuple((c[n], abs(c[n])) for n in range(n_terms - 1, -1, -1)), c[n_terms],
+            Interval.from_fraction(a[n_terms + 1]).hi, n_terms + 1)
+
+
+_HORNER = {n: _horner_table(n) for n in (28, 44, 64)}
+
+
+def _pow_float(x: float, k: int) -> float:
+    """x**k by repeated squaring; relative rounding error below (1+u)**(2k)."""
+    r = 1.0
+    while k:
+        if k & 1:
+            r *= x
+        x *= x
+        k >>= 1
+    return r
+
+
+def _series_terms(t: float) -> tuple[float, float, float, float, float]:
+    """y ~ P(t*t) and the four bounds on |P(t*t) - y|: Horner rounding,
+    coefficient rounding, argument rounding and truncation."""
+    a = abs(t)
+    pairs, y, a_next, k = _HORNER[28 if a <= 2.0 else 44 if a <= 3.2 else 64]
+    x = t * t
+    mu = 0.0
+    s = abs(y)
+    for c, abs_c in pairs:
+        z = x * y
+        y = z + c
+        mu = x * mu + abs(z) + abs(y)
+        s = x * s + abs_c
+    return (y, mu * _K_HORNER + _TINY, s * _K_COEFF + _TINY, x * _K_ARG + _TINY,
+            a_next * _pow_float(x, k) * _SLACK + _TINY)
+
+
+def _cdf_series(t: float) -> Interval:
+    """Phi at a float 0 < |t| <= _SERIES_CUT, via the series."""
+    y, e_horner, e_coeff, e_arg, e_trunc = _series_terms(t)
+    e = e_horner + e_coeff + e_arg + e_trunc
+    p = Interval._raw(_sub_down(y, e), _add_up(y, e))
+    return HALF + INV_SQRT_TWO_PI * (Interval._raw(t, t) * p)
 
 
 def _upper_tail(z: Interval) -> Interval:
@@ -626,14 +682,13 @@ def _upper_tail(z: Interval) -> Interval:
 
 
 def _cdf_point(t: float) -> Interval:
-    ti = Interval._raw(t, t)
     if t == 0.0:
         return HALF
     a = abs(t)
     if a <= _SERIES_CUT:
-        res = _cdf_series(ti)
+        res = _cdf_series(t)
         return Interval._raw(max(res.lo, 0.0), min(res.hi, 1.0))
-    tail = _upper_tail(abs(ti))
+    tail = _upper_tail(Interval._raw(a, a))
     if t < 0.0:
         return tail
     res = ONE - tail

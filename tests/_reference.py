@@ -3,19 +3,31 @@
 Everything here is independent of the package's interval code paths: the
 Gaussian profile goes through mpmath's erfinv/exp, the comparison functions
 are written directly from their defining formulas, and w0 is obtained by
-mpmath root finding.  The one exception is mul_four_products, the interval
-product that rounds all four endpoint products: Interval.__mul__ must give
-exactly its endpoints.
+mpmath root finding.  Two exceptions are built from the interval kernel:
+mul_four_products, the interval product that rounds all four endpoint
+products, whose endpoints Interval.__mul__ must give exactly; and
+cdf_series_interval, the Gaussian cdf series evaluated with one interval
+operation per term, which the float Horner evaluation must never be wider
+than.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
-from cubeiso.interval import INVALID, Interval, _mul_down, _mul_up
+from cubeiso.interval import (
+    HALF,
+    INV_SQRT_TWO_PI,
+    INVALID,
+    ZERO,
+    Interval,
+    _mul_down,
+    _mul_up,
+)
 
 mp.mp.dps = 40
 
@@ -251,3 +263,35 @@ def mul_four_products(x: Interval, y: Interval) -> Interval:
     lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
     hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
     return Interval._raw(lo, hi)
+
+
+def series_coefficient(n: int) -> Fraction:
+    """a_n = 1 / (n! 2^n (2n+1)), so Phi(t) = 1/2 + (2 pi)^(-1/2) sum (-1)^n a_n t^(2n+1)."""
+    return Fraction(1, math.factorial(n) * 2**n * (2 * n + 1))
+
+
+def series_terms(t: float) -> int:
+    """The number N of series terms the cdf uses at |t| <= 4.5."""
+    a = abs(t)
+    return 28 if a <= 2.0 else 44 if a <= 3.2 else 64
+
+
+_SERIES_COEFFS = [Interval.from_fraction(series_coefficient(n)) for n in range(66)]
+
+
+def cdf_series_interval(t: float) -> Interval:
+    """Phi(t) for 0 < |t| <= 4.5 with an interval operation per series term
+    and the first omitted term as truncation bound, clamped to [0, 1]."""
+    ti = Interval(t)
+    u = ti.ipow(2)
+    n_terms = series_terms(t)
+    acc = ZERO
+    power = ti
+    for n in range(n_terms + 1):
+        term = power * _SERIES_COEFFS[n]
+        acc = acc + term if n % 2 == 0 else acc - term
+        power = power * u
+    rem = abs(power * _SERIES_COEFFS[n_terms + 1])
+    acc = acc + Interval(-rem.hi, rem.hi)
+    res = HALF + INV_SQRT_TWO_PI * acc
+    return Interval(max(res.lo, 0.0), min(res.hi, 1.0))

@@ -1,0 +1,138 @@
+"""The float Horner evaluation of the Gaussian cdf series and its error bound.
+
+Phi(t) = 1/2 + (2 pi)^(-1/2) t P(t^2) for |t| <= 4.5, where P is evaluated in
+float Horner and enclosed by the sum of four bounds.  Each bound is checked
+here on its own, in exact rational arithmetic: the error it covers must not
+exceed the bound's formula, and the float value the code uses must not fall
+below that formula.  A containment check against mpmath alone would miss a
+dropped or halved term, because the bounds are far from tight.
+"""
+
+import math
+from fractions import Fraction as F
+
+import mpmath as mp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference as ref
+from cubeiso import interval
+from cubeiso.interval import QUANTILE_TOL, _cdf_point, _quantile_point, _series_terms
+
+mp.mp.dps = 40
+
+U = F(1, 2**53)
+# gradual underflow in the Horner and power products, propagated through at
+# most 64 steps with |x| <= 20.25, stays below this absolute amount
+UNDERFLOW = F(1, 2**790)
+SMALLEST = F(1, 2**1074)
+
+_EDGES = [5e-324, 1e-160, 2.0, 3.2, 4.5]
+_EDGES += [math.nextafter(t, d) for t in (2.0, 3.2) for d in (0.0, math.inf)]
+_EDGES += [-t for t in _EDGES]
+
+
+def _horner(t):
+    """The float Horner steps as the code performs them: (x, y, [(z_i, y_i)])."""
+    n = ref.series_terms(t)
+    c = [float(ref.series_coefficient(k)) * (-1) ** k for k in range(n + 1)]
+    x = t * t
+    y = c[n]
+    steps = []
+    for k in range(n - 1, -1, -1):
+        z = x * y
+        y = z + c[k]
+        steps.append((z, y))
+    return x, y, steps
+
+
+def _poly(coeffs, x):
+    acc = F(0)
+    for co in reversed(coeffs):
+        acc = acc * x + co
+    return acc
+
+
+def _check_series_bounds(t):
+    y, e_horner, e_coeff, e_arg, e_trunc = _series_terms(t)
+    x, y_ref, steps = _horner(t)
+    assert y == y_ref
+    n = ref.series_terms(t)
+    X = F(x)
+    a = [ref.series_coefficient(k) for k in range(n + 41)]
+    signed = [(-1) ** k * a[k] for k in range(n + 1)]
+    rounded = [F(float(v)) for v in signed]
+
+    # 1. Horner rounding: |y - P_N^c(x)| <= u/(1-u) sum_i x^i (|z_i| + |y_i|)
+    mu = _poly([F(abs(z)) + F(abs(yi)) for z, yi in reversed(steps)], X)
+    b_horner = U / (1 - U) * mu + UNDERFLOW
+    assert abs(F(y) - _poly(rounded, X)) <= b_horner <= F(e_horner)
+
+    # 2. Coefficient rounding: |P_N^c(x) - P_N(x)| <= u sum |c_n| x^n
+    b_coeff = U * _poly([abs(v) for v in rounded], X) + UNDERFLOW
+    assert abs(_poly(rounded, X) - _poly(signed, X)) <= b_coeff <= F(e_coeff)
+
+    # 3. Argument rounding: |t^2 - x| <= u x + 2^-1074 and |P'| <= 1/6, here
+    #    on the partial sum with 40 terms past N
+    T2 = F(t) ** 2
+    assert abs(T2 - X) <= U * X + SMALLEST
+    b_arg = (U * X + SMALLEST) / 6
+    longer = [(-1) ** k * a[k] for k in range(n + 40)]
+    assert abs(_poly(longer, T2) - _poly(longer, X)) <= abs(T2 - X) / 6
+    assert b_arg <= F(e_arg)
+
+    # 4. Truncation: the alternating tail past N is at most a_{N+1} x^{N+1};
+    #    its next 40 terms plus the first term after them stay below it
+    b_trunc = a[n + 1] * X ** (n + 1)
+    tail = _poly([F(0)] * (n + 1) + [(-1) ** k * a[k] for k in range(n + 1, n + 40)], X)
+    assert abs(tail) + a[n + 40] * X ** (n + 40) <= b_trunc <= F(e_trunc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-4.5, max_value=4.5).filter(lambda t: t != 0.0))
+def test_series_error_terms_exact(t):
+    _check_series_bounds(t)
+
+
+def test_series_error_terms_at_edges():
+    for t in _EDGES:
+        _check_series_bounds(t)
+
+
+def test_series_no_wider_than_interval_reference(rng):
+    points = [rng.uniform(-4.5, 4.5) for _ in range(2000)] + _EDGES
+    for t in points:
+        got = _cdf_point(t)
+        want = ref.cdf_series_interval(t)
+        true = mp.ncdf(mp.mpf(t))
+        assert mp.mpf(got.lo) <= true <= mp.mpf(got.hi)
+        assert mp.mpf(want.lo) <= true <= mp.mpf(want.hi)
+        assert got.hi - got.lo <= want.hi - want.lo
+
+
+def _reference_cdf_point(t):
+    if t != 0.0 and abs(t) <= 4.5:
+        return ref.cdf_series_interval(t)
+    return _cdf_point(t)
+
+
+def test_quantile_brackets_reach_tolerance_where_reference_does(monkeypatch):
+    def reached(a, b):
+        return b - a <= QUANTILE_TOL * max(1.0, abs(a), abs(b))
+
+    grid = [1e-3 + k * (1.0 - 2e-3) / 200 for k in range(201)]
+    got = {p: _quantile_point(p, QUANTILE_TOL) for p in grid}
+    # the same bisection, run on the interval-per-term series
+    monkeypatch.setattr(interval, "_cdf_point", _reference_cdf_point)
+    for p in grid:
+        a, b = got[p]
+        ra, rb = _quantile_point.__wrapped__(p, QUANTILE_TOL)
+        assert b - a <= rb - ra
+        assert reached(a, b) or not reached(ra, rb)
+    assert sum(reached(*got[p]) for p in grid) > 150
+
+
+def test_quantile_bracket_in_series_tail():
+    # t = -4.26: the series enclosure is tight enough to bisect below 1e-7
+    a, b = _quantile_point(1e-5, QUANTILE_TOL)
+    assert b - a <= 1e-7
