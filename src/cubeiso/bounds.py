@@ -42,6 +42,7 @@ from fractions import Fraction
 from . import gauss
 from .funcs import (
     BETA0_DYADIC,
+    TWO_POW_M2BETA0,
     BetaConsts,
     BetaParams,
     L,
@@ -179,26 +180,12 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out - (HALF * bc.beta * (ONE - bc.beta) * bc.c_pow_1m2b
                  * j_xh.pow(bc.one_minus_2ib) * h.pow(bc.inv_beta))
     out = out - c * HALF * (ONE / j_x) * h.pow(e(2))
-    if x.hi < gauss.profile_constants().x0.lo:
-        jp = gauss.jprime_point(x.hi)
-        jv = gauss.j_point(x.hi)
-        t3 = Interval(0.25) * jp * jv.ipow(-2) * h.pow(e(3))
-        t5 = (Interval(0.03125) * jp * (Interval(7.0) + Interval(3.0) * jp.ipow(2))
-              * jv.ipow(-4) * h.pow(e(5)))
-        out = out + c * (t3 + t5)
-    else:
-        t3 = Interval(0.25) * a_x * j_x.ipow(-2) * h.pow(e(3))
-        t5 = (Interval(0.03125) * a_x * (Interval(7.0) + Interval(3.0) * a_x.ipow(2))
-              * j_x.ipow(-4) * h.pow(e(5)))
-        out = out - c * (t3 + t5)
-    out = out - (Interval.from_fraction(F(7, 48)) * c * (ONE + a_x.ipow(2))
-                 * j_x.ipow(-3) * h.pow(e(4)))
-    out = out - (Interval.from_fraction(F(1, 90)) * c
-                 * (Interval(7.0) + Interval(23.0) * a_xi1.ipow(2) + Interval(6.0) * a_xi1.ipow(4))
-                 * j_xi1.ipow(-5) * h.pow(e(6)))
-    out = out + (Interval.from_fraction(F(1, 2880)) * c
-                 * (Interval(7.0) + Interval(23.0) * a_xi2.ipow(2) + Interval(6.0) * a_xi2.ipow(4))
-                 * j_xi2.ipow(-5) * h.pow(e(6)))
+    out = out + c * (Interval(0.125) * gauss.j3_lower(x.lo, x.hi) * h.pow(e(3))
+                     + Interval(2.0**-7) * gauss.j5_lower(x.lo, x.hi) * h.pow(e(5)))
+    out = out + Interval.from_fraction(F(7, 192)) * c * gauss.j4_of(a_x, j_x) * h.pow(e(4))
+    h6 = h.pow(e(6))
+    out = out + Interval.from_fraction(F(1, 720)) * c * gauss.j6_of(a_xi1, j_xi1) * h6
+    out = out - Interval.from_fraction(F(1, 23040)) * c * gauss.j6_of(a_xi2, j_xi2) * h6
     return out
 
 
@@ -307,41 +294,23 @@ def g_QJ2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     return ((y - x).ipow(2) + jy.ipow(2)).sqrt() + qx - TWO * jm
 
 
-_BC_HALF = None
-_PREF_BETA0 = None
-
-
-def _bc_half() -> BetaConsts:
-    global _BC_HALF
-    if _BC_HALF is None:
-        _BC_HALF = beta_consts(BetaParams(F(1, 2)))
-    return _BC_HALF
-
-
-def _pref_beta0() -> Interval:
-    global _PREF_BETA0
-    if _PREF_BETA0 is None:
-        _PREF_BETA0 = TWO.pow(Interval.from_fraction(-2 * BETA0_DYADIC))
-    return _PREF_BETA0
-
-
 def g_P2_bound(x: Interval, bc: BetaConsts) -> Interval:
     """2^(-2 beta0) (L_{1/2}(x) + J(1-x)) - 2 x (1-x) on [1/64, 1/4]."""
     jx = gauss.j_enclosure(1.0 - x.hi, 1.0 - x.lo)
     if not jx.valid:
         return INVALID
-    lx = l_range(x.lo, x.hi, _bc_half())
-    return _pref_beta0() * (lx + jx) - TWO * x * (ONE - x)
+    lx = l_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
+    return TWO_POW_M2BETA0 * (lx + jx) - TWO * x * (ONE - x)
 
 
 def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Negated x-derivative of the Poincare comparison on [1/4, 1/2]."""
     arg_lo = 1.0 - x.hi
     arg_hi = 1.0 - x.lo
-    qp = qprime_range(x.lo, x.hi, _bc_half())
+    qp = qprime_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
     out = -(HALF * qp)
     if arg_hi < gauss.profile_constants().x0.lo:
-        out = out + _pref_beta0() * gauss.jprime_enclosure(arg_lo, arg_hi)
+        out = out + TWO_POW_M2BETA0 * gauss.jprime_enclosure(arg_lo, arg_hi)
     else:
         out = out - HALF * gauss.absjprime_enclosure(arg_lo, arg_hi)
     b0 = Interval.from_fraction(BETA0_DYADIC)

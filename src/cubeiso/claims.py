@@ -7,9 +7,11 @@ requires strict positivity of every accepted box; whether the reference
 margin was met is reported but not enforced (margins depend on the tightness
 of the underlying enclosures).
 
-Claims are independent and may run concurrently; reports are assembled in
-registry order and certificate bytes depend only on the claim and its
-parameters, never on thread count or timing.
+Claims are independent.  They run one after another unless a thread count
+above 1 is given, which runs them concurrently (pure-Python work under the
+GIL, so not faster on its own); reports are assembled in registry order and
+certificate bytes depend only on the claim and its parameters, never on
+thread count or timing.
 """
 
 from __future__ import annotations
@@ -245,9 +247,10 @@ def run_all(
     emit_dir: Optional[str] = None,
     threads: Optional[int] = None,
 ) -> list[ClaimReport]:
-    """Run the whole registry; reports come back in registry order."""
+    """Run the whole registry, serially unless threads > 1; reports come
+    back in registry order."""
     claims = registry()
-    workers = threads if threads else (os.cpu_count() or 1)
+    workers = threads or 1
     if workers <= 1:
         return [run_claim(c, max_depth, emit_dir) for c in claims]
     with ThreadPoolExecutor(max_workers=workers) as pool:

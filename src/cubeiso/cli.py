@@ -32,11 +32,6 @@ from .interval import Interval
 F = Fraction
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
-
-
 def _cmd_verify_all(args) -> int:
     reports = claims_mod.run_all(
         max_depth=args.max_depth, emit_dir=args.emit, threads=args.threads,
@@ -221,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="prove every claim and scalar check")
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--emit", default=None, help="directory for certificates")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="claims run concurrently on N threads (default 1)")
     p.add_argument("--summary-json", default=None)
     p.set_defaults(func=_cmd_verify_all)
 

@@ -36,6 +36,7 @@ from .interval import (
     INVALID,
     LOG2,
     ONE,
+    SQRT2,
     TWO,
     Interval,
     strictly_greater,
@@ -48,10 +49,9 @@ BETA_HALF = F(1, 2)
 BETA0_DYADIC = F(1, 2) + F(37, 65536)   # dyadic stand-in, slightly below 0.50057
 BETA1 = F(1, 2) + F(31, 1024)
 C0 = F(997, 1000)
-BETA_ONE = F(1)
 
 TWO_THIRDS = Interval.from_fraction(F(2, 3))
-SQRT2 = TWO.sqrt()
+TWO_POW_M2BETA0 = TWO.pow(Interval.from_fraction(-2 * BETA0_DYADIC))  # 2^(-2 beta0)
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,6 @@ def beta_consts(params: BetaParams) -> BetaConsts:
         Interval.from_fraction(params.c),
         beta_exact=params.beta,
     )
-
-
-def alpha_constants(params: BetaParams) -> tuple[Interval, Interval]:
-    bc = beta_consts(params)
-    return bc.alpha0, bc.alpha1
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +356,8 @@ def _p_cubic(x: Interval, beta: Fraction) -> Interval:
 def _g_P1(x: Interval) -> Interval:
     """2^(-2 beta0) (sqrt(log2(1/x)) + sqrt(log(w0/x))) - 2."""
     w0 = gauss.profile_constants().w0
-    pref = TWO.pow(-TWO * Interval.from_fraction(BETA0_DYADIC))
     lg2 = (-x.log()) / LOG2
-    return pref * (lg2.sqrt() + (w0 / x).log().sqrt()) - TWO
+    return TWO_POW_M2BETA0 * (lg2.sqrt() + (w0 / x).log().sqrt()) - TWO
 
 
 def _quartic_factor_f(x: Interval, beta: Interval) -> Interval:

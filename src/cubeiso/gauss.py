@@ -24,6 +24,10 @@ in (J, J'):
     J4   = -4 (1 + J'^2) J^-3        J5   = 4 J' (7 + 3 J'^2) J^-4
     J6   = -8 (7 + 23 J'^2 + 6 J'^4) J^-5
 
+These identities live here and only here, as j3_of .. j6_of of (J', J)
+enclosures; j3_lower/j5_lower add the x0 branch, and the sixth-order
+expansion of the g_J1 bound is built from them.
+
 J and J' at dyadic coordinates are memoized here, and the quantile brackets
 beneath I, J and J' in the interval module; the partition engine re-visits
 corners heavily.
@@ -32,21 +36,18 @@ corners heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .interval import (
     HALF,
     INV_SQRT_TWO_PI,
     INVALID,
     ONE,
-    PI,
+    SQRT2,
     TWO,
     Interval,
     normal_pdf,
     normal_quantile,
 )
-
-SQRT2 = TWO.sqrt()
 
 W0_BRACKET = (0.895, 0.896)
 W0_WIDTH_TARGET = 2.0**-40  # well below the required 2^-30
@@ -61,19 +62,6 @@ class ProfileConstants:
     sqrt2_w0: Interval    # sqrt(2) * w0, the J prefactor
     j_peak: Interval      # J(x0) = sqrt(2) * w0 / sqrt(2*pi)
     domain_lo: Interval   # 1 - w0, left end of J's natural domain
-
-
-@dataclass(frozen=True)
-class JDerivativeBundle:
-    """Enclosures of J and its derivatives over a rectangle [xlo, xhi]."""
-
-    j: Interval
-    jprime: Interval
-    absjprime: Interval
-    j3: Interval
-    j4: Interval
-    j5: Interval
-    j6: Interval
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +148,6 @@ def profile_constants() -> ProfileConstants:
             domain_lo=ONE - w0,
         )
     return _CONSTANTS
-
-
-def compute_w0() -> Interval:
-    return profile_constants().w0
-
-
-def compute_x0() -> Interval:
-    return profile_constants().x0
 
 
 # ---------------------------------------------------------------------------
@@ -262,80 +242,44 @@ def absjprime_enclosure(xlo: float, xhi: float) -> Interval:
     return Interval(min(lo, hi), hi)
 
 
+def j3_of(jp: Interval, j: Interval) -> Interval:
+    """J''' = 2 J' J^-2 from enclosures of J' (or |J'|) and J."""
+    return TWO * jp * j.ipow(-2)
+
+
+def j4_of(jp: Interval, j: Interval) -> Interval:
+    """J^(4) = -4 (1 + J'^2) J^-3; even in J', so |J'| serves as well."""
+    return -(Interval(4.0) * (ONE + jp.ipow(2)) * j.ipow(-3))
+
+
+def j5_of(jp: Interval, j: Interval) -> Interval:
+    """J^(5) = 4 J' (7 + 3 J'^2) J^-4 from enclosures of J' (or |J'|) and J."""
+    return Interval(4.0) * jp * (Interval(7.0) + Interval(3.0) * jp.ipow(2)) * j.ipow(-4)
+
+
+def j6_of(jp: Interval, j: Interval) -> Interval:
+    """J^(6) = -8 (7 + 23 J'^2 + 6 J'^4) J^-5; even in J'."""
+    return -(Interval(8.0) * (Interval(7.0) + Interval(23.0) * jp.ipow(2)
+                              + Interval(6.0) * jp.ipow(4)) * j.ipow(-5))
+
+
+def _odd_lower(jk_of, xlo: float, xhi: float) -> Interval:
+    """Lower bound for J''' or J^(5) over [xlo, xhi]; .lo is the certified bound.
+
+    Left of x0 both are positive and decreasing (J^(4), J^(6) < 0), so their
+    value at xhi is the minimum; elsewhere minus their value at the |J'| and
+    J enclosures of the box bounds them below.
+    """
+    if xhi < profile_constants().x0.lo:
+        return jk_of(jprime_point(xhi), j_point(xhi))
+    return -jk_of(absjprime_enclosure(xlo, xhi), j_enclosure(xlo, xhi))
+
+
 def j3_lower(xlo: float, xhi: float) -> Interval:
-    """Tight lower bound for J''' = 2 J' J^-2; .lo is the certified bound."""
-    c = profile_constants()
-    if xhi < c.x0.lo:
-        jp = jprime_point(xhi)
-        j = j_point(xhi)
-        return TWO * jp * j.ipow(-2)
-    aj = absjprime_enclosure(xlo, xhi)
-    jen = j_enclosure(xlo, xhi)
-    return -(TWO * aj * jen.ipow(-2))
+    """Tight lower bound for J''' = 2 J' J^-2 over [xlo, xhi]."""
+    return _odd_lower(j3_of, xlo, xhi)
 
 
 def j5_lower(xlo: float, xhi: float) -> Interval:
-    """Tight lower bound for J^(5) = 4 J' (7 + 3 J'^2) J^-4."""
-    c = profile_constants()
-    if xhi < c.x0.lo:
-        jp = jprime_point(xhi)
-        j = j_point(xhi)
-        return Interval(4.0) * jp * (Interval(7.0) + Interval(3.0) * jp.ipow(2)) * j.ipow(-4)
-    aj = absjprime_enclosure(xlo, xhi)
-    jen = j_enclosure(xlo, xhi)
-    return -(Interval(4.0) * aj * (Interval(7.0) + Interval(3.0) * aj.ipow(2)) * jen.ipow(-4))
-
-
-def j_derivative_bundle(xlo: float, xhi: float) -> JDerivativeBundle:
-    """Generic enclosures of J, J', |J'| and derivatives 3..6 on the box."""
-    j = j_enclosure(xlo, xhi)
-    jp = jprime_enclosure(xlo, xhi)
-    aj = absjprime_enclosure(xlo, xhi)
-    inv2 = j.ipow(-2)
-    inv3 = j.ipow(-3)
-    inv4 = j.ipow(-4)
-    inv5 = j.ipow(-5)
-    aj2 = aj.ipow(2)
-    j3 = TWO * jp * inv2
-    j4 = -(Interval(4.0) * (ONE + aj2) * inv3)
-    j5 = Interval(4.0) * jp * (Interval(7.0) + Interval(3.0) * aj2) * inv4
-    j6 = -(Interval(8.0) * (Interval(7.0) + Interval(23.0) * aj2 + Interval(6.0) * aj.ipow(4)) * inv5)
-    return JDerivativeBundle(j=j, jprime=jp, absjprime=aj, j3=j3, j4=j4, j5=j5, j6=j6)
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic lower bounds near the endpoints
-# ---------------------------------------------------------------------------
-
-_SIXTY_FOURTH = 1.0 / 64.0
-_FIFTH = Fraction(1, 5)
-LOG_2_SQRT_PI = (TWO * PI.sqrt()).log()  # log(2*pi^(1/2))
-
-
-def j_lower_near_one(s: Interval) -> Interval:
-    """Certified lower bound for J(1 - s): s * sqrt(log(w0/s)), s in (0, 1/64]."""
-    if not s.valid or s.lo <= 0.0 or s.hi > _SIXTY_FOURTH:
-        return INVALID
-    w0 = profile_constants().w0
-    return s * (w0 / s).log().sqrt()
-
-
-def asymptotic_epsilon(s: Interval) -> Interval:
-    """The deficit eps with J(1-s) >= 2 s sqrt(log(w0/s)) (1 - eps)."""
-    if not s.valid or s.lo <= 0.0:
-        return INVALID
-    w0 = profile_constants().w0
-    lg = (w0 / s).log()
-    return HALF * lg.log() / lg + LOG_2_SQRT_PI / lg
-
-
-def profile_lower_small(x: Interval) -> Interval:
-    """Lower bound for I(x) on (0, 1/5]:
-
-    sqrt(2) x sqrt(log(1/x)) (1 - (1/2) loglog(1/x)/log(1/x) - log(2 sqrt(pi))/log(1/x)).
-    """
-    if not x.valid or x.lo <= 0.0 or Fraction(x.hi) > _FIFTH:
-        return INVALID
-    lg = (ONE / x).log()
-    corr = ONE - HALF * lg.log() / lg - LOG_2_SQRT_PI / lg
-    return SQRT2 * x * lg.sqrt() * corr
+    """Tight lower bound for J^(5) = 4 J' (7 + 3 J'^2) J^-4 over [xlo, xhi]."""
+    return _odd_lower(j5_of, xlo, xhi)

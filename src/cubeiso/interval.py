@@ -257,10 +257,6 @@ class Interval:
         return iv
 
     @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
-
-    @staticmethod
     def from_fraction(fr: ScalarLike) -> "Interval":
         """Width-minimal interval containing an exact rational."""
         fr = Fraction(fr)
@@ -294,9 +290,6 @@ class Interval:
         if isinstance(x, Fraction):
             return Fraction(self.lo) <= x <= Fraction(self.hi)
         return self.lo <= x <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.valid and other.valid and self.lo <= other.lo and other.hi <= self.hi
 
     def __repr__(self) -> str:
         if not self.valid:
@@ -522,40 +515,9 @@ TWO = Interval._raw(2.0, 2.0)
 PI = Interval._raw(_down(math.pi), _up(math.pi))
 LOG2 = Interval._raw(2.0, 2.0).log()
 LOG10 = Interval._raw(10.0, 10.0).log()
+SQRT2 = TWO.sqrt()
 SQRT_TWO_PI = (TWO * PI).sqrt()
 INV_SQRT_TWO_PI = ONE / SQRT_TWO_PI
-
-
-# ---------------------------------------------------------------------------
-# Kind-keyed dispatchers (thin; the methods above are the real API)
-# ---------------------------------------------------------------------------
-
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a, b: -a,
-    "min": lambda a, b: a.min(b),
-    "max": lambda a, b: a.max(b),
-    "abs": lambda a, b: abs(a),
-}
-
-
-def arith(a: Interval, b: Interval | None, kind: str) -> Interval:
-    return _ARITH[kind](a, b)
-
-
-def elementary(a: Interval, kind: str, exponent=None) -> Interval:
-    if kind == "exp":
-        return a.exp()
-    if kind == "log":
-        return a.log()
-    if kind == "sqrt":
-        return a.sqrt()
-    if kind == "pow_real":
-        return a.pow(exponent)
-    raise ValueError(f"unknown elementary kind {kind!r}")
 
 
 def strictly_greater(a: Interval, t: ScalarLike) -> bool:
@@ -714,7 +676,8 @@ QUANTILE_TOL = 2.0**-46
 
 
 class QuantileError(ValueError):
-    """Raised in strict mode when bisection cannot certify a bracket."""
+    """Raised when bisection cannot certify a bracket; normal_quantile turns
+    it into Invalid."""
 
 
 def _quantile_seed(p: float) -> float:
@@ -771,13 +734,13 @@ def _quantile_point(p: float, tol: float) -> tuple[float, float]:
     return a, b
 
 
-def normal_quantile(p: Interval, tol: float = QUANTILE_TOL, strict: bool = False) -> Interval:
+def normal_quantile(p: Interval, tol: float = QUANTILE_TOL) -> Interval:
     """Certified enclosure of Phi^{-1}(p) for p strictly inside (0, 1).
 
     The bracket is refined by certified bisection on the cdf enclosure until
     its relative width is <= tol.  Near the tails double precision cannot
     always reach the default tolerance; the sound best-effort bracket is
-    returned unless strict=True, which raises QuantileError instead.
+    returned then.
     """
     if not p.valid or p.lo <= 0.0 or p.hi >= 1.0:
         return INVALID
@@ -786,10 +749,5 @@ def normal_quantile(p: Interval, tol: float = QUANTILE_TOL, strict: bool = False
         if p.hi != p.lo:
             bhi = _quantile_point(p.hi, tol)[1]
     except QuantileError:
-        if strict:
-            raise
         return INVALID
-    res = Interval._raw(alo, bhi)
-    if strict and res.width > 4.0 * tol * max(1.0, abs(alo), abs(bhi)):
-        raise QuantileError(f"quantile width {res.width} exceeds tolerance at p={p!r}")
-    return res
+    return Interval._raw(alo, bhi)

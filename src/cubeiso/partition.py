@@ -184,11 +184,6 @@ class Certificate:
     rects: list[DyadicRect]
     margin: float  # informational; never trusted by verification
 
-    def rect_count(self) -> int:
-        return len(self.rects)
-
-
-PartitionOutcome = Certificate | Failure
 
 BoundEvaluator = Callable[[tuple[tuple[float, float], ...]], Interval]
 

@@ -164,8 +164,8 @@ def test_criterion_7_envelope():
 
 
 def test_criterion_8_constants():
-    w0 = gauss.compute_w0()
-    x0 = gauss.compute_x0()
+    constants = gauss.profile_constants()
+    w0, x0 = constants.w0, constants.x0
     ok = (0.895 <= w0.lo and w0.hi <= 0.896 and w0.width <= 2.0 ** -30
           and 0.552 <= x0.lo and x0.hi <= 0.553)
     _report(8, ok, f"w0 width {w0.width:.2e} inside [0.895, 0.896]")

@@ -8,7 +8,6 @@ import pytest
 
 import _reference as ref
 from conftest import scale
-from cubeiso import funcs
 from cubeiso.funcs import (
     BETA0_DYADIC,
     BETA1,
@@ -106,11 +105,10 @@ def test_L_Q_ordering_on_grid():
 
 
 def test_alpha_constants():
-    a0, a1 = funcs.alpha_constants(BetaParams(F(1, 2)))
-    assert a0.lo > 0.0  # 2^2.5 - 5 > 0
-    assert a1.lo > 0.0  # beta < log2(3/2)
-    a0b, a1b = funcs.alpha_constants(BetaParams(F(1)))
-    assert a1b.hi < 0.0  # 3 - 4 < 0
+    bc = beta_consts(BetaParams(F(1, 2)))
+    assert bc.alpha0.lo > 0.0  # 2^2.5 - 5 > 0
+    assert bc.alpha1.lo > 0.0  # beta < log2(3/2)
+    assert beta_consts(BetaParams(F(1))).alpha1.hi < 0.0  # 3 - 4 < 0
 
 
 def test_b_continuity_at_breakpoints():

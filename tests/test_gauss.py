@@ -8,7 +8,7 @@ import mpmath as mp
 import _reference as ref
 from conftest import scale
 from cubeiso import gauss
-from cubeiso.interval import Interval, ONE, TWO
+from cubeiso.interval import Interval, TWO
 
 
 def test_w0_enclosure(constants):
@@ -117,55 +117,35 @@ def test_j_monotone_around_x0(constants):
             assert gauss.j_point(b).lo < gauss.j_point(a).hi
 
 
-def test_asymptotic_lower_bound_examples(constants):
-    s = Interval(1.0 / 64.0)
-    bound = gauss.j_lower_near_one(s)
-    assert bound.valid and bound.hi < gauss.j_point(63.0 / 64.0).lo
-    eps = gauss.asymptotic_epsilon(s)
-    assert (TWO * (ONE - eps)).lo > 1.0
-    assert not gauss.j_lower_near_one(Interval(0.02)).valid  # above 1/64
+def _x0_boxes(rng, x0):
+    """Boxes left of x0, right of it and straddling it."""
+    for _ in range(8):
+        a = rng.uniform(0.45, x0.lo - 0.02)
+        yield "left", a, a + rng.uniform(1e-6, 0.02)
+        a = rng.uniform(x0.hi + 1e-9, 0.97)
+        yield "right", a, a + rng.uniform(1e-6, 0.02)
+        yield "straddle", rng.uniform(x0.lo - 0.02, x0.lo), rng.uniform(x0.hi, x0.hi + 0.02)
 
 
-def test_asymptotic_bound_positive(rng):
-    for _ in range(50):
-        s = Interval(rng.uniform(1e-6, 1.0 / 64.0))
-        b = gauss.j_lower_near_one(s)
-        assert b.valid and b.lo > 0.0
-
-
-def test_profile_lower_small_never_exceeds_profile():
-    """Depth-10 dyadic grid of (0, 1/5]."""
-    k = 1
-    while k * 2 ** -10 <= 0.2:
-        x = Interval(k * 2 ** -10)
-        bound = gauss.profile_lower_small(x)
-        prof = gauss.gauss_profile(x)
-        assert bound.valid
-        assert bound.hi <= prof.lo + 1e-12
-        k += 1
-
-
-def test_derivative_bundle_signs():
-    b = gauss.j_derivative_bundle(0.6, 0.7)
-    assert b.j4.hi < 0.0  # J^(4) < 0 on (1/2, 1)
-    assert b.j6.hi < 0.0
-    assert b.j.lo > 0.0
-    # J''' and J^(5) are negative right of x0
-    assert b.j3.hi < 0.0
-    assert b.j5.hi < 0.0
-
-
-def test_j3_j5_lower_bounds(rng):
-    for _ in range(40):
-        a = rng.uniform(0.5, 0.95)
-        b = min(a + rng.uniform(1e-6, 0.02), 0.99)
-        lo3 = gauss.j3_lower(a, b).lo
-        lo5 = gauss.j5_lower(a, b).lo
-        for _ in range(4):
-            x = mp.mpf(rng.uniform(a, b))
-            j = ref.J(x)
-            jp = ref.Jp(x)
-            true3 = 2 * jp / j ** 2
-            true5 = 4 * jp * (7 + 3 * jp ** 2) / j ** 4
-            assert float(true3) >= lo3 - 1e-9 * max(1.0, abs(lo3))
-            assert float(true5) >= lo5 - 1e-9 * max(1.0, abs(lo5))
+def test_j3_j5_lower_bounds(rng, constants):
+    """The J''' .. J^(6) identities against mpmath derivatives of the oracle J:
+    j3_lower/j5_lower bound J''' and J^(5) below, and j4_of/j6_of at the
+    box's |J'| and J enclosures (as g_J1 uses them) enclose J^(4) and J^(6)."""
+    for side, a, b in _x0_boxes(rng, constants.x0):
+        lo3 = gauss.j3_lower(a, b)
+        lo5 = gauss.j5_lower(a, b)
+        aj = gauss.absjprime_enclosure(a, b)
+        jen = gauss.j_enclosure(a, b)
+        j4 = gauss.j4_of(aj, jen)
+        j6 = gauss.j6_of(aj, jen)
+        assert j4.hi < 0.0 and j6.hi < 0.0  # J^(4), J^(6) < 0 on (1/2, 1)
+        if side == "left":
+            assert lo3.lo > 0.0 and lo5.lo > 0.0
+        if side == "right":  # J''' and J^(5) are negative right of x0
+            assert lo3.hi < 0.0 and lo5.hi < 0.0
+        for x in (b, rng.uniform(a, b)):
+            _, _, _, d3, d4, d5, d6 = mp.diffs(ref.J, mp.mpf(x), 6)
+            assert d3 >= mp.mpf(lo3.lo)
+            assert d5 >= mp.mpf(lo5.lo)
+            assert mp.mpf(j4.lo) <= d4 <= mp.mpf(j4.hi)
+            assert mp.mpf(j6.lo) <= d6 <= mp.mpf(j6.hi)

@@ -15,8 +15,6 @@ from cubeiso.interval import (
     QUANTILE_TOL,
     Interval,
     _quantile_point,
-    arith,
-    elementary,
     normal_cdf,
     normal_pdf,
     normal_quantile,
@@ -76,16 +74,16 @@ def test_infinite_endpoints():
         Interval(math.inf, math.inf)
 
 
-def test_arith_dispatcher_covers_all_kinds():
+def test_arith_operators_cover_all_kinds():
     a, b = Interval(1, 2), Interval(3, 4)
-    assert arith(a, b, "add").lo == 4.0
-    assert arith(a, b, "sub").hi == -1.0
-    assert arith(a, b, "mul").lo == 3.0
-    assert arith(a, b, "div").hi <= 2.0 / 3.0 + 1e-15
-    assert arith(a, None, "neg") == Interval(-2, -1)
-    assert arith(a, b, "min") == a
-    assert arith(a, b, "max") == b
-    assert arith(Interval(-2, 1), None, "abs") == Interval(0, 2)
+    assert (a + b).lo == 4.0
+    assert (a - b).hi == -1.0
+    assert (a * b).lo == 3.0
+    assert (a / b).hi <= 2.0 / 3.0 + 1e-15
+    assert -a == Interval(-2, -1)
+    assert a.min(b) == a
+    assert a.max(b) == b
+    assert abs(Interval(-2, 1)) == Interval(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_arith_dispatcher_covers_all_kinds():
 # ---------------------------------------------------------------------------
 
 def test_log_one_is_exact_zero():
-    out = elementary(Interval(1.0), "log")
+    out = Interval(1.0).log()
     assert out.lo == 0.0 and out.hi == 0.0
 
 
