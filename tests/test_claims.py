@@ -2,6 +2,7 @@
 
 import csv
 import os
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -113,6 +114,28 @@ def test_run_report_fields():
     assert rep.seconds >= 0
     table = claims.summary_table([rep])
     assert "g_Q_1" in table
+
+
+def test_run_all_defaults_to_one_worker(monkeypatch):
+    """Without threads, run_all runs the registry serially on the calling
+    thread; an explicit threads > 1 still uses the pool, in registry order."""
+    seen = []
+
+    def fake_run_claim(claim, max_depth, emit_dir):
+        seen.append(threading.get_ident())
+        return claim.claim_id
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool used by default")
+
+    monkeypatch.setattr(claims, "run_claim", fake_run_claim)
+    monkeypatch.setattr(claims, "ThreadPoolExecutor", no_pool)
+    ids = [c.claim_id for c in claims.registry()]
+    assert claims.run_all() == ids
+    assert set(seen) == {threading.get_ident()}
+    monkeypatch.undo()
+    monkeypatch.setattr(claims, "run_claim", fake_run_claim)
+    assert claims.run_all(threads=2) == ids
 
 
 def test_heine_borel_soundness(rng):

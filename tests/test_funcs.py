@@ -11,6 +11,7 @@ from conftest import scale
 from cubeiso.funcs import (
     BETA0_DYADIC,
     BETA1,
+    TWO_POW_M2BETA0,
     BetaParams,
     L,
     Q,
@@ -109,6 +110,13 @@ def test_alpha_constants():
     assert bc.alpha0.lo > 0.0  # 2^2.5 - 5 > 0
     assert bc.alpha1.lo > 0.0  # beta < log2(3/2)
     assert beta_consts(BetaParams(F(1))).alpha1.hi < 0.0  # 3 - 4 < 0
+
+
+def test_two_pow_m2beta0_encloses_reference():
+    """The one 2^(-2 beta0) constant that g_P1, g_P2 and g_P3 share."""
+    true = mp.power(2, -2 * mp.mpf(BETA0_DYADIC.numerator) / BETA0_DYADIC.denominator)
+    assert mp.mpf(TWO_POW_M2BETA0.lo) <= true <= mp.mpf(TWO_POW_M2BETA0.hi)
+    assert TWO_POW_M2BETA0.width <= 1e-15
 
 
 def test_b_continuity_at_breakpoints():

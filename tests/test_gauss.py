@@ -117,6 +117,19 @@ def test_j_monotone_around_x0(constants):
             assert gauss.j_point(b).lo < gauss.j_point(a).hi
 
 
+def test_derivative_bundle_signs():
+    """Signs of J''' .. J^(6) on [0.6, 0.7], right of x0, from the identities
+    at the box's signed J' and J enclosures."""
+    jp = gauss.jprime_enclosure(0.6, 0.7)
+    j = gauss.j_enclosure(0.6, 0.7)
+    assert j.lo > 0.0
+    assert gauss.j4_of(jp, j).hi < 0.0  # J^(4) < 0 on (1/2, 1)
+    assert gauss.j6_of(jp, j).hi < 0.0
+    # J''' and J^(5) are negative right of x0
+    assert gauss.j3_of(jp, j).hi < 0.0
+    assert gauss.j5_of(jp, j).hi < 0.0
+
+
 def _x0_boxes(rng, x0):
     """Boxes left of x0, right of it and straddling it."""
     for _ in range(8):

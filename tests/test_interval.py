@@ -13,6 +13,7 @@ import _reference as ref
 from cubeiso.interval import (
     INVALID,
     QUANTILE_TOL,
+    SQRT2,
     Interval,
     _quantile_point,
     normal_cdf,
@@ -100,6 +101,15 @@ def test_sqrt_two_tight():
     true = mp.sqrt(2)
     assert mp.mpf(out.lo) <= true <= mp.mpf(out.hi)
     assert out.width <= 2 * math.ulp(1.5)
+
+
+def test_sqrt2_constant_is_shared():
+    """SQRT2 has one definition; gauss and funcs use that same enclosure."""
+    from cubeiso import funcs, gauss
+
+    assert gauss.SQRT2 is SQRT2 and funcs.SQRT2 is SQRT2
+    assert mp.mpf(SQRT2.lo) <= mp.sqrt(2) <= mp.mpf(SQRT2.hi)
+    assert SQRT2.width <= 2 * math.ulp(1.5)
 
 
 def test_log_requires_positive():
