@@ -28,13 +28,15 @@ These identities live here and only here, as j3_of .. j6_of of (J', J)
 enclosures; j3_lower/j5_lower add the x0 branch, and the sixth-order
 expansion of the g_J1 bound is built from them.
 
-J and J' at dyadic coordinates are memoized here, and the quantile brackets
-beneath I, J and J' in the interval module; the partition engine re-visits
-corners heavily.
+J and J' at float points and the profile constants are memoized here with
+functools.cache, the mechanism the interval module uses for the quantile
+brackets beneath I, J and J'; the partition engine re-visits corners
+heavily.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .interval import (
@@ -131,32 +133,22 @@ def _bisect_w0() -> Interval:
     return Interval(lo, hi)
 
 
-_CONSTANTS: ProfileConstants | None = None
-
-
+@functools.cache
 def profile_constants() -> ProfileConstants:
-    global _CONSTANTS
-    if _CONSTANTS is None:
-        w0 = _bisect_w0()
-        x0 = ONE - w0 * HALF
-        sqrt2_w0 = SQRT2 * w0
-        _CONSTANTS = ProfileConstants(
-            w0=w0,
-            x0=x0,
-            sqrt2_w0=sqrt2_w0,
-            j_peak=sqrt2_w0 * INV_SQRT_TWO_PI,
-            domain_lo=ONE - w0,
-        )
-    return _CONSTANTS
+    w0 = _bisect_w0()
+    sqrt2_w0 = SQRT2 * w0
+    return ProfileConstants(
+        w0=w0,
+        x0=ONE - w0 * HALF,
+        sqrt2_w0=sqrt2_w0,
+        j_peak=sqrt2_w0 * INV_SQRT_TWO_PI,
+        domain_lo=ONE - w0,
+    )
 
 
 # ---------------------------------------------------------------------------
 # J and its derivatives
 # ---------------------------------------------------------------------------
-
-_J_CACHE: dict[float, Interval] = {}
-_JPRIME_CACHE: dict[float, Interval] = {}
-
 
 def _u_of(x: Interval) -> Interval:
     """(1 - x)/w0, Invalid outside J's natural domain."""
@@ -175,28 +167,18 @@ def j_value(x: Interval) -> Interval:
     return j_enclosure(x.lo, x.hi)
 
 
+@functools.cache
 def j_point(x: float) -> Interval:
-    cached = _J_CACHE.get(x)
-    if cached is not None:
-        return cached
-    c = profile_constants()
     u = _u_of(Interval(x))
-    res = INVALID if not u.valid else c.sqrt2_w0 * gauss_profile(u)
-    _J_CACHE[x] = res
-    return res
+    return INVALID if not u.valid else profile_constants().sqrt2_w0 * gauss_profile(u)
 
 
+@functools.cache
 def jprime_point(x: float) -> Interval:
-    cached = _JPRIME_CACHE.get(x)
-    if cached is not None:
-        return cached
     u = _u_of(Interval(x))
     if not u.valid or u.lo <= 0.0 or u.hi >= 1.0:
-        res = INVALID
-    else:
-        res = SQRT2 * normal_quantile(u)
-    _JPRIME_CACHE[x] = res
-    return res
+        return INVALID
+    return SQRT2 * normal_quantile(u)
 
 
 def j_enclosure(xlo: float, xhi: float) -> Interval:

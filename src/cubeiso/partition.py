@@ -13,13 +13,16 @@ so the geometry is exact and certificates serialize losslessly as
 (numerator, exponent) pairs, never as decimal floats.
 
 Certificate verification is independent of the construction path: it
-re-checks the exact tiling of the domain in rational arithmetic and
-re-evaluates the bound on every rectangle, trusting nothing from the file
-beyond the claim identity.
+re-checks the exact tiling of the domain and re-evaluates the bound on every
+rectangle, trusting nothing from the file beyond the claim identity.  The
+tiling check maps every endpoint once to an integer on the finest grid of
+the certificate (num << (E - exp), with E its largest exponent) and does
+containment, the area sum and the overlap sweep in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,9 +51,12 @@ class Dyadic:
         num, exp = self.num, self.exp
         if exp < 0:
             raise ValueError("negative exponent")
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if num == 0:
+            exp = 0
+        else:
+            shift = min(exp, (num & -num).bit_length() - 1)  # trailing zeros of num
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
         if abs(self.num) >= 2**53 or self.exp > 1060:
@@ -65,14 +71,8 @@ class Dyadic:
             raise ValueError(f"{fr} is not dyadic")
         return Dyadic(fr.numerator, exp)
 
-    def to_fraction(self) -> Fraction:
-        return F(self.num, 1 << self.exp)
-
     def to_float(self) -> float:
         return math.ldexp(self.num, -self.exp)
-
-    def __lt__(self, other: "Dyadic") -> bool:  # exact order, not field order
-        return self.to_fraction() < other.to_fraction()
 
     def __str__(self) -> str:
         return f"{self.num}:{self.exp}"
@@ -104,13 +104,14 @@ class DyadicRect:
         if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
             raise ValueError("rectangles must be 1- or 2-dimensional")
         for a, b in zip(self.lo, self.hi):
-            if not a.to_fraction() < b.to_fraction():
+            # every Dyadic is exactly a double, so the float order is exact
+            if not a.to_float() < b.to_float():
                 raise ValueError(f"degenerate side [{a}, {b}]")
 
     @staticmethod
     def build(*sides: tuple[Fraction | int, Fraction | int]) -> "DyadicRect":
-        lo = tuple(Dyadic.from_fraction(F(s[0])) for s in sides)
-        hi = tuple(Dyadic.from_fraction(F(s[1])) for s in sides)
+        lo = tuple(Dyadic.from_fraction(s[0]) for s in sides)
+        hi = tuple(Dyadic.from_fraction(s[1]) for s in sides)
         return DyadicRect(lo, hi)
 
     @property
@@ -122,34 +123,12 @@ class DyadicRect:
 
     def children(self) -> Iterator["DyadicRect"]:
         """2^n congruent children, dimension-1 low half first."""
-        mids = tuple(dyadic_mid(a, b) for a, b in zip(self.lo, self.hi))
-        if self.n == 1:
-            yield DyadicRect((self.lo[0],), (mids[0],))
-            yield DyadicRect((mids[0],), (self.hi[0],))
-        else:
-            for half1 in (0, 1):
-                for half2 in (0, 1):
-                    lo = (
-                        self.lo[0] if half1 == 0 else mids[0],
-                        self.lo[1] if half2 == 0 else mids[1],
-                    )
-                    hi = (
-                        mids[0] if half1 == 0 else self.hi[0],
-                        mids[1] if half2 == 0 else self.hi[1],
-                    )
-                    yield DyadicRect(lo, hi)
-
-    def area(self) -> Fraction:
-        out = F(1)
+        halves = []
         for a, b in zip(self.lo, self.hi):
-            out *= b.to_fraction() - a.to_fraction()
-        return out
-
-    def contains_rect(self, other: "DyadicRect") -> bool:
-        return all(
-            a.to_fraction() <= oa.to_fraction() and ob.to_fraction() <= b.to_fraction()
-            for a, b, oa, ob in zip(self.lo, self.hi, other.lo, other.hi)
-        )
+            m = dyadic_mid(a, b)
+            halves.append(((a, m), (m, b)))
+        for sides in itertools.product(*halves):
+            yield DyadicRect(tuple(lo for lo, _ in sides), tuple(hi for _, hi in sides))
 
     def tokens(self) -> list[str]:
         out = []
@@ -364,33 +343,39 @@ class VerificationReport:
 
 
 def _check_tiling(domain: DyadicRect, rects: list[DyadicRect]) -> list[str]:
-    """Exact rational check: rects are inside the domain, interiors are
-    pairwise disjoint, and areas sum to the domain area."""
+    """Exact integer check: rects are inside the domain, interiors are
+    pairwise disjoint, and areas sum to the domain area.
+
+    Every endpoint num / 2**exp becomes num << (e - exp) on the grid of step
+    2**-e, e the largest exponent present, so all comparisons and areas are
+    exact integer operations.
+    """
+    e = max(d.exp for r in (domain, *rects) for d in r.lo + r.hi)
+
+    def grid(r: DyadicRect) -> tuple[list[int], list[int]]:
+        return ([d.num << (e - d.exp) for d in r.lo], [d.num << (e - d.exp) for d in r.hi])
+
+    dlo, dhi = grid(domain)
+    boxes = [grid(r) for r in rects]
     problems = []
-    total = F(0)
-    for i, r in enumerate(rects):
-        if not domain.contains_rect(r):
+    total = 0
+    for i, (lo, hi) in enumerate(boxes):
+        if not all(a <= x and y <= b for a, b, x, y in zip(dlo, dhi, lo, hi)):
             problems.append(f"rect {i} not inside domain")
-        total += r.area()
-    if total != domain.area():
-        problems.append(f"area mismatch: sum {total} != domain {domain.area()}")
+        total += math.prod(y - x for x, y in zip(lo, hi))
+    domain_area = math.prod(b - a for a, b in zip(dlo, dhi))
+    if total != domain_area:
+        scale = 1 << (e * domain.n)
+        problems.append(f"area mismatch: sum {F(total, scale)} != domain {F(domain_area, scale)}")
     # sweep by first coordinate to keep the overlap test near-linear
-    order = sorted(
-        range(len(rects)),
-        key=lambda i: (rects[i].lo[0].to_fraction(), rects[i].lo[-1].to_fraction()),
-    )
+    order = sorted(range(len(boxes)), key=lambda i: (boxes[i][0][0], boxes[i][0][-1]))
     active: list[int] = []
     for idx in order:
-        r = rects[idx]
-        rlo0 = r.lo[0].to_fraction()
-        active = [j for j in active if rects[j].hi[0].to_fraction() > rlo0]
+        lo, hi = boxes[idx]
+        active = [j for j in active if boxes[j][1][0] > lo[0]]
         for j in active:
-            o = rects[j]
-            overlap = all(
-                a.to_fraction() < ob.to_fraction() and oa.to_fraction() < b.to_fraction()
-                for a, b, oa, ob in zip(r.lo, r.hi, o.lo, o.hi)
-            )
-            if overlap:
+            olo, ohi = boxes[j]
+            if all(a < ob and oa < b for a, b, oa, ob in zip(lo, hi, olo, ohi)):
                 problems.append(f"rects {j} and {idx} overlap")
         active.append(idx)
     return problems

@@ -8,7 +8,9 @@ mul_four_products, the interval product that rounds all four endpoint
 products, whose endpoints Interval.__mul__ must give exactly; and
 cdf_series_interval, the Gaussian cdf series evaluated with one interval
 operation per term, which the float Horner evaluation must never be wider
-than.
+than.  check_tiling_fractions is the certificate tiling check in exact
+rational arithmetic, whose problem list the integer-grid check must
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -295,3 +297,39 @@ def cdf_series_interval(t: float) -> Interval:
     acc = acc + Interval(-rem.hi, rem.hi)
     res = HALF + INV_SQRT_TWO_PI * acc
     return Interval(max(res.lo, 0.0), min(res.hi, 1.0))
+
+
+def _fr(d) -> Fraction:
+    return Fraction(d.num, 1 << d.exp)
+
+
+def check_tiling_fractions(domain, rects) -> list[str]:
+    """The tiling check with a Fraction per endpoint: containment, area sum,
+    then a sweep by first coordinate reporting overlapping pairs."""
+    def area(r):
+        out = Fraction(1)
+        for a, b in zip(r.lo, r.hi):
+            out *= _fr(b) - _fr(a)
+        return out
+
+    problems = []
+    total = Fraction(0)
+    for i, r in enumerate(rects):
+        if not all(_fr(a) <= _fr(oa) and _fr(ob) <= _fr(b)
+                   for a, b, oa, ob in zip(domain.lo, domain.hi, r.lo, r.hi)):
+            problems.append(f"rect {i} not inside domain")
+        total += area(r)
+    if total != area(domain):
+        problems.append(f"area mismatch: sum {total} != domain {area(domain)}")
+    order = sorted(range(len(rects)), key=lambda i: (_fr(rects[i].lo[0]), _fr(rects[i].lo[-1])))
+    active: list[int] = []
+    for idx in order:
+        r = rects[idx]
+        active = [j for j in active if _fr(rects[j].hi[0]) > _fr(r.lo[0])]
+        for j in active:
+            o = rects[j]
+            if all(_fr(a) < _fr(ob) and _fr(oa) < _fr(b)
+                   for a, b, oa, ob in zip(r.lo, r.hi, o.lo, o.hi)):
+                problems.append(f"rects {j} and {idx} overlap")
+        active.append(idx)
+    return problems

@@ -83,8 +83,8 @@ def test_criterion_3_negative_control():
     ok = fail is not None
     contains_half = False
     if ok:
-        xlo = fail.deepest_box.lo[0].to_fraction()
-        xhi = fail.deepest_box.hi[0].to_fraction()
+        xlo = F(fail.deepest_box.lo[0].to_float())
+        xhi = F(fail.deepest_box.hi[0].to_float())
         contains_half = xlo <= F(1, 2) <= xhi
     _report(3, ok and contains_half,
             "beta = 1/2, c = 1 fails with the deepest box at x = 1/2")

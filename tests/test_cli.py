@@ -1,11 +1,16 @@
 """CLI behavior: exit codes, certificate round trips, CSV outputs."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeiso import claims
 from cubeiso.cli import main
@@ -86,6 +91,65 @@ def test_check_cert_malformed_exits_1_without_traceback(tmp_path, capsys, make):
     assert main(["check-cert", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def g_q2_bytes(tmp_path_factory):
+    """A g_Q_2 certificate as `certify` emits it, as text and as JSON."""
+    out_dir = tmp_path_factory.mktemp("g_q2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["certify", "--claim", "g_Q_2", "--out-dir", str(out_dir)]) == 0
+    path = min(out_dir.glob("*.cert"))
+    return {"text": path.read_bytes(), "json": path.with_name(path.name + ".json").read_bytes()}
+
+
+_TOKEN = re.compile(rb"[^\s\[\],:{}]+")
+_EXPONENT = {"text": re.compile(rb"(?<=:)-?[0-9]+"), "json": re.compile(rb"(?<=,)-?[0-9]+(?=\])")}
+
+
+def _fuzzed(data, fmt: str, cert: bytes) -> bytes:
+    """cert after one to three byte flips, truncations, token swaps or
+    huge/negative exponents."""
+    kinds = ["flip", "truncate", "swap", "exponent"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "flip" and cert:
+            i = data.draw(st.integers(0, len(cert) - 1))
+            new = data.draw(st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789")))
+            cert = cert[:i] + bytes([new]) + cert[i + 1:]
+        elif kind == "truncate":  # anywhere, or after a whole line
+            ends = [m.end() for m in re.finditer(rb"\n", cert)] or [0]
+            cert = cert[:data.draw(st.one_of(st.integers(0, len(cert)), st.sampled_from(ends)))]
+        elif kind == "swap":
+            spans = [m.span() for m in _TOKEN.finditer(cert)]
+            if len(spans) >= 2:
+                (a0, a1), (b0, b1) = sorted(data.draw(
+                    st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True)))
+                cert = cert[:a0] + cert[b0:b1] + cert[a1:b0] + cert[a0:a1] + cert[b1:]
+        elif kind == "exponent":
+            spans = [m.span() for m in _EXPONENT[fmt].finditer(cert)]
+            if spans:
+                lo, hi = data.draw(st.sampled_from(spans))
+                exp = data.draw(st.one_of(st.integers(-10**20, -1), st.integers(1061, 10**30),
+                                          st.just(10**18)))
+                cert = cert[:lo] + str(exp).encode() + cert[hi:]
+    return cert
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["text", "json"]), st.data())
+def test_check_cert_fuzzed_bytes_exit_0_or_1(g_q2_bytes, tmp_path_factory, fmt, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cert"
+    path.write_bytes(_fuzzed(data, fmt, g_q2_bytes[fmt]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check-cert", str(path)])
+    assert code in (0, 1)
+
+
+def test_check_cert_zero_with_huge_exponent_finishes(tmp_path, g_q2_bytes):
+    head, first, rest = g_q2_bytes["text"].split(b"\n", 2)
+    bad = tmp_path / "zero.cert"
+    bad.write_bytes(head + b"\n0:1000000000000000000 " + first.split(b" ", 1)[1] + b"\n" + rest)
+    assert main(["check-cert", str(bad)]) == 1
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

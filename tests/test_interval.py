@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
+from cubeiso import gauss
 from cubeiso.interval import (
     INVALID,
     QUANTILE_TOL,
@@ -271,6 +272,13 @@ def test_quantile_memo_matches_fresh_bisection():
         fresh = _quantile_point.__wrapped__(p, QUANTILE_TOL)
         assert _quantile_point(p, QUANTILE_TOL) == fresh
         assert _quantile_point(p, QUANTILE_TOL) == fresh  # served from the memo
+    # the J and J' point memos beside it
+    for point in (gauss.j_point, gauss.jprime_point):
+        for x in (0.2, 0.5, 0.55 + 2.0**-30, 0.999):
+            fresh = point.__wrapped__(x)
+            assert fresh.valid
+            assert (point(x).lo, point(x).hi) == (fresh.lo, fresh.hi)
+            assert point(x) is point(x)  # served from the memo
 
 
 def test_quantile_memo_keys_on_tolerance():

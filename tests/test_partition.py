@@ -4,7 +4,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference as ref
 from cubeiso import claims
 from cubeiso.interval import Interval
 from cubeiso.partition import (
@@ -12,6 +15,7 @@ from cubeiso.partition import (
     CertificateParseError,
     Dyadic,
     DyadicRect,
+    _check_tiling,
     dyadic_mid,
     emit,
     load,
@@ -23,7 +27,7 @@ from cubeiso.partition import (
 def test_dyadic_normalization_and_roundtrip():
     d = Dyadic(6, 3)
     assert (d.num, d.exp) == (3, 2)
-    assert d.to_fraction() == F(3, 4)
+    assert F(d.to_float()) == F(3, 4)
     assert d.to_float() == 0.75
     assert Dyadic.parse(str(d)) == d
     with pytest.raises(ValueError):
@@ -32,11 +36,20 @@ def test_dyadic_normalization_and_roundtrip():
         Dyadic.parse("7")
 
 
+def test_dyadic_normalization_takes_one_shift():
+    # a zero numerator or a huge exponent is normalized without a loop per unit
+    assert Dyadic(0, 10**18) == Dyadic(0, 0)
+    with pytest.raises(ValueError):
+        Dyadic(1 << 40, 10**18)
+    assert (Dyadic(-12, 5).num, Dyadic(-12, 5).exp) == (-3, 3)
+    assert (Dyadic(40, 2).num, Dyadic(40, 2).exp) == (10, 0)
+
+
 def test_dyadic_midpoint_exact():
     a = Dyadic.from_fraction(F(1, 2))
     b = Dyadic.from_fraction(F(2047, 2048))
     m = dyadic_mid(a, b)
-    assert m.to_fraction() == (F(1, 2) + F(2047, 2048)) / 2
+    assert F(m.to_float()) == (F(1, 2) + F(2047, 2048)) / 2
 
 
 def test_children_order_is_deterministic():
@@ -44,7 +57,7 @@ def test_children_order_is_deterministic():
     kids = list(r.children())
     assert len(kids) == 4
     # dimension-1 low half first, then dimension-2
-    assert [(k.lo[0].to_fraction(), k.lo[1].to_fraction()) for k in kids] == [
+    assert [(F(k.lo[0].to_float()), F(k.lo[1].to_float())) for k in kids] == [
         (F(0), F(0)), (F(0), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1, 2)),
     ]
 
@@ -69,7 +82,7 @@ def test_boundary_zero_fails_at_every_depth():
     for depth in (0, 3, 6):
         rects, fail, _ = partition(_affine_bound(1.0, 0.0), dom, depth)
         assert rects is None and fail is not None
-        assert fail.deepest_box.lo[0].to_fraction() == 0
+        assert F(fail.deepest_box.lo[0].to_float()) == 0
         assert fail.depth == depth
 
 
@@ -144,9 +157,95 @@ def test_parse_error_names_offset_and_field():
     assert "byte" in str(err.value) and "field" in str(err.value)
 
 
+def _exact_area(r: DyadicRect) -> F:
+    return math.prod(F(b.to_float()) - F(a.to_float()) for a, b in zip(r.lo, r.hi))
+
+
 def test_tiling_area_is_exact(sample_cert):
-    total = sum(r.area() for r in sample_cert.rects)
-    assert total == sample_cert.domain.area()
+    total = sum(_exact_area(r) for r in sample_cert.rects)
+    assert total == _exact_area(sample_cert.domain)
+
+
+def _moved(r: DyadicRect, dim: int, side: str, delta: F) -> DyadicRect:
+    """r with its low or high side (or both) in dimension dim moved by delta."""
+    lo, hi = list(r.lo), list(r.hi)
+    for ends in ([lo] if side == "lo" else [hi] if side == "hi" else [lo, hi]):
+        ends[dim] = Dyadic.from_fraction(F(ends[dim].to_float()) + delta)
+    return DyadicRect(tuple(lo), tuple(hi))
+
+
+def _mutated(data, domain: DyadicRect, rects: list[DyadicRect]) -> list[DyadicRect]:
+    """rects after one to three drawn mutations; one that would leave the
+    representable dyadics or make a side degenerate is skipped."""
+    rects = list(rects)
+    step = F(1, 1 << max(d.exp for r in rects for d in r.lo + r.hi))
+    kinds = ["drop", "duplicate", "nudge", "split", "outside", "shuffle"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if not rects:
+            break
+        i = data.draw(st.integers(0, len(rects) - 1))
+        dim = data.draw(st.integers(0, domain.n - 1))
+        try:
+            if kind == "drop":
+                del rects[i]
+            elif kind == "duplicate":
+                rects.insert(data.draw(st.integers(0, len(rects))), rects[i])
+            elif kind == "nudge":  # one corner, one grid step
+                side = data.draw(st.sampled_from(["lo", "hi"]))
+                rects[i] = _moved(rects[i], dim, side, data.draw(st.sampled_from([step, -step])))
+            elif kind == "split":
+                rects[i:i + 1] = list(rects[i].children())
+            elif kind == "outside":  # by the domain's width: just outside it
+                width = F(domain.hi[dim].to_float()) - F(domain.lo[dim].to_float())
+                shift = data.draw(st.sampled_from([width, -width]))
+                rects[i] = _moved(rects[i], dim, "both", shift)
+            else:
+                rects = data.draw(st.permutations(rects))
+        except ValueError:
+            pass
+    return rects
+
+
+@st.composite
+def _tilings(draw):
+    """A domain with negative or positive corners, coarse or very fine
+    exponents per dimension, tiled by a random dyadic quadtree of depth 1 to 3."""
+    n = draw(st.integers(1, 2))
+    lo, hi = [], []
+    for _ in range(n):
+        exp = draw(st.one_of(st.integers(0, 6), st.integers(1050, 1055)))
+        a, width = draw(st.integers(-8, 8)), draw(st.integers(1, 8))
+        lo.append(Dyadic(a, exp))
+        hi.append(Dyadic(a + width, exp))
+    domain = DyadicRect(tuple(lo), tuple(hi))
+    rects: list[DyadicRect] = []
+
+    def tile(r, depth):
+        if depth == 0 or depth < 3 and draw(st.booleans()):
+            for child in r.children():
+                tile(child, depth + 1)
+        else:
+            rects.append(r)
+
+    tile(domain, 0)
+    return domain, rects
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tilings(), st.data())
+def test_tiling_check_matches_rational_reference(tiling, data):
+    domain, rects = tiling
+    rects = _mutated(data, domain, rects)
+    assert _check_tiling(domain, rects) == ref.check_tiling_fractions(domain, rects)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_tiling_check_matches_reference_on_sample_certificate(sample_cert, data):
+    domain = sample_cert.domain
+    assert _check_tiling(domain, sample_cert.rects) == []
+    rects = _mutated(data, domain, sample_cert.rects)
+    assert _check_tiling(domain, rects) == ref.check_tiling_fractions(domain, rects)
 
 
 def test_verify_roundtrip_and_tampering(sample_cert):
