@@ -8,6 +8,25 @@ into the formula and evaluating in interval arithmetic: the lower end of the
 result then coincides with the intended corner combination wherever the atom
 is monotone, and remains sound where it is not.
 
+Mean-value form (Moore, Kearfott & Cloud, Introduction to Interval Analysis,
+SIAM 2009, 6.1).  In g_J2, g_QJ2, g_QJQ and g_LJQ1, x and y occur several
+times, so the naive enclosure stays wide until the box is tiny (the
+dependency problem).  Each of the four is written once, as a formula whose
+variables may be Intervals or Grads.  A Grad is a forward-mode interval
+gradient: an enclosure of the value over the box B and enclosures of the
+partials dx, dy over B.  Each atom returns its range enclosure as the value
+and applies the chain rule with its derivative enclosure over the argument's
+range: J with J' (jprime_enclosure), Q with Q' (qprime_range), Q' with Q''
+(Q(., 2)), L with L' (L(., 1)), and J J' with J'^2 - 2 (from J'' = -2/J).
+_mean_value runs the formula at the centre c of B on point Intervals and
+over B on Grads; the value over B is the naive enclosure.  By the mean-value
+theorem, f(B) lies in f(c) + dx (X - cx) + dy (Y - cy), evaluated with
+outward rounding, and the bound is its intersection with the naive
+enclosure.  An Invalid naive value gives Invalid.  Where no derivative
+enclosure exists (J' at y = 1, sqrt or a fractional power of a range that
+reaches 0), the naive enclosure stands alone.  g_LJQ1 takes the form of G1
+and G2 separately, then their max.  The other nine bounds are naive.
+
 Conventions:
   * every bound is evaluated with the conservative straddle rules of the J
     enclosures; a box whose position relative to x0 cannot be certified gets
@@ -56,7 +75,9 @@ from .interval import (
     ONE,
     PI,
     TWO,
+    ZERO,
     Interval,
+    _coerce,
 )
 
 F = Fraction
@@ -146,6 +167,142 @@ def _ten_pow(t: Interval) -> Interval:
 
 
 # ---------------------------------------------------------------------------
+# Forward-mode interval gradients and the mean-value form
+# ---------------------------------------------------------------------------
+
+class Grad:
+    """A function of the box variables (x, y): an enclosure v of its values
+    over the box, and enclosures dx, dy of its partial derivatives there.
+
+    Interval operators do not know Grad, so a Grad must be the left operand
+    of every operation that mixes the two.  An Invalid dx, dy means that no
+    derivative enclosure is known; it absorbs further arithmetic like Invalid
+    does.
+    """
+
+    __slots__ = ("v", "dx", "dy")
+
+    def __init__(self, v: Interval, dx: Interval, dy: Interval):
+        self.v = v
+        self.dx = dx
+        self.dy = dy
+
+    def chain(self, v: Interval, d: Interval) -> "Grad":
+        """phi(self), given v enclosing phi and d enclosing phi' over self.v."""
+        return Grad(v, d * self.dx, d * self.dy)
+
+    def __add__(self, other) -> "Grad":
+        o = _lift(other)
+        return Grad(self.v + o.v, self.dx + o.dx, self.dy + o.dy)
+
+    def __sub__(self, other) -> "Grad":
+        o = _lift(other)
+        return Grad(self.v - o.v, self.dx - o.dx, self.dy - o.dy)
+
+    def __neg__(self) -> "Grad":
+        return Grad(-self.v, -self.dx, -self.dy)
+
+    def __mul__(self, other) -> "Grad":
+        o = _lift(other)
+        return Grad(self.v * o.v, self.dx * o.v + self.v * o.dx, self.dy * o.v + self.v * o.dy)
+
+    def __truediv__(self, other) -> "Grad":
+        o = _lift(other)
+        q = self.v / o.v
+        return Grad(q, (self.dx - q * o.dx) / o.v, (self.dy - q * o.dy) / o.v)
+
+    def ipow(self, n: int) -> "Grad":
+        return self.chain(self.v.ipow(n), Interval(float(n)) * self.v.ipow(n - 1))
+
+    def pow(self, p) -> "Grad":
+        """self**p for a constant p; a non-integer p needs self.v.lo > 0 for
+        a derivative enclosure."""
+        p = _coerce(p)
+        if p.lo == p.hi and p.lo.is_integer():
+            d = p * self.v.ipow(int(p.lo) - 1)
+        elif self.v.lo > 0.0:
+            d = p * self.v.pow(p - ONE)
+        else:
+            d = INVALID
+        return self.chain(self.v.pow(p), d)
+
+    def sqrt(self) -> "Grad":
+        r = self.v.sqrt()
+        return self.chain(r, HALF / r if self.v.lo > 0.0 else INVALID)
+
+
+def _lift(u) -> Grad:
+    """A Grad as is; an Interval or a constant with a zero gradient."""
+    return u if isinstance(u, Grad) else Grad(_coerce(u), ZERO, ZERO)
+
+
+def _atom(t, value, deriv):
+    """A range-tight atom at t, an Interval or a Grad.
+
+    value(a, b) and deriv(a, b) enclose the atom and its derivative over
+    [a, b].  An Interval t gets value(t.lo, t.hi); a Grad t gets the same
+    value over t.v and the chain rule with deriv over t.v.
+    """
+    if not isinstance(t, Grad):
+        return value(t.lo, t.hi)
+    a, b = t.v.lo, t.v.hi
+    return t.chain(value(a, b), deriv(a, b))
+
+
+def _J(t):
+    return _atom(t, gauss.j_enclosure, gauss.jprime_enclosure)
+
+
+def _JJprime(t):
+    """J J', whose derivative is J'^2 + J J'' = J'^2 - 2 (J'' = -2/J)."""
+    return _atom(t, _jj_prime_range, lambda a, b: gauss.jprime_enclosure(a, b).ipow(2) - TWO)
+
+
+def _Q(t, bc: BetaConsts):
+    return _atom(t, lambda a, b: q_range(a, b, bc), lambda a, b: qprime_range(a, b, bc))
+
+
+def _Qprime(t, bc: BetaConsts):
+    return _atom(t, lambda a, b: qprime_range(a, b, bc), lambda a, b: Q(Interval(a, b), bc, 2))
+
+
+def _L(t, bc: BetaConsts):
+    return _atom(t, lambda a, b: l_range(a, b, bc), lambda a, b: L(Interval(a, b), bc, 1))
+
+
+def _mid(x, y):
+    return (x + y) * HALF
+
+
+def _mean_value(formula, x: Interval, y: Interval, bc: BetaConsts):
+    """naive ∩ (f(c) + ∂x f(B) (X - cx) + ∂y f(B) (Y - cy)) over the box
+    B = X x Y with centre c, for each part the formula returns.
+
+    The formula runs twice: at c on point Intervals, and over B on Grad
+    variables, whose values are the naive enclosure.  A part with an Invalid
+    naive value is Invalid; one without a gradient enclosure, or without a
+    value at c, keeps the naive value.
+    """
+    cx, cy = x.mid, y.mid
+    at_c = formula(Interval(cx), Interval(cy), bc)
+    over = formula(Grad(x, ONE, ZERO), Grad(y, ZERO, ONE), bc)
+    ex, ey = x - cx, y - cy
+
+    def form(fc: Interval, g: Grad) -> Interval:
+        naive = g.v
+        if not naive.valid:
+            return INVALID
+        mv = fc + g.dx * ex + g.dy * ey
+        if not mv.valid:
+            return naive
+        return Interval._raw(max(naive.lo, mv.lo), min(naive.hi, mv.hi))
+
+    if isinstance(over, tuple):
+        return tuple(map(form, at_c, over))
+    return form(at_c, over)
+
+
+# ---------------------------------------------------------------------------
 # The thirteen bounds
 # ---------------------------------------------------------------------------
 
@@ -189,14 +346,13 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     return out
 
 
-def g_J2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+def _g_J2(x, y, bc: BetaConsts):
     """(y-x)^2 + J(y)^2 - (2 J((x+y)/2) - J(x))^2."""
-    jy = gauss.j_enclosure(y.lo, y.hi)
-    jm = gauss.j_enclosure(0.5 * (x.lo + y.lo), 0.5 * (x.hi + y.hi))
-    jx = gauss.j_enclosure(x.lo, x.hi)
-    if not (jy.valid and jm.valid and jx.valid):
-        return INVALID
-    return (y - x).ipow(2) + jy.ipow(2) - (TWO * jm - jx).ipow(2)
+    return (y - x).ipow(2) + _J(y).ipow(2) - (_J(_mid(x, y)) * TWO - _J(x)).ipow(2)
+
+
+def g_J2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+    return _mean_value(_g_J2, x, y, bc)
 
 
 def g_Q1_bound(h: Interval, y: Interval, bc: BetaConsts) -> Interval:
@@ -226,18 +382,22 @@ def g_Q2_bound(h: Interval, y: Interval, bc: BetaConsts) -> Interval:
     return out
 
 
-def g_LJQ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
-    """max(G1, G2) form with B = b_beta on [1/16, 1/4] x [1/2, 3/4]."""
-    jy = gauss.j_enclosure(y.lo, y.hi)
-    if not jy.valid:
-        return INVALID
+def _g_LJQ1(x, y, bc: BetaConsts):
+    """(G1, G2) with B = b_beta on [1/16, 1/4] x [1/2, 3/4]:
+    G1 = ((y-x)^(1/beta) + J(y)^(1/beta))^beta + L(x) - 2 Q((x+y)/2),
+    G2 = (y-x) + (2^beta - 1) J(y) + L(x) - 2 Q((x+y)/2)."""
     d = y - x
-    lead1 = (d.pow(bc.inv_beta) + jy.pow(bc.inv_beta)).pow(bc.beta)
-    lead2 = d + bc.two_pow_beta_m1 * jy
-    lead = lead1.max(lead2) if lead1.valid else lead2
-    lx = l_range(x.lo, x.hi, bc)
-    qm = q_range(0.5 * (x.lo + y.lo), 0.5 * (x.hi + y.hi), bc)
-    return lead + lx - TWO * qm
+    jy = _J(y)
+    rest = _L(x, bc) - _Q(_mid(x, y), bc) * TWO
+    g1 = (d.pow(bc.inv_beta) + jy.pow(bc.inv_beta)).pow(bc.beta) + rest
+    g2 = d + jy * bc.two_pow_beta_m1 + rest
+    return g1, g2
+
+
+def g_LJQ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+    """max(G1, G2); G2 alone where G1 has no enclosure."""
+    g1, g2 = _mean_value(_g_LJQ1, x, y, bc)
+    return g1.max(g2) if g1.valid else g2
 
 
 def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interval:
@@ -251,16 +411,14 @@ def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interva
     return y - Interval(0.0625) + bc.two_pow_beta_m1 * jy + lx - TWO * qm
 
 
-def g_QJQ_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+def _g_QJQ(x, y, bc: BetaConsts):
     """(y-x) + J(y) J'(y) - (2 Q((x+y)/2) - Q(x)) Q'((x+y)/2)."""
-    jj = _jj_prime_range(y.lo, y.hi)
-    if not jj.valid:
-        return INVALID
-    m_lo = 0.5 * (x.lo + y.lo)
-    m_hi = 0.5 * (x.hi + y.hi)
-    a_iv = TWO * q_range(m_lo, m_hi, bc) - q_range(x.lo, x.hi, bc)
-    b_iv = qprime_range(m_lo, m_hi, bc)
-    return (y - x) + jj - a_iv * b_iv
+    m = _mid(x, y)
+    return (y - x) + _JJprime(y) - (_Q(m, bc) * TWO - _Q(x, bc)) * _Qprime(m, bc)
+
+
+def g_QJQ_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+    return _mean_value(_g_QJQ, x, y, bc)
 
 
 def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
@@ -284,14 +442,13 @@ def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     return out
 
 
-def g_QJ2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+def _g_QJ2(x, y, bc: BetaConsts):
     """((y-x)^2 + J(y)^2)^(1/2) + Q_{1/2}(x) - 2 J((x+y)/2)."""
-    jy = gauss.j_enclosure(y.lo, y.hi)
-    jm = gauss.j_enclosure(0.5 * (x.lo + y.lo), 0.5 * (x.hi + y.hi))
-    if not (jy.valid and jm.valid):
-        return INVALID
-    qx = q_range(x.lo, x.hi, bc)
-    return ((y - x).ipow(2) + jy.ipow(2)).sqrt() + qx - TWO * jm
+    return ((y - x).ipow(2) + _J(y).ipow(2)).sqrt() + _Q(x, bc) - _J(_mid(x, y)) * TWO
+
+
+def g_QJ2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+    return _mean_value(_g_QJ2, x, y, bc)
 
 
 def g_P2_bound(x: Interval, bc: BetaConsts) -> Interval:

@@ -59,9 +59,13 @@ def _cmd_verify_all(args) -> int:
             "scalar_checks": [{"id": c.check_id, "ok": c.passed} for c in checks],
             "ok": ok,
         }
-        with open(args.summary_json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.summary_json, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0 if ok else 1
 
 
@@ -89,11 +93,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_check_cert(args) -> int:
-    with open(args.file, "rb") as fh:
-        data = fh.read()
     try:
+        with open(args.file, "rb") as fh:
+            data = fh.read()
         report = claims_mod.verify_certificate_bytes(data)
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report.ok:

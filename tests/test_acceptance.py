@@ -67,6 +67,17 @@ def test_criterion_1_claim_suite(full_run):
             f"{met}/12 reference margins met)")
 
 
+def test_criterion_1_reference_margins(full_run):
+    """Every claim with a reference margin meets it, except the two whose
+    gap is still open (g_J_1, g_LJQ_2)."""
+    reports, _, _ = full_run
+    with_ref = [r for r in reports if r.reference_margin is not None]
+    met = [r.claim_id for r in with_ref if r.reference_margin_met]
+    unmet = sorted(r.claim_id for r in with_ref if not r.reference_margin_met)
+    ok = len(with_ref) == 12 and set(unmet) <= {"g_J_1", "g_LJQ_2"}
+    _report(1, ok, f"{len(met)}/{len(with_ref)} reference margins met; unmet: {', '.join(unmet)}")
+
+
 def test_criterion_2_scalar_suite():
     gauss.profile_constants()  # constants are one-time initialization
     t0 = time.perf_counter()

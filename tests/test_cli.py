@@ -93,6 +93,22 @@ def test_check_cert_malformed_exits_1_without_traceback(tmp_path, capsys, make):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_check_cert_bad_path_exits_1_without_traceback(tmp_path, capsys, kind):
+    path = tmp_path / "missing.cert" if kind == "missing" else tmp_path
+    assert main(["check-cert", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_all_unwritable_summary_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    """The run itself passes (one quick claim stands in for the registry);
+    only the summary cannot be written."""
+    monkeypatch.setattr(claims, "run_all", lambda **kw: [claims.run_claim("g_Q_1")])
+    summary = tmp_path / "missing" / "summary.json"
+    assert main(["verify-all", "--summary-json", str(summary)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.fixture(scope="module")
 def g_q2_bytes(tmp_path_factory):
     """A g_Q_2 certificate as `certify` emits it, as text and as JSON."""
