@@ -92,8 +92,11 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}",
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "platform": platform.platform()},
+        # cpus_available is what verify-all's default worker count is read from.
+        "machine": {"cpus": os.cpu_count(),
+                    "cpus_available": (len(os.sched_getaffinity(0))
+                                       if hasattr(os, "sched_getaffinity") else None),
+                    "python": platform.python_version(), "platform": platform.platform()},
         "repeats": f"{args.pairs} pairs per workload, order alternating; one run per side "
                    "per pair, each run the mean of its passes",
         "caches": "cold: every pass is a fresh worker interpreter",

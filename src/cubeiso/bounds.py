@@ -316,6 +316,12 @@ def g_JL_bound(x: Interval, bc: BetaConsts) -> Interval:
     return TWO / jr - term
 
 
+# Taylor coefficients of g_J1, converted once rather than per box.
+J1_C4 = Interval.from_fraction(F(7, 192))
+J1_C6_XI1 = Interval.from_fraction(F(1, 720))
+J1_C6_XI2 = Interval.from_fraction(F(1, 23040))
+
+
 def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     """Near-diagonal J-case bound (sixth-order expansion with remainder)."""
     xh_lo = x.lo + h.lo
@@ -339,10 +345,10 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out - c * HALF * (ONE / j_x) * h.pow(e(2))
     out = out + c * (Interval(0.125) * gauss.j3_lower(x.lo, x.hi) * h.pow(e(3))
                      + Interval(2.0**-7) * gauss.j5_lower(x.lo, x.hi) * h.pow(e(5)))
-    out = out + Interval.from_fraction(F(7, 192)) * c * gauss.j4_of(a_x, j_x) * h.pow(e(4))
+    out = out + J1_C4 * c * gauss.j4_of(a_x, j_x) * h.pow(e(4))
     h6 = h.pow(e(6))
-    out = out + Interval.from_fraction(F(1, 720)) * c * gauss.j6_of(a_xi1, j_xi1) * h6
-    out = out - Interval.from_fraction(F(1, 23040)) * c * gauss.j6_of(a_xi2, j_xi2) * h6
+    out = out + J1_C6_XI1 * c * gauss.j6_of(a_xi1, j_xi1) * h6
+    out = out - J1_C6_XI2 * c * gauss.j6_of(a_xi2, j_xi2) * h6
     return out
 
 
@@ -460,6 +466,11 @@ def g_P2_bound(x: Interval, bc: BetaConsts) -> Interval:
     return TWO_POW_M2BETA0 * (lx + jx) - TWO * x * (ONE - x)
 
 
+P3_B0 = Interval.from_fraction(BETA0_DYADIC)
+P3_E1 = Interval.from_fraction(2 * BETA0_DYADIC - 1)
+P3_E2 = Interval.from_fraction(2 * BETA0_DYADIC)
+
+
 def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Negated x-derivative of the Poincare comparison on [1/4, 1/2]."""
     arg_lo = 1.0 - x.hi
@@ -470,13 +481,10 @@ def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
         out = out + TWO_POW_M2BETA0 * gauss.jprime_enclosure(arg_lo, arg_hi)
     else:
         out = out - HALF * gauss.absjprime_enclosure(arg_lo, arg_hi)
-    b0 = Interval.from_fraction(BETA0_DYADIC)
-    e1 = Interval.from_fraction(2 * BETA0_DYADIC - 1)
-    e2 = Interval.from_fraction(2 * BETA0_DYADIC)
-    out = out + x.pow(e1) * (ONE - x)
+    out = out + x.pow(P3_E1) * (ONE - x)
     out = out - x
-    out = out + (ONE - x).pow(e2)
-    out = out - TWO * b0 * x
+    out = out + (ONE - x).pow(P3_E2)
+    out = out - TWO * P3_B0 * x
     return out
 
 
@@ -512,13 +520,18 @@ def g_tail_low_bound(v: Interval, bc: BetaConsts) -> Interval:
     return out
 
 
+TAIL_C1 = Interval.from_fraction(F(121, 100))
+TAIL_EXPONENT = Interval.from_fraction(F(57, 100000))
+TAIL_C2 = Interval.from_fraction(F(2, 5))
+
+
 def g_tail_high_bound(v: Interval, bc: BetaConsts) -> Interval:
     """The displayed tail polynomial divided by u, in v = log10(u):
 
     2 - 1.21 * 10^(0.00057 v) - 0.4 * 10^(-v/2) - 880 * 10^(-v)
     """
-    out = TWO - Interval.from_fraction(F(121, 100)) * _ten_pow(Interval.from_fraction(F(57, 100000)) * v)
-    out = out - Interval.from_fraction(F(2, 5)) * _ten_pow(-(v * HALF))
+    out = TWO - TAIL_C1 * _ten_pow(TAIL_EXPONENT * v)
+    out = out - TAIL_C2 * _ten_pow(-(v * HALF))
     out = out - Interval(880.0) * _ten_pow(-v)
     return out
 

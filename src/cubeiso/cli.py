@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import claims as claims_mod
-from . import funcs, oracle
+from . import funcs
 from .claims import CERT_DIR_ENV
 from .interval import Interval
 
@@ -113,6 +113,8 @@ def _cmd_check_cert(args) -> int:
 
 
 def _cmd_oracle_profile(args) -> int:
+    from . import oracle
+
     points = oracle.profile_bruteforce(args.n, args.beta)
     rows = [("k", "x", "value", "argmin_mask")]
     for k, p in enumerate(points):
@@ -122,6 +124,8 @@ def _cmd_oracle_profile(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
+    from . import oracle
+
     env = oracle.envelope_approx(args.beta, args.depth, refine=args.refine)
     rows = [("x", "value")]
     grid = env.grid()
@@ -134,6 +138,8 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    from . import oracle
+
     arr = oracle.poincare_exhaustive(args.n, args.p)
     pops = oracle._popcounts(args.n)
     nverts = 1 << args.n
@@ -162,6 +168,8 @@ def _grid(depth: int) -> list[float]:
 
 
 def _cmd_plot_data(args) -> int:
+    from . import oracle
+
     if args.figure == "bounds":
         bc_half = funcs.beta_consts(funcs.BetaParams(F(1, 2)))
         env = oracle.envelope_approx(0.5, 8)
@@ -221,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--emit", default=None, help="directory for certificates")
     p.add_argument("--threads", type=int, default=None,
-                   help="claims run concurrently on N threads (default 1)")
+                   help="worker processes for the 19 (claim, run) units (default: "
+                        "the CPUs available, at most 19; 1 runs in-process)")
     p.add_argument("--summary-json", default=None)
     p.set_defaults(func=_cmd_verify_all)
 

@@ -706,8 +706,7 @@ def _quantile_point(p: float, tol: float) -> tuple[float, float]:
     """Certified bracket [a, b] with Phi(a) < p < Phi(b).
 
     A pure function of (p, tol), memoized so that I, J and J' at the same
-    point share one bisection.  Two threads may both compute a missing key;
-    they store the same bracket.
+    point share one bisection.  Each worker process has its own memo.
     """
     t = _quantile_seed(p)
     delta = max(4e-16 * max(1.0, abs(t)), 2e-16)

@@ -335,4 +335,4 @@ def test_criterion_11_determinism(full_run, tmp_path_factory):
                     if f1.read() != f2.read():
                         ok = False
                         break
-    _report(11, ok, f"{len(names1)} certificate files byte-identical at 1 vs 4 threads")
+    _report(11, ok, f"{len(names1)} certificate files byte-identical at 1 vs 4 worker processes")

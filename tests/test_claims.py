@@ -2,7 +2,6 @@
 
 import csv
 import os
-import threading
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +23,7 @@ def test_registry_shape():
         "g_QJQ", "g_QJ_1", "g_QJ_2", "g_P_2", "g_P_3", "g_tail",
     ]
     assert all(c.max_depth == 12 for c in reg)
+    assert sum(len(c.runs) for c in reg) == 19  # the (claim, run) units
     # The checker matches a certificate's domain to its run's, and parsing
     # gives every rect the domain's dimension, so no rect can reach a bound
     # of another arity.
@@ -116,26 +116,84 @@ def test_run_report_fields():
     assert "g_Q_1" in table
 
 
-def test_run_all_defaults_to_one_worker(monkeypatch):
-    """Without threads, run_all runs the registry serially on the calling
-    thread; an explicit threads > 1 still uses the pool, in registry order."""
-    seen = []
+class _PoolBuilt(Exception):
+    pass
 
-    def fake_run_claim(claim, max_depth, emit_dir):
-        seen.append(threading.get_ident())
-        return claim.claim_id
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool used by default")
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """Record the max_workers of every process pool run_all asks for, and
+    stop it there, so that no process is started."""
+    import concurrent.futures.process
 
-    monkeypatch.setattr(claims, "run_claim", fake_run_claim)
-    monkeypatch.setattr(claims, "ThreadPoolExecutor", no_pool)
-    ids = [c.claim_id for c in claims.registry()]
-    assert claims.run_all() == ids
-    assert set(seen) == {threading.get_ident()}
-    monkeypatch.undo()
-    monkeypatch.setattr(claims, "run_claim", fake_run_claim)
-    assert claims.run_all(threads=2) == ids
+    asked = []
+
+    def fake_pool(max_workers=None, **kwargs):
+        asked.append(max_workers)
+        raise _PoolBuilt
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", fake_pool)
+    return asked
+
+
+UNITS = sum(len(c.runs) for c in claims.registry())
+
+
+def test_default_worker_count_is_cpus_available(monkeypatch, pool_requests):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with pytest.raises(_PoolBuilt):
+        claims.run_all()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    with pytest.raises(_PoolBuilt):
+        claims.run_all()
+    assert pool_requests == [3, UNITS]
+
+
+def test_default_worker_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert claims.worker_count(None, UNITS) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert claims.worker_count(None, UNITS) == 1
+
+
+@pytest.mark.parametrize("threads", [None, 1, 0, -3])
+def test_one_worker_builds_no_pool(monkeypatch, pool_requests, threads):
+    """One worker proves the registry in-process, in registry order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(claims, "run_claim", lambda claim, max_depth, emit_dir: claim.claim_id)
+    assert claims.run_all(threads=threads) == [c.claim_id for c in claims.registry()]
+    assert pool_requests == []
+
+
+def test_worker_count_is_capped_at_the_units(pool_requests):
+    """A fork-context pool starts all its workers up front."""
+    with pytest.raises(_PoolBuilt):
+        claims.run_all(threads=10**6)
+    assert pool_requests == [UNITS]
+
+
+def test_unit_exception_reaches_the_caller(monkeypatch):
+    """A unit that raises in a worker process raises in run_all."""
+    def broken_partition(*args, **kwargs):
+        raise RuntimeError("partition broke")
+
+    monkeypatch.setattr(claims, "partition", broken_partition)  # inherited by fork
+    with pytest.raises(RuntimeError, match="partition broke"):
+        claims.run_all(threads=2)
+
+
+def test_pool_reports_match_serial():
+    """Both paths fold the same run reports in registry order."""
+    def shape(reports):
+        return [(r.claim_id, r.ok, r.margin, r.rect_count,
+                 [(u.run_tag, u.ok, u.margin, u.evaluations, u.failure_box) for u in r.runs])
+                for r in reports]
+
+    pooled = claims.run_all(max_depth=3, threads=2)
+    assert shape(pooled) == shape(claims.run_all(max_depth=3, threads=1))
+    # A claim's seconds are its units' own compute time, not the wait for them.
+    assert all(r.seconds >= sum(u.seconds for u in r.runs) > 0 for r in pooled)
 
 
 def test_heine_borel_soundness(rng):

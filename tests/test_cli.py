@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,16 @@ def test_verify_single_claim(tmp_path, capsys):
     files = sorted(os.listdir(out_dir))
     assert any(f.endswith(".cert") for f in files)
     assert any(f.endswith(".json") for f in files)
+
+
+def test_cli_starts_without_numpy():
+    """Only the oracle subcommands need numpy; they import it themselves."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, cubeiso.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_unknown_claim_is_usage_error(capsys):
