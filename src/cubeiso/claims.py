@@ -10,8 +10,11 @@ of the underlying enclosures).
 The work splits into 19 independent (claim, run) units.  run_all proves
 them on a fork-context process pool with one worker per CPU this process may
 run on, at most one per unit; with one worker it runs them in-process and
-builds no pool.  On 2 CPUs the pool takes verify-all from a median of 3.66 s
-to 1.97 s (BENCH_7.json, 10 pairs).  Reports are folded in registry order, and
+builds no pool.  On 2 CPUs the pool took verify-all from a median of 3.66 s
+to 1.97 s (BENCH_7.json, 10 pairs), and memoizing g_J1's one-axis factors
+took it on to 1.39 s (BENCH_8.json, against 1.92 s).  The longest unit,
+g_J_1 at beta0 (about 1.1 s alone), is the critical path: more workers
+cannot take verify-all below it.  Reports are folded in registry order, and
 certificate bytes depend only on the claim and its parameters, never on the
 worker count or timing.
 """
@@ -178,8 +181,8 @@ def _run_unit(
     perturb: float,
 ) -> RunReport:
     """Prove one (claim, run) unit and, if it holds and emit_dir is set, write
-    its certificate.  Module-level, so that a process pool can send it to a
-    worker by name."""
+    its certificate into emit_dir, which the caller has created.  Module-level,
+    so that a process pool can send it to a worker by name."""
     t0 = time.perf_counter()
     stats = PartitionStats()
 
@@ -209,7 +212,6 @@ def _run_unit(
             rects=rects,
             margin=margin,
         )
-        os.makedirs(emit_dir, exist_ok=True)
         path = os.path.join(emit_dir, f"{claim_id}.{run.run_tag}.cert")
         with open(path, "wb") as fh:
             fh.write(emit(cert, "text"))
@@ -218,6 +220,13 @@ def _run_unit(
         rr.certificate_path = path
     rr.seconds = time.perf_counter() - t0
     return rr
+
+
+def _make_emit_dir(emit_dir: Optional[str]) -> None:
+    """Create the certificate directory before any unit runs; an OSError
+    (a regular file in the way, say) reaches the caller."""
+    if emit_dir is not None:
+        os.makedirs(emit_dir, exist_ok=True)
 
 
 def _unit_args(claim: Claim, max_depth: Optional[int], emit_dir: Optional[str],
@@ -271,6 +280,7 @@ def run_claim(
     """
     if isinstance(claim, str):
         claim = claim_by_id(claim)
+    _make_emit_dir(emit_dir)
     return _fold(claim, [_run_unit(*args)
                          for args in _unit_args(claim, max_depth, emit_dir, perturb)])
 
@@ -302,6 +312,7 @@ def run_all(
     runs threads of its own should pass threads=1.
     """
     claims = registry()
+    _make_emit_dir(emit_dir)
     workers = worker_count(threads, sum(len(c.runs) for c in claims))
     if workers == 1:
         return [run_claim(c, max_depth, emit_dir) for c in claims]

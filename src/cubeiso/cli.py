@@ -11,7 +11,8 @@ Subcommands:
   plot-data       CSV data series behind the bound-comparison, failure and
                   envelope-family figures
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure or a path that cannot be read,
+written or created, 2 usage error.
 """
 
 from __future__ import annotations
@@ -33,9 +34,13 @@ F = Fraction
 
 
 def _cmd_verify_all(args) -> int:
-    reports = claims_mod.run_all(
-        max_depth=args.max_depth, emit_dir=args.emit, threads=args.threads,
-    )
+    try:
+        reports = claims_mod.run_all(
+            max_depth=args.max_depth, emit_dir=args.emit, threads=args.threads,
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(claims_mod.summary_table(reports))
     scal_ok, checks = funcs.run_scalar_checks()
     n_pass = sum(c.passed for c in checks)
@@ -75,6 +80,9 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(claims_mod.summary_table([report]))
     for rr in report.runs:
         status = "ok" if rr.ok else "FAIL"

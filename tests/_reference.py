@@ -10,7 +10,10 @@ cdf_series_interval, the Gaussian cdf series evaluated with one interval
 operation per term, which the float Horner evaluation must never be wider
 than.  check_tiling_fractions is the certificate tiling check in exact
 rational arithmetic, whose problem list the integer-grid check must
-reproduce exactly.
+reproduce exactly.  g_J1_bound_per_box, g_LJQ2_bound_per_box and
+g_QJ1_bound_per_box are three bounds as they were before their one-axis
+factors were memoized: every factor evaluated per box, with the q_range and
+qprime_range memos bypassed.  The memoized bounds must return their bits.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from cubeiso import bounds, gauss
+from cubeiso.funcs import BetaConsts, L as L_interval
 from cubeiso.interval import (
     HALF,
     INV_SQRT_TWO_PI,
     INVALID,
+    ONE,
+    TWO,
     ZERO,
     Interval,
     _mul_down,
@@ -333,3 +340,70 @@ def check_tiling_fractions(domain, rects) -> list[str]:
                 problems.append(f"rects {j} and {idx} overlap")
         active.append(idx)
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Bounds evaluated per box, without the one-axis memos of cubeiso.bounds
+# ---------------------------------------------------------------------------
+
+_q_range = bounds.q_range.__wrapped__
+_qprime_range = bounds.qprime_range.__wrapped__
+
+
+def g_J1_bound_per_box(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
+    xh_lo = x.lo + h.lo
+    xh_hi = x.hi + h.hi
+    j_xh = gauss.j_enclosure(xh_lo, xh_hi)
+    j_x = gauss.j_enclosure(x.lo, x.hi)
+    if not (j_xh.valid and j_x.valid):
+        return INVALID
+    a_x = gauss.absjprime_enclosure(x.lo, x.hi)
+    j_xi1 = gauss.j_enclosure(x.lo, xh_hi)
+    a_xi1 = gauss.absjprime_enclosure(x.lo, xh_hi)
+    mid_hi = x.hi + 0.5 * h.hi
+    j_xi2 = gauss.j_enclosure(x.lo, mid_hi)
+    a_xi2 = gauss.absjprime_enclosure(x.lo, mid_hi)
+
+    e = bc.k_minus_inv_beta
+    c = bc.c
+    out = bc.beta * bc.c_pow_1m1b * j_xh.pow(e(1))
+    out = out - (HALF * bc.beta * (ONE - bc.beta) * bc.c_pow_1m2b
+                 * j_xh.pow(bc.one_minus_2ib) * h.pow(bc.inv_beta))
+    out = out - c * HALF * (ONE / j_x) * h.pow(e(2))
+    out = out + c * (Interval(0.125) * gauss.j3_lower(x.lo, x.hi) * h.pow(e(3))
+                     + Interval(2.0**-7) * gauss.j5_lower(x.lo, x.hi) * h.pow(e(5)))
+    out = out + bounds.J1_C4 * c * gauss.j4_of(a_x, j_x) * h.pow(e(4))
+    h6 = h.pow(e(6))
+    out = out + bounds.J1_C6_XI1 * c * gauss.j6_of(a_xi1, j_xi1) * h6
+    out = out - bounds.J1_C6_XI2 * c * gauss.j6_of(a_xi2, j_xi2) * h6
+    return out
+
+
+def g_LJQ2_bound_per_box(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interval:
+    bc = BetaConsts(beta, ONE)
+    jy = gauss.j_enclosure(y.lo, y.hi)
+    if not jy.valid:
+        return INVALID
+    lx = L_interval(Interval(0.0625), bc, 0)
+    qm = _q_range(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
+    return y - Interval(0.0625) + bc.two_pow_beta_m1 * jy + lx - TWO * qm
+
+
+def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
+    m_lo = 0.5 * (x.lo + y.lo)
+    m_hi = 0.5 * (x.hi + y.hi)
+    jm = gauss.j_enclosure(m_lo, m_hi)
+    if not jm.valid:
+        return INVALID
+    e = bc.inv_beta - ONE
+    a_iv = TWO * jm - _q_range(x.lo, x.hi, bc)
+    if a_iv.lo <= 0.0:
+        return INVALID
+    a_pow = a_iv.pow(e)
+    out = (y - x).pow(e)
+    if m_hi < gauss.profile_constants().x0.lo:
+        out = out + bc.c_pow_inv_beta * a_pow * gauss.jprime_enclosure(m_lo, m_hi)
+    else:
+        out = out - bc.c_pow_inv_beta * a_pow * gauss.absjprime_enclosure(m_lo, m_hi)
+    out = out - bc.c_pow_inv_beta * a_pow * _qprime_range(x.lo, x.hi, bc)
+    return out

@@ -121,6 +121,29 @@ def test_verify_all_unwritable_summary_exits_1_without_traceback(tmp_path, capsy
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "g_Q_1", "--emit"],
+    ["certify", "--claim", "g_Q_1", "--out-dir"],
+    ["verify-all", "--threads", "1", "--emit"],
+    ["verify-all", "--threads", "2", "--emit"],
+], ids=["verify", "certify", "verify-all-1", "verify-all-2"])
+def test_uncreatable_emit_dir_exits_1_before_any_unit(tmp_path, capsys, monkeypatch,
+                                                     argv, under_file):
+    """A regular file at, or above, the certificate directory ends the run
+    with an error line before any unit runs or any worker forks."""
+    def no_unit_may_run(*args, **kwargs):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(claims, "partition", no_unit_may_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = blocker / "certs" if under_file else blocker
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def g_q2_bytes(tmp_path_factory):
     """A g_Q_2 certificate as `certify` emits it, as text and as JSON."""
