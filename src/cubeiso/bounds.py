@@ -36,9 +36,16 @@ memos: q_range and qprime_range; g_J1's x-only, h-only and x+h factors
 BetaConsts and L(1/16) (_ljq2_beta).  Each memo is keyed on the interval's
 float endpoints and, where the factor depends on beta or c, on the
 BetaConsts object; BetaConsts hashes by identity, and beta_consts returns
-one object per parameter set.  A memo holds the very Interval the per-box
-evaluation computed, by the same operations in the same left-to-right
-order, so every bound returns the same bits with or without it.
+one object per parameter set.  g_LJQ2 calls q_range uncached, as its
+BetaConsts changes with every beta interval.  A memo holds the very
+Interval the per-box evaluation computed, by the same operations in the
+same left-to-right order, so every bound returns the same bits with or
+without it.
+
+Dispatch.  eval_bound_fn looks a BoundFn's (fn_id, variant) up in one
+table, _BOUNDS, and calls the bound with one Interval per side of the box
+and the BetaConsts of the parameters.  BoundFn accepts only the pairs in
+that table; BOUND_IDS lists its fn_ids in table order.
 
 Conventions:
   * every bound is evaluated with the conservative straddle rules of the J
@@ -92,14 +99,10 @@ from .interval import (
     ZERO,
     Interval,
     _coerce,
+    strictly_less,
 )
 
 F = Fraction
-
-BOUND_IDS = (
-    "g_JL", "g_J1", "g_J2", "g_Q1", "g_Q2", "g_LJQ1", "g_LJQ2",
-    "g_QJQ", "g_QJ1", "g_QJ2", "g_P2", "g_P3", "g_tail",
-)
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,8 @@ class BoundFn:
     variant: str = ""
 
     def __post_init__(self):
-        if self.fn_id not in BOUND_IDS:
-            raise ValueError(f"unknown bound id {self.fn_id!r}")
-
-    @property
-    def arity(self) -> int:
-        return 1 if self.fn_id in ("g_JL", "g_P2", "g_P3", "g_tail") else 2
+        if (self.fn_id, self.variant) not in _BOUNDS:
+            raise ValueError(f"unknown bound {self.fn_id!r} with variant {self.variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +482,9 @@ def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interva
     jy = gauss.j_enclosure(y.lo, y.hi)
     if not jy.valid:
         return INVALID
-    qm = q_range(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
+    # Uncached: every beta interval has its own BetaConsts, so a q_range
+    # memo entry made here would never be read again.
+    qm = q_range.__wrapped__(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
     return y - Interval(0.0625) + bc.two_pow_beta_m1 * jy + lx - TWO * qm
 
 
@@ -560,20 +561,29 @@ def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
 
 LOG_4PI = (Interval(4.0) * PI).log()
 
+# The coefficients of the displayed tail polynomial, exactly.
+TAIL_C1 = F(121, 100)
+TAIL_EXPONENT = F(57, 100000)
+TAIL_C2 = F(2, 5)
+TAIL_C3 = F(880)
+
+
+def _tail_c2(bc: BetaConsts) -> Interval:
+    """c2 = c1 log(1/w0)^beta, with c1 = log(2)^-beta."""
+    w0 = gauss.profile_constants().w0
+    return bc.log2_pow_mbeta * (ONE / w0).log().pow(bc.beta)
+
 
 def tail_side_conditions() -> list[tuple[str, bool]]:
     """Certified dominations that let the displayed tail polynomial stand in
     for the exact tail comparison on the high range (u >= 10^(25/8))."""
     bc0 = beta_consts(BetaParams(BETA0_DYADIC))
-    c1 = bc0.log2_pow_mbeta
-    c2 = c1 * (ONE / gauss.profile_constants().w0).log().pow(Interval.from_fraction(BETA0_DYADIC))
-    checks = [
-        ("tail_c1_le_1.21", c1.hi < 1.21),
-        ("tail_exponent", BETA0_DYADIC - F(1, 2) <= F(57, 100000)),
-        ("tail_c2_le_0.4", c2.hi < 0.4),
-        ("tail_log_le_880", (Interval(381.0) * LOG10 + LOG_4PI).hi < 880.0),
+    return [
+        ("tail_c1_le_1.21", strictly_less(bc0.log2_pow_mbeta, TAIL_C1)),
+        ("tail_exponent", BETA0_DYADIC - F(1, 2) <= TAIL_EXPONENT),
+        ("tail_c2_le_0.4", strictly_less(_tail_c2(bc0), TAIL_C2)),
+        ("tail_log_le_880", strictly_less(Interval(381.0) * LOG10 + LOG_4PI, TAIL_C3)),
     ]
-    return checks
 
 
 def g_tail_low_bound(v: Interval, bc: BetaConsts) -> Interval:
@@ -581,18 +591,10 @@ def g_tail_low_bound(v: Interval, bc: BetaConsts) -> Interval:
 
     2 - (v log10 + log(4 pi)) 10^-v - c1 10^((beta0-1/2) v) - c2 10^(-v/2)
     """
-    c1 = bc.log2_pow_mbeta
-    w0 = gauss.profile_constants().w0
-    c2 = c1 * (ONE / w0).log().pow(bc.beta)
     out = TWO - (v * LOG10 + LOG_4PI) * _ten_pow(-v)
-    out = out - c1 * _ten_pow((bc.beta - HALF) * v)
-    out = out - c2 * _ten_pow(-(v * HALF))
+    out = out - bc.log2_pow_mbeta * _ten_pow((bc.beta - HALF) * v)
+    out = out - _tail_c2(bc) * _ten_pow(-(v * HALF))
     return out
-
-
-TAIL_C1 = Interval.from_fraction(F(121, 100))
-TAIL_EXPONENT = Interval.from_fraction(F(57, 100000))
-TAIL_C2 = Interval.from_fraction(F(2, 5))
 
 
 def g_tail_high_bound(v: Interval, bc: BetaConsts) -> Interval:
@@ -600,9 +602,10 @@ def g_tail_high_bound(v: Interval, bc: BetaConsts) -> Interval:
 
     2 - 1.21 * 10^(0.00057 v) - 0.4 * 10^(-v/2) - 880 * 10^(-v)
     """
-    out = TWO - TAIL_C1 * _ten_pow(TAIL_EXPONENT * v)
-    out = out - TAIL_C2 * _ten_pow(-(v * HALF))
-    out = out - Interval(880.0) * _ten_pow(-v)
+    c1, e, c2, c3 = map(Interval.from_fraction, (TAIL_C1, TAIL_EXPONENT, TAIL_C2, TAIL_C3))
+    out = TWO - c1 * _ten_pow(e * v)
+    out = out - c2 * _ten_pow(-(v * HALF))
+    out = out - c3 * _ten_pow(-v)
     return out
 
 
@@ -610,37 +613,33 @@ def g_tail_high_bound(v: Interval, bc: BetaConsts) -> Interval:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_DISPATCH_2D = {
-    "g_J1": g_J1_bound,
-    "g_J2": g_J2_bound,
-    "g_Q1": g_Q1_bound,
-    "g_Q2": g_Q2_bound,
-    "g_LJQ1": g_LJQ1_bound,
-    "g_LJQ2": g_LJQ2_bound,
-    "g_QJQ": g_QJQ_bound,
-    "g_QJ1": g_QJ1_bound,
-    "g_QJ2": g_QJ2_bound,
+# (fn_id, variant) -> the bound over one Interval per side of the box and the
+# BetaConsts of the parameters.
+_BOUNDS = {
+    ("g_JL", ""): g_JL_bound,
+    ("g_J1", ""): g_J1_bound,
+    ("g_J2", ""): g_J2_bound,
+    ("g_Q1", ""): g_Q1_bound,
+    ("g_Q2", ""): g_Q2_bound,
+    ("g_LJQ1", ""): g_LJQ1_bound,
+    ("g_LJQ2", ""): g_LJQ2_bound,
+    ("g_QJQ", ""): g_QJQ_bound,
+    ("g_QJ1", ""): g_QJ1_bound,
+    ("g_QJ2", ""): g_QJ2_bound,
+    ("g_P2", ""): g_P2_bound,
+    ("g_P3", ""): g_P3_bound,
+    ("g_tail", "low"): g_tail_low_bound,
+    ("g_tail", "high"): g_tail_high_bound,
 }
 
-_DISPATCH_1D = {
-    "g_JL": g_JL_bound,
-    "g_P2": g_P2_bound,
-    "g_P3": g_P3_bound,
-}
+BOUND_IDS = tuple(dict.fromkeys(fn_id for fn_id, _ in _BOUNDS))
 
 
 def eval_bound_fn(bf: BoundFn, box: tuple[tuple[float, float], ...]) -> Interval:
     """Certified lower-bound interval for the bound function over the box.
 
-    box is ((lo1, hi1),) for 1-d claims and ((lo1, hi1), (lo2, hi2)) for 2-d.
+    box is ((lo1, hi1),) for 1-d claims and ((lo1, hi1), (lo2, hi2)) for 2-d;
+    a box of the other dimension raises TypeError.
     """
-    bc = beta_consts(bf.params)
-    if bf.fn_id == "g_tail":
-        v = Interval(box[0][0], box[0][1])
-        if bf.variant == "low":
-            return g_tail_low_bound(v, bc)
-        return g_tail_high_bound(v, bc)
-    if bf.fn_id in _DISPATCH_1D:
-        return _DISPATCH_1D[bf.fn_id](Interval(box[0][0], box[0][1]), bc)
-    fn = _DISPATCH_2D[bf.fn_id]
-    return fn(Interval(box[0][0], box[0][1]), Interval(box[1][0], box[1][1]), bc)
+    return _BOUNDS[bf.fn_id, bf.variant](*[Interval(lo, hi) for lo, hi in box],
+                                         beta_consts(bf.params))

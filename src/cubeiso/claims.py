@@ -10,13 +10,10 @@ of the underlying enclosures).
 The work splits into 19 independent (claim, run) units.  run_all proves
 them on a fork-context process pool with one worker per CPU this process may
 run on, at most one per unit; with one worker it runs them in-process and
-builds no pool.  On 2 CPUs the pool took verify-all from a median of 3.66 s
-to 1.97 s (BENCH_7.json, 10 pairs), and memoizing g_J1's one-axis factors
-took it on to 1.39 s (BENCH_8.json, against 1.92 s).  The longest unit,
-g_J_1 at beta0 (about 1.1 s alone), is the critical path: more workers
-cannot take verify-all below it.  Reports are folded in registry order, and
-certificate bytes depend only on the claim and its parameters, never on the
-worker count or timing.
+builds no pool.  The longest unit, g_J_1 at beta0, is the critical path:
+more workers cannot take verify-all below it.  Reports are folded in
+registry order, and certificate bytes depend only on the claim and its
+parameters, never on the worker count or timing.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from typing import Optional
 from . import gauss
 from .bounds import BoundFn, eval_bound_fn, tail_side_conditions
 from .funcs import BETA0_DYADIC, BETA1, C0, BetaParams
+from .interval import Interval
 from .partition import (
     MAX_DEPTH_DEFAULT,
     Certificate,
@@ -52,14 +50,23 @@ class ClaimRun:
     fn: BoundFn
     domain: DyadicRect
 
+    def evaluate(self, box: tuple[tuple[float, float], ...]) -> Interval:
+        """The bound's certified interval over box; the prover and the
+        checker both evaluate through here."""
+        return eval_bound_fn(self.fn, box)
+
 
 @dataclass(frozen=True)
 class Claim:
     claim_id: str
-    kind: str  # "partition1" or "partition2"
     runs: tuple[ClaimRun, ...]
     reference_margin: Optional[Fraction]
     max_depth: int = MAX_DEPTH_DEFAULT
+
+    @property
+    def kind(self) -> str:
+        """partition1 or partition2, after the dimension of the domain."""
+        return f"partition{self.runs[0].domain.n}"
 
 
 @dataclass
@@ -68,7 +75,6 @@ class RunReport:
     ok: bool
     margin: float
     rect_count: int
-    max_depth_seen: int
     evaluations: int
     failure_box: Optional[DyadicRect] = None
     certificate_path: Optional[str] = None
@@ -88,20 +94,11 @@ class ClaimReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _runs_for_params(fn_id: str, domain: DyadicRect, param_sets) -> tuple[ClaimRun, ...]:
-    return tuple(
-        ClaimRun(run_tag=p.tag(), fn=BoundFn(fn_id, p), domain=domain)
-        for p in param_sets
-    )
-
-
 def _claim(claim_id, fn_id, sides, param_sets, margin) -> Claim:
     domain = DyadicRect.build(*sides)
-    kind = "partition1" if len(sides) == 1 else "partition2"
     return Claim(
         claim_id=claim_id,
-        kind=kind,
-        runs=_runs_for_params(fn_id, domain, param_sets),
+        runs=tuple(ClaimRun(p.tag(), BoundFn(fn_id, p), domain) for p in param_sets),
         reference_margin=margin,
     )
 
@@ -117,7 +114,6 @@ def registry() -> list[Claim]:
     tail_params = _BETA0
     tail = Claim(
         claim_id="g_tail",
-        kind="partition1",
         runs=(
             ClaimRun(
                 "low",
@@ -165,41 +161,18 @@ def claim_by_id(claim_id: str) -> Claim:
     raise KeyError(f"unknown claim {claim_id!r}")
 
 
-# Deltas for the negative control (perturbing the bound downward must break
-# the claim).  Claims whose verified quantity stays well above 0.05 over the
-# whole domain need a correspondingly larger perturbation: g_JL has a minimum
-# near 1.5, g_Q_2 near 0.11.
-NEGATIVE_CONTROL_DELTAS = {"g_JL": 2.0, "g_Q_2": 0.2}
-NEGATIVE_CONTROL_DEFAULT = 0.05
-
-
-def _run_unit(
-    claim_id: str,
-    run: ClaimRun,
-    depth: int,
-    emit_dir: Optional[str],
-    perturb: float,
-) -> RunReport:
+def _run_unit(claim_id: str, run: ClaimRun, depth: int, emit_dir: Optional[str]) -> RunReport:
     """Prove one (claim, run) unit and, if it holds and emit_dir is set, write
     its certificate into emit_dir, which the caller has created.  Module-level,
     so that a process pool can send it to a worker by name."""
     t0 = time.perf_counter()
     stats = PartitionStats()
-
-    if perturb:
-        def evaluate(box, _fn=run.fn, _d=perturb):
-            return eval_bound_fn(_fn, box) - _d
-    else:
-        def evaluate(box, _fn=run.fn):
-            return eval_bound_fn(_fn, box)
-
-    rects, failure, margin = partition(evaluate, run.domain, depth, stats)
+    rects, failure, margin = partition(run.evaluate, run.domain, depth, stats)
     rr = RunReport(
         run_tag=run.run_tag,
         ok=failure is None,
         margin=margin,
         rect_count=len(rects) if rects is not None else 0,
-        max_depth_seen=stats.max_depth_seen,
         evaluations=stats.evaluations,
         failure_box=failure.deepest_box if failure else None,
     )
@@ -210,7 +183,6 @@ def _run_unit(
             c=run.fn.params.c,
             domain=run.domain,
             rects=rects,
-            margin=margin,
         )
         path = os.path.join(emit_dir, f"{claim_id}.{run.run_tag}.cert")
         with open(path, "wb") as fh:
@@ -229,11 +201,10 @@ def _make_emit_dir(emit_dir: Optional[str]) -> None:
         os.makedirs(emit_dir, exist_ok=True)
 
 
-def _unit_args(claim: Claim, max_depth: Optional[int], emit_dir: Optional[str],
-               perturb: float = 0.0) -> list[tuple]:
+def _unit_args(claim: Claim, max_depth: Optional[int], emit_dir: Optional[str]) -> list[tuple]:
     """_run_unit's arguments for each of the claim's runs, in registry order."""
     depth = claim.max_depth if max_depth is None else max_depth
-    return [(claim.claim_id, run, depth, emit_dir, perturb) for run in claim.runs]
+    return [(claim.claim_id, run, depth, emit_dir) for run in claim.runs]
 
 
 def _fold(claim: Claim, runs: list[RunReport]) -> ClaimReport:
@@ -270,19 +241,13 @@ def run_claim(
     claim: Claim | str,
     max_depth: Optional[int] = None,
     emit_dir: Optional[str] = None,
-    perturb: float = 0.0,
 ) -> ClaimReport:
     """Prove one claim (all parameter sets) in-process; optionally emit
-    certificates.
-
-    perturb subtracts a constant from every bound evaluation; it exists for
-    the negative-control tests and must stay 0.0 for real verification.
-    """
+    certificates."""
     if isinstance(claim, str):
         claim = claim_by_id(claim)
     _make_emit_dir(emit_dir)
-    return _fold(claim, [_run_unit(*args)
-                         for args in _unit_args(claim, max_depth, emit_dir, perturb)])
+    return _fold(claim, [_run_unit(*args) for args in _unit_args(claim, max_depth, emit_dir)])
 
 
 def worker_count(threads: Optional[int], units: int) -> int:
@@ -346,12 +311,7 @@ def verify_certificate_bytes(data: bytes):
     from .partition import load
 
     cert = load(data)
-    run = _find_run(cert)
-
-    def evaluate(box, _fn=run.fn):
-        return eval_bound_fn(_fn, box)
-
-    return verify_certificate(cert, evaluate)
+    return verify_certificate(cert, _find_run(cert).evaluate)
 
 
 def summary_table(reports: list[ClaimReport]) -> str:

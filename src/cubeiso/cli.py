@@ -229,6 +229,32 @@ def _write_rows(path, rows) -> None:
         csv.writer(sys.stdout).writerows(rows)
 
 
+def _ranged(convert, low, high=math.inf, *, low_open=False):
+    """An argparse type: convert(text), which must lie in [low, high], or in
+    (low, high] with low_open; any other value is a usage error."""
+    def parse(text):
+        value = convert(text)
+        if (low < value if low_open else low <= value) and value <= high:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"{text} is outside {'(' if low_open else '['}{low}, {high}]")
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _cube_dimension(text: str) -> int:
+    """--n of the exhaustive oracle commands, 1..oracle.MAX_N_EXHAUSTIVE.
+    oracle is imported here, when the argument is given, because it needs
+    numpy."""
+    from .oracle import MAX_N_EXHAUSTIVE
+
+    return _ranged(int, 1, MAX_N_EXHAUSTIVE)(text)
+
+
+_cube_dimension.__name__ = "int"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cubeiso", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,27 +286,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_cert)
 
     p = sub.add_parser("oracle-profile", help="brute-force profile for small n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_cube_dimension, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle_profile)
 
     p = sub.add_parser("envelope", help="envelope approximation as CSV")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--refine", type=int, default=None)
+    p.add_argument("--beta", type=_ranged(float, 0.0, low_open=True), required=True)
+    p.add_argument("--depth", type=_ranged(int, 0, 10), required=True)  # envelope_approx's cap
+    p.add_argument("--refine", type=_ranged(int, 0), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_envelope)
 
     p = sub.add_parser("poincare", help="exhaustive Poincare comparison")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--n", type=_cube_dimension, required=True)
+    p.add_argument("--p", type=_ranged(float, 0.0, low_open=True), required=True)
     p.add_argument("--threshold", type=float, default=1.0)
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("plot-data", help="CSV series behind the figures")
     p.add_argument("--figure", choices=["bounds", "failure", "envelopes"], required=True)
-    p.add_argument("--refine", type=int, default=0)
+    p.add_argument("--refine", type=_ranged(int, 0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_plot_data)
     return parser

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+import functools
 
 from . import gauss
 from .interval import (
@@ -123,7 +123,7 @@ class BetaConsts:
         return self._k_minus_inv_beta[k]
 
 
-@lru_cache(maxsize=64)
+@functools.cache
 def beta_consts(params: BetaParams) -> BetaConsts:
     return BetaConsts(
         Interval.from_fraction(params.beta),
@@ -141,7 +141,7 @@ def _log_recip(x: Interval) -> Interval:
 
 
 def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
-    """L_beta and its first three derivatives.
+    """L_beta and its first two derivatives.
 
     Order 0 is defined on [0, 1] with L(0) = L(1) = 0 handled exactly;
     derivatives require x inside (0, 1).
@@ -170,10 +170,6 @@ def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
     if order == 2:
         return -(bc.beta * bc.log2_pow_mbeta * (ONE / x) * lg.pow(bc.beta - TWO)
                  * (ONE - bc.beta + lg))
-    if order == 3:
-        poly = bc.beta * (Interval(3.0) - bc.beta) - TWO + lg.ipow(2)
-        return (bc.beta * bc.log2_pow_mbeta * x.ipow(-2)
-                * lg.pow(bc.beta - Interval(3.0)) * poly)
     raise ValueError(f"unsupported L derivative order {order}")
 
 
@@ -182,8 +178,8 @@ def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
 # ---------------------------------------------------------------------------
 
 def Q(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
-    """Q_beta and derivatives, from the displayed formulas with their
-    per-beta coefficients taken from BetaConsts."""
+    """Q_beta and its first two derivatives, from the displayed formulas
+    with their per-beta coefficients taken from BetaConsts."""
     if not x.valid:
         return INVALID
     if order == 0:
@@ -192,8 +188,6 @@ def Q(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
         return bc.q1_c0 - bc.q1_c1 * x - bc.q1_c2 * x.ipow(2)
     if order == 2:
         return -bc.q1_c1 - bc.q2_c1 * x
-    if order == 3:
-        return -bc.q2_c1
     raise ValueError(f"unsupported Q derivative order {order}")
 
 

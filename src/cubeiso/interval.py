@@ -455,20 +455,13 @@ class Interval:
         return Interval._raw(rlo, rhi)
 
     def pow(self, p) -> "Interval":
-        """Real power x**p.
+        """Real power x**p, for p an Interval or anything _coerce takes.
 
         Non-integer exponents require lo >= 0.  0**p is 0 for p > 0; the
         degenerate exponent [0,0] yields [1,1] (the convention used by the
         tight-lower-bound formulas, where h**0 arises as a limit).
         """
-        if isinstance(p, int):
-            return self.ipow(p)
-        if isinstance(p, Fraction):
-            if p.denominator == 1:
-                return self.ipow(p.numerator)
-            p = Interval.from_fraction(p)
-        if not isinstance(p, Interval):
-            p = Interval(float(p))
+        p = _coerce(p)
         if not (self.valid and p.valid):
             return INVALID
         if p.lo == p.hi:

@@ -145,7 +145,6 @@ class DyadicRect:
 @dataclass
 class PartitionStats:
     evaluations: int = 0
-    max_depth_seen: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,6 @@ class Certificate:
     c: Fraction
     domain: DyadicRect
     rects: list[DyadicRect]
-    margin: float  # informational; never trusted by verification
 
 
 BoundEvaluator = Callable[[tuple[tuple[float, float], ...]], Interval]
@@ -186,7 +184,6 @@ def partition(
         nonlocal margin
         if stats is not None:
             stats.evaluations += 1
-            stats.max_depth_seen = max(stats.max_depth_seen, depth)
         val = evaluate(box.float_box())
         if val.valid and val.lo > 0.0:
             rects.append(box)
@@ -287,8 +284,7 @@ def _load_json(data: bytes) -> Certificate:
             raise CertificateParseError(
                 f"rect {i} has {len(rs)} dyadics, the domain {len(ds)}", 0, "rects")
         rects.append(DyadicRect(tuple(rs[:k]), tuple(rs[k:])))
-    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects,
-                       margin=math.nan)
+    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects)
 
 
 def load(data: bytes) -> Certificate:
@@ -326,7 +322,7 @@ def load(data: bytes) -> Certificate:
                     f"{rect.n}-D rect in a {domain.n}-D domain", offset, "rect")
             rects.append(rect)
         offset += len(line) + 1
-    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects, margin=math.nan)
+    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +381,7 @@ def verify_certificate(
     cert: Certificate,
     evaluate: BoundEvaluator,
 ) -> VerificationReport:
-    """Re-check tiling exactly and positivity on every rect; the margin field
-    of the certificate is ignored."""
+    """Re-check tiling exactly and positivity on every rect."""
     tiling_problems = _check_tiling(cert.domain, cert.rects)
     pos_problems = []
     min_bound = math.inf

@@ -14,7 +14,7 @@ import pytest
 
 import _reference as ref
 from conftest import scale
-from cubeiso.bounds import BoundFn, eval_bound_fn
+from cubeiso.bounds import BOUND_IDS, BoundFn, eval_bound_fn
 from cubeiso.funcs import BETA0_DYADIC, BETA1, C0, BetaParams
 
 HALF = BetaParams(F(1, 2))
@@ -185,6 +185,16 @@ def test_g_J2_root_box_requires_subdivision():
     assert not (out.valid and out.lo > 0.0)
 
 
-def test_unknown_bound_id_rejected():
+@pytest.mark.parametrize("fn_id, variant", [
+    ("g_nope", ""), ("g_tail", "mid"), ("g_tail", ""), ("g_JL", "low"),
+])
+def test_unknown_bound_id_rejected(fn_id, variant):
     with pytest.raises(ValueError):
-        BoundFn("g_nope", HALF)
+        BoundFn(fn_id, HALF, variant=variant)
+
+
+def test_bound_ids():
+    assert BOUND_IDS == (
+        "g_JL", "g_J1", "g_J2", "g_Q1", "g_Q2", "g_LJQ1", "g_LJQ2",
+        "g_QJQ", "g_QJ1", "g_QJ2", "g_P2", "g_P3", "g_tail",
+    )

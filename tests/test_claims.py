@@ -9,6 +9,7 @@ import pytest
 from cubeiso import claims
 from cubeiso.funcs import BETA0_DYADIC, BetaParams
 from cubeiso.bounds import BoundFn, eval_bound_fn
+from cubeiso.interval import Interval
 from cubeiso.partition import DyadicRect, partition
 
 DOCS_TABLE = os.path.join(os.path.dirname(__file__), "..", "docs", "claims_table.csv")
@@ -26,8 +27,13 @@ def test_registry_shape():
     assert sum(len(c.runs) for c in reg) == 19  # the (claim, run) units
     # The checker matches a certificate's domain to its run's, and parsing
     # gives every rect the domain's dimension, so no rect can reach a bound
-    # of another arity.
-    assert all(r.domain.n == r.fn.arity for c in reg for r in c.runs)
+    # of another arity: each bound takes its own domain and rejects a box of
+    # the other dimension.
+    for run in (r for c in reg for r in c.runs):
+        box = run.domain.float_box()
+        assert isinstance(run.evaluate(box), Interval)
+        with pytest.raises(TypeError):
+            run.evaluate(box * 2 if len(box) == 1 else box[:1])
 
 
 def test_g_LJQ_2_second_coordinate_is_beta():
@@ -90,12 +96,26 @@ def test_negative_control_beta_half():
     assert xlo <= F(1, 2) <= xhi
 
 
+# Deltas for the negative control (perturbing the bound downward must break
+# the claim).  Claims whose verified quantity stays well above 0.05 over the
+# whole domain need a correspondingly larger perturbation: g_JL has a minimum
+# near 1.5, g_Q_2 near 0.11.
+NEGATIVE_CONTROL_DELTAS = {"g_JL": 2.0, "g_Q_2": 0.2}
+NEGATIVE_CONTROL_DEFAULT = 0.05
+
+
 @pytest.mark.parametrize("claim_id", [c.claim_id for c in claims.registry()])
 def test_negative_control_perturbation(claim_id):
     """Shifting the bound down must break every claim (no vacuous bounds)."""
-    delta = claims.NEGATIVE_CONTROL_DELTAS.get(claim_id, claims.NEGATIVE_CONTROL_DEFAULT)
-    rep = claims.run_claim(claim_id, perturb=delta)
-    assert not rep.ok, f"{claim_id} still passes with bound - {delta}"
+    claim = claims.claim_by_id(claim_id)
+    delta = NEGATIVE_CONTROL_DELTAS.get(claim_id, NEGATIVE_CONTROL_DEFAULT)
+
+    def fails(run):
+        _, failure, _ = partition(lambda box: run.evaluate(box) - delta, run.domain,
+                                  claim.max_depth)
+        return failure is not None
+
+    assert any(map(fails, claim.runs)), f"{claim_id} still passes with bound - {delta}"
 
 
 def test_tail_side_conditions_hold():

@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -82,7 +81,7 @@ def _one_rect_certificate(fmt):
     """A g_Q_2 certificate whose single rect is the whole domain."""
     run = claims.claim_by_id("g_Q_2").runs[0]
     cert = Certificate("g_Q_2", run.fn.params.beta, run.fn.params.c, run.domain,
-                       [run.domain], math.nan)
+                       [run.domain])
     return emit_text(cert) if fmt == "text" else emit_json(cert)
 
 
@@ -207,6 +206,26 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     code = main(["verify", "--claim", "g_J_1", "--max-depth", "1"])
     assert code == 1
     assert "deepest unprovable box" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--n", "5", "--p", "2"],
+    ["oracle-profile", "--n", "5", "--beta", "1"],
+    ["oracle-profile", "--n", "0", "--beta", "1"],
+    ["oracle-profile", "--n", "-1", "--beta", "1"],
+    ["envelope", "--beta", "1", "--depth", "11"],
+    ["envelope", "--beta", "1", "--depth", "-1"],
+    ["envelope", "--beta", "1", "--depth", "2", "--refine", "-1"],
+    ["plot-data", "--figure", "envelopes", "--refine", "-1"],
+    ["envelope", "--beta", "0", "--depth", "2"],
+    ["poincare", "--n", "2", "--p", "0"],
+], ids=" ".join)
+def test_out_of_range_oracle_argument_exits_2_without_traceback(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_oracle_profile_matches_hart(tmp_path):

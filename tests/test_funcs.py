@@ -29,6 +29,15 @@ BC_HALF = beta_consts(BetaParams(F(1, 2)))
 BC_BETA0 = beta_consts(BetaParams(BETA0_DYADIC))
 
 
+def test_beta_consts_is_one_object_per_parameter_set():
+    """The bounds memos key on BetaConsts identity, so no number of other
+    parameter sets may evict one."""
+    first = beta_consts(BetaParams(F(1, 2), F(1, 1009)))
+    for k in range(2, 66):
+        beta_consts(BetaParams(F(1, 2), F(k, 1009)))
+    assert beta_consts(BetaParams(F(1, 2), F(1, 1009))) is first
+
+
 def test_beta_params_validation():
     with pytest.raises(ValueError):
         BetaParams(F(1, 4))

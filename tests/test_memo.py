@@ -14,7 +14,7 @@ import pytest
 
 import _reference as ref
 from cubeiso import bounds, gauss
-from cubeiso.claims import claim_by_id
+from cubeiso.claims import claim_by_id, run_claim
 from cubeiso.funcs import beta_consts
 from cubeiso.interval import Interval
 
@@ -110,3 +110,10 @@ def test_memoized_bounds_match_per_box_bits(runs, order):
                 mismatches.append((name, (a, b), (c, d), got, expected))
     assert not mismatches, f"{len(mismatches)} boxes differ, first: {mismatches[:3]}"
 
+
+def test_g_LJQ2_leaves_the_q_range_memo_alone():
+    """g_LJQ2 makes a BetaConsts per beta interval, so a q_range entry it
+    made would never be read again: it calls q_range uncached."""
+    before = bounds.q_range.cache_info().currsize
+    assert run_claim("g_LJQ_2").ok
+    assert bounds.q_range.cache_info().currsize == before

@@ -119,11 +119,11 @@ def _sample_certificate() -> Certificate:
 
     claim = claims.claim_by_id("g_Q_2")
     run = claim.runs[0]
-    rects, fail, margin = partition(
+    rects, fail, _ = partition(
         lambda box: eval_bound_fn(run.fn, box), run.domain, 12,
     )
     assert fail is None
-    return Certificate("g_Q_2", run.fn.params.beta, run.fn.params.c, run.domain, rects, margin)
+    return Certificate("g_Q_2", run.fn.params.beta, run.fn.params.c, run.domain, rects)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,6 @@ def test_emit_load_roundtrip_text_and_json(sample_cert):
         assert back.domain == sample_cert.domain
         assert back.rects == sample_cert.rects
         # byte-stable reserialization
-        back.margin = sample_cert.margin
         assert emit(back, fmt) == data
 
 
@@ -262,7 +261,7 @@ def test_verify_roundtrip_and_tampering(sample_cert):
     # deleting a rect breaks the tiling
     broken = Certificate(
         sample_cert.claim_id, sample_cert.beta, sample_cert.c,
-        sample_cert.domain, sample_cert.rects[1:], math.nan,
+        sample_cert.domain, sample_cert.rects[1:],
     )
     rep = verify_certificate(broken, evaluate)
     assert not rep.ok and not rep.tiling_ok
@@ -271,7 +270,7 @@ def test_verify_roundtrip_and_tampering(sample_cert):
     # proven positive (the root box needs subdivision)
     flat = Certificate(
         sample_cert.claim_id, sample_cert.beta, sample_cert.c,
-        sample_cert.domain, [sample_cert.domain], math.nan,
+        sample_cert.domain, [sample_cert.domain],
     )
     rep = verify_certificate(flat, evaluate)
     assert rep.tiling_ok and not rep.positivity_ok and not rep.ok
@@ -283,7 +282,7 @@ def test_overlapping_rects_detected(sample_cert):
     run = claim.runs[0]
     dup = Certificate(
         sample_cert.claim_id, sample_cert.beta, sample_cert.c,
-        sample_cert.domain, sample_cert.rects + [sample_cert.rects[0]], math.nan,
+        sample_cert.domain, sample_cert.rects + [sample_cert.rects[0]],
     )
     rep = verify_certificate(dup, lambda box: eval_bound_fn(run.fn, box))
     assert not rep.tiling_ok
