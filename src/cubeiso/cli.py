@@ -229,15 +229,20 @@ def _write_rows(path, rows) -> None:
         csv.writer(sys.stdout).writerows(rows)
 
 
-def _ranged(convert, low, high=math.inf, *, low_open=False):
-    """An argparse type: convert(text), which must lie in [low, high], or in
-    (low, high] with low_open; any other value is a usage error."""
+def _ranged(convert, low=-math.inf, high=math.inf, *, low_open=False):
+    """An argparse type: convert(text), which must be finite and lie in
+    [low, high], or in (low, high] with low_open; any other value is a usage
+    error."""
+    left = "(" if low_open or low == -math.inf else "["
+    right = "]" if high < math.inf else ")"
+
     def parse(text):
         value = convert(text)
-        if (low < value if low_open else low <= value) and value <= high:
+        # comparing with inf, not math.isfinite, keeps huge ints a usage error
+        if (-math.inf < value < math.inf and (low < value if low_open else low <= value)
+                and value <= high):
             return value
-        raise argparse.ArgumentTypeError(
-            f"{text} is outside {'(' if low_open else '['}{low}, {high}]")
+        raise argparse.ArgumentTypeError(f"{text} is outside {left}{low}, {high}{right}")
 
     parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
     return parse
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-profile", help="brute-force profile for small n")
     p.add_argument("--n", type=_cube_dimension, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_ranged(float, 0.0, low_open=True), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle_profile)
 
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poincare", help="exhaustive Poincare comparison")
     p.add_argument("--n", type=_cube_dimension, required=True)
     p.add_argument("--p", type=_ranged(float, 0.0, low_open=True), required=True)
-    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--threshold", type=_ranged(float), default=1.0)
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("plot-data", help="CSV series behind the figures")
@@ -315,7 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout closed early.  Point stdout at the null device
+        # so that the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -280,11 +280,10 @@ class ScalarCheck:
 
 
 def _f_LJQ_half(y: Interval, order: int) -> Interval:
-    """f(y) = y + (sqrt2 - 1) J(y) - 2 Q_{1/2}(y/2) and its y-derivatives."""
+    """The first (order 1) or second (order 2) y-derivative of
+    f(y) = y + (sqrt2 - 1) J(y) - 2 Q_{1/2}(y/2)."""
     bc = beta_consts(BetaParams(BETA_HALF))
     half_y = y * HALF
-    if order == 0:
-        return y + (SQRT2 - ONE) * gauss.j_value(y) - TWO * Q(half_y, bc, 0)
     if order == 1:
         jp = gauss.jprime_enclosure(y.lo, y.hi)
         return ONE + (SQRT2 - ONE) * jp - Q(half_y, bc, 1)
@@ -294,7 +293,8 @@ def _f_LJQ_half(y: Interval, order: int) -> Interval:
 
 
 def _f_Q_drop(y: Interval, bc: BetaConsts, order: int) -> Interval:
-    """f0(y) = y R(y)^(1/beta - 1) R'(y), with first and second derivatives.
+    """The first (order 1) or second (order 2) derivative of
+    f0(y) = y R(y)^(1/beta - 1) R'(y).
 
     f1 = R^(1/beta-1), f2 = y R'; f0 = f1 f2.
     """
@@ -304,8 +304,6 @@ def _f_Q_drop(y: Interval, bc: BetaConsts, order: int) -> Interval:
     r2 = R(y, bc, 2)
     f1 = r.pow(e1)
     f2 = y * r1
-    if order == 0:
-        return f1 * f2
     f1p = e1 * r.pow(e1 - ONE) * r1
     f2p = r1 + y * r2
     if order == 1:

@@ -9,11 +9,17 @@ the designated Invalid value, which absorbs all further arithmetic.
 Outward rounding is realized by post-hoc next-representable stepping rather
 than FPU rounding-mode control, so the module is pure Python and thread-safe.
 Additions and subtractions recover the exact rounding error with a 2Sum step
-and only widen when the float result is inexact; multiplications detect the
-common exactly-representable cases (small integers, scaling by a power of
-two).  An interval product with finite endpoints rounds only its extremal
-float products (all of them when several tie), which gives the same
-endpoints as rounding all four because rounding is monotone.  Library
+and only widen when the float result is inexact.  Products, quotients and
+integer powers share one rule: take the float result at each corner, take
+the min and max, and step an end one float outward only when a corner
+result equal to it is not provably exact.  Exact are a zero or infinite
+factor or dividend, a product of small integers, and scaling by a power of
+two that stays in the normal range; an overflowed result never is.
+Rounding is monotone, so for finite and infinite endpoints alike this gives
+the ends that rounding every corner outward gives, and nextafter(+-inf,
+-+inf) = +-MAX makes a lower end that overflowed to +inf the largest float,
+as directed rounding does.  An integer power applies the rule at each step
+of its repeated multiplication of the end magnitudes.  Library
 transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
 by 2 ulp on each side; this assumption is exercised empirically by the
 randomized containment suite against a high-precision oracle.
@@ -102,14 +108,16 @@ def _sub_up(a: float, b: float) -> float:
 
 
 def _mul_exact(a: float, b: float, p: float) -> bool:
-    """True only if the float product p == a*b is provably exact."""
+    """True only if the float product p == a*b is provably exact.  A product
+    with an infinite factor is exact; an overflowed finite one is not."""
     if a == 0.0 or b == 0.0:
         return True
     # both small integers: product fits in 53 bits
     if a.is_integer() and b.is_integer() and abs(a) < 67108864.0 and abs(b) < 67108864.0:
         return True
-    # scaling by a power of two is exact unless the result leaves the
-    # normal range (overflow is handled by the caller)
+    if math.isinf(p):  # an infinite factor, or overflow
+        return math.isinf(a) or math.isinf(b)
+    # scaling by a power of two is exact unless the result underflows
     if abs(p) >= _MIN_NORMAL:
         ma, _ = math.frexp(a)
         if ma == 0.5 or ma == -0.5:
@@ -120,56 +128,11 @@ def _mul_exact(a: float, b: float, p: float) -> bool:
     return False
 
 
-def _mul_down(a: float, b: float) -> float:
-    p = a * b
-    if p != p:  # 0 * inf
-        return 0.0 if (a == 0.0 or b == 0.0) else p
-    if math.isinf(p):
-        if math.isinf(a) or math.isinf(b):
-            return p
-        return _MAX if p > 0 else p
-    if _mul_exact(a, b, p):
-        return p
-    return _down(p)
-
-
-def _mul_up(a: float, b: float) -> float:
-    p = a * b
-    if p != p:
-        return 0.0 if (a == 0.0 or b == 0.0) else p
-    if math.isinf(p):
-        if math.isinf(a) or math.isinf(b):
-            return p
-        return p if p > 0 else -_MAX
-    if _mul_exact(a, b, p):
-        return p
-    return _up(p)
-
-
-def _tied_inexact(p: float, a: float, b: float, c: float, d: float,
-                  ac: float, ad: float, bc: float, bd: float) -> bool:
-    """Whether any of the finite-operand products ac, ad, bc, bd that equal
-    p is not provably exact."""
-    return ((ac == p and not _mul_exact(a, c, p)) or (ad == p and not _mul_exact(a, d, p))
-            or (bc == p and not _mul_exact(b, c, p)) or (bd == p and not _mul_exact(b, d, p)))
-
-
-def _lo_end(p: float, inexact: bool) -> float:
-    """_mul_down's result for a float product p of finite operands."""
-    if p == _INF:
-        return _MAX
-    return _down(p) if inexact and p != -_INF else p
-
-
-def _hi_end(p: float, inexact: bool) -> float:
-    """_mul_up's result for a float product p of finite operands."""
-    if p == -_INF:
-        return -_MAX
-    return _up(p) if inexact and p != _INF else p
-
-
 def _div_exact(a: float, b: float, q: float) -> bool:
-    if a == 0.0:
+    """True only if the float quotient q == a/b is provably exact.  An
+    infinite dividend gives an exact quotient; an infinite divisor, an
+    overflow or an underflow does not."""
+    if a == 0.0 or math.isinf(a):
         return True
     if abs(q) >= _MIN_NORMAL and not math.isinf(q):
         mb, _ = math.frexp(b)
@@ -178,44 +141,32 @@ def _div_exact(a: float, b: float, q: float) -> bool:
     return False
 
 
-def _div_down(a: float, b: float) -> float:
-    q = a / b
-    if q != q:
-        return q
-    if math.isinf(q):
-        if math.isinf(a):
-            return q
-        return _MAX if q > 0 else q
-    if _div_exact(a, b, q):
-        return q
-    return _down(q)
+def _hull(a: float, b: float, c: float, d: float,
+          ac: float, ad: float, bc: float, bd: float, exact) -> "Interval":
+    """The outward-rounded hull of the float corner results ac = a op c, ad,
+    bc and bd of an operation op.  An end moves one float outward only when
+    a corner result equal to it is not exact(x, y, r).  Rounding is
+    monotone, so these are the ends that rounding every corner outward
+    gives.  nextafter(+-inf, -+inf) is +-MAX, so a lower end that
+    overflowed to +inf becomes MAX, and an upper end at -inf becomes -MAX."""
+    lo = min(ac, ad, bc, bd)
+    hi = max(ac, ad, bc, bd)
+    if ((ac == lo and not exact(a, c, ac)) or (ad == lo and not exact(a, d, ad))
+            or (bc == lo and not exact(b, c, bc)) or (bd == lo and not exact(b, d, bd))):
+        lo = _down(lo)
+    if ((ac == hi and not exact(a, c, ac)) or (ad == hi and not exact(a, d, ad))
+            or (bc == hi and not exact(b, c, bc)) or (bd == hi and not exact(b, d, bd))):
+        hi = _up(hi)
+    return Interval._raw(lo, hi)
 
 
-def _div_up(a: float, b: float) -> float:
-    q = a / b
-    if q != q:
-        return q
-    if math.isinf(q):
-        if math.isinf(a):
-            return q
-        return q if q > 0 else -_MAX
-    if _div_exact(a, b, q):
-        return q
-    return _up(q)
-
-
-def _pow_mag_down(v: float, n: int) -> float:
-    """Directed v**n for v >= 0, rounding down."""
+def _pow_mag(v: float, n: int, step) -> float:
+    """v**n for v >= 0 by repeated multiplication, each product not provably
+    exact moved one float by step (_down or _up)."""
     r = v
     for _ in range(n - 1):
-        r = _mul_down(r, v)
-    return r
-
-
-def _pow_mag_up(v: float, n: int) -> float:
-    r = v
-    for _ in range(n - 1):
-        r = _mul_up(r, v)
+        p = r * v
+        r = p if _mul_exact(r, v, p) else step(p)
     return r
 
 
@@ -335,21 +286,16 @@ class Interval:
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if a != a or c != c:
             return INVALID
-        if a == -_INF or b == _INF or c == -_INF or d == _INF:
-            lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
-            hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
-            return Interval._raw(lo, hi)
-        # Finite operands: a product above the float minimum never rounds
-        # down below it (rounding is monotone), so only the extremal float
-        # products are rounded, every one of them on a tie.
         ac = a * c
         if a == b and c == d:
-            inexact = not _mul_exact(a, c, ac)
-            return Interval._raw(_lo_end(ac, inexact), _hi_end(ac, inexact))
+            if not _mul_exact(a, c, ac):
+                return Interval._raw(_down(ac), _up(ac))
+            return Interval._raw(ac, ac) if ac == ac else ZERO  # 0 * inf is 0
         ad, bc, bd = a * d, b * c, b * d
-        lo, hi = min(ac, ad, bc, bd), max(ac, ad, bc, bd)
-        return Interval._raw(_lo_end(lo, _tied_inexact(lo, a, b, c, d, ac, ad, bc, bd)),
-                             _hi_end(hi, _tied_inexact(hi, a, b, c, d, ac, ad, bc, bd)))
+        if ac != ac or ad != ad or bc != bc or bd != bd:
+            # 0 * inf: the factor 0 is exact, so the product is 0
+            ac, ad, bc, bd = (0.0 if p != p else p for p in (ac, ad, bc, bd))
+        return _hull(a, b, c, d, ac, ad, bc, bd, _mul_exact)
 
     __rmul__ = __mul__
 
@@ -360,9 +306,8 @@ class Interval:
         if other.lo <= 0.0 <= other.hi:
             return INVALID
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        lo = min(_div_down(a, c), _div_down(a, d), _div_down(b, c), _div_down(b, d))
-        hi = max(_div_up(a, c), _div_up(a, d), _div_up(b, c), _div_up(b, d))
-        return Interval._raw(lo, hi)
+        # inf / inf stays NaN, which min and max pass over unless it comes first
+        return _hull(a, b, c, d, a / c, a / d, b / c, b / d, _div_exact)
 
     def __rtruediv__(self, other) -> "Interval":
         return _coerce(other).__truediv__(self)
@@ -448,10 +393,10 @@ class Interval:
             return self
         if n % 2 == 0:
             m = abs(self)
-            return Interval._raw(_pow_mag_down(m.lo, n), _pow_mag_up(m.hi, n))
+            return Interval._raw(_pow_mag(m.lo, n, _down), _pow_mag(m.hi, n, _up))
         lo, hi = self.lo, self.hi
-        rlo = -_pow_mag_up(-lo, n) if lo < 0.0 else _pow_mag_down(lo, n)
-        rhi = -_pow_mag_down(-hi, n) if hi < 0.0 else _pow_mag_up(hi, n)
+        rlo = -_pow_mag(-lo, n, _up) if lo < 0.0 else _pow_mag(lo, n, _down)
+        rhi = -_pow_mag(-hi, n, _down) if hi < 0.0 else _pow_mag(hi, n, _up)
         return Interval._raw(rlo, rhi)
 
     def pow(self, p) -> "Interval":

@@ -3,13 +3,16 @@
 Everything here is independent of the package's interval code paths: the
 Gaussian profile goes through mpmath's erfinv/exp, the comparison functions
 are written directly from their defining formulas, and w0 is obtained by
-mpmath root finding.  Two exceptions are built from the interval kernel:
-mul_four_products, the interval product that rounds all four endpoint
-products, whose endpoints Interval.__mul__ must give exactly; and
-cdf_series_interval, the Gaussian cdf series evaluated with one interval
-operation per term, which the float Horner evaluation must never be wider
-than.  check_tiling_fractions is the certificate tiling check in exact
-rational arithmetic, whose problem list the integer-grid check must
+mpmath root finding.  mul_four_products, div_eight_quotients and
+ipow_directed are frozen copies of the per-operand rounding rule, which
+rounds every endpoint product or quotient outward on its own, exactness
+tests included; they take from the kernel only the Interval type and its
+INVALID and ONE values, and Interval's ×, ÷ and ipow must give their ends
+bit for bit.  One exception is built from the
+interval kernel: cdf_series_interval, the Gaussian cdf series evaluated with
+one interval operation per term, which the float Horner evaluation must
+never be wider than.  check_tiling_fractions is the certificate tiling check
+in exact rational arithmetic, whose problem list the integer-grid check must
 reproduce exactly.  g_J1_bound_per_box, g_LJQ2_bound_per_box and
 g_QJ1_bound_per_box are three bounds as they were before their one-axis
 factors were memoized: every factor evaluated per box, with the q_range and
@@ -19,6 +22,7 @@ qprime_range memos bypassed.  The memoized bounds must return their bits.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,8 +38,6 @@ from cubeiso.interval import (
     TWO,
     ZERO,
     Interval,
-    _mul_down,
-    _mul_up,
 )
 
 mp.mp.dps = 40
@@ -264,6 +266,119 @@ def target_g_tail_high(v):
             - mpf_("0.4") / mp.sqrt(u) - 880 / u)
 
 
+# ---------------------------------------------------------------------------
+# Interval products, quotients and integer powers with every corner rounded
+# outward on its own
+# ---------------------------------------------------------------------------
+
+_MAX = sys.float_info.max
+_MIN_NORMAL = sys.float_info.min
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _mul_exact(a: float, b: float, p: float) -> bool:
+    """True only if the float product p == a*b is provably exact."""
+    if a == 0.0 or b == 0.0:
+        return True
+    # both small integers: product fits in 53 bits
+    if a.is_integer() and b.is_integer() and abs(a) < 67108864.0 and abs(b) < 67108864.0:
+        return True
+    # scaling by a power of two is exact unless the result leaves the
+    # normal range (overflow is handled by the caller)
+    if abs(p) >= _MIN_NORMAL:
+        ma, _ = math.frexp(a)
+        if ma == 0.5 or ma == -0.5:
+            return True
+        mb, _ = math.frexp(b)
+        if mb == 0.5 or mb == -0.5:
+            return True
+    return False
+
+
+def _mul_down(a: float, b: float) -> float:
+    p = a * b
+    if p != p:  # 0 * inf
+        return 0.0 if (a == 0.0 or b == 0.0) else p
+    if math.isinf(p):
+        if math.isinf(a) or math.isinf(b):
+            return p
+        return _MAX if p > 0 else p
+    if _mul_exact(a, b, p):
+        return p
+    return _down(p)
+
+
+def _mul_up(a: float, b: float) -> float:
+    p = a * b
+    if p != p:
+        return 0.0 if (a == 0.0 or b == 0.0) else p
+    if math.isinf(p):
+        if math.isinf(a) or math.isinf(b):
+            return p
+        return p if p > 0 else -_MAX
+    if _mul_exact(a, b, p):
+        return p
+    return _up(p)
+
+
+def _div_exact(a: float, b: float, q: float) -> bool:
+    if a == 0.0:
+        return True
+    if abs(q) >= _MIN_NORMAL and not math.isinf(q):
+        mb, _ = math.frexp(b)
+        if mb == 0.5 or mb == -0.5:
+            return True
+    return False
+
+
+def _div_down(a: float, b: float) -> float:
+    q = a / b
+    if q != q:
+        return q
+    if math.isinf(q):
+        if math.isinf(a):
+            return q
+        return _MAX if q > 0 else q
+    if _div_exact(a, b, q):
+        return q
+    return _down(q)
+
+
+def _div_up(a: float, b: float) -> float:
+    q = a / b
+    if q != q:
+        return q
+    if math.isinf(q):
+        if math.isinf(a):
+            return q
+        return q if q > 0 else -_MAX
+    if _div_exact(a, b, q):
+        return q
+    return _up(q)
+
+
+def _pow_mag_down(v: float, n: int) -> float:
+    """Directed v**n for v >= 0, rounding down."""
+    r = v
+    for _ in range(n - 1):
+        r = _mul_down(r, v)
+    return r
+
+
+def _pow_mag_up(v: float, n: int) -> float:
+    r = v
+    for _ in range(n - 1):
+        r = _mul_up(r, v)
+    return r
+
+
 def mul_four_products(x: Interval, y: Interval) -> Interval:
     """The interval product as min/max over all four directed products."""
     if not (x.valid and y.valid):
@@ -272,6 +387,38 @@ def mul_four_products(x: Interval, y: Interval) -> Interval:
     lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
     hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
     return Interval._raw(lo, hi)
+
+
+def div_eight_quotients(x: Interval, y: Interval) -> Interval:
+    """The interval quotient as min/max over all eight directed quotients."""
+    if not (x.valid and y.valid):
+        return INVALID
+    if y.lo <= 0.0 <= y.hi:
+        return INVALID
+    a, b, c, d = x.lo, x.hi, y.lo, y.hi
+    lo = min(_div_down(a, c), _div_down(a, d), _div_down(b, c), _div_down(b, d))
+    hi = max(_div_up(a, c), _div_up(a, d), _div_up(b, c), _div_up(b, d))
+    return Interval._raw(lo, hi)
+
+
+def ipow_directed(x: Interval, n: int) -> Interval:
+    """x**n by repeated directed multiplication of the end magnitudes, and
+    1 / x**-n through div_eight_quotients for n < 0."""
+    if not x.valid:
+        return INVALID
+    if n == 0:
+        return ONE
+    if n < 0:
+        return div_eight_quotients(ONE, ipow_directed(x, -n))
+    if n == 1:
+        return x
+    if n % 2 == 0:
+        m = abs(x)
+        return Interval._raw(_pow_mag_down(m.lo, n), _pow_mag_up(m.hi, n))
+    lo, hi = x.lo, x.hi
+    rlo = -_pow_mag_up(-lo, n) if lo < 0.0 else _pow_mag_down(lo, n)
+    rhi = -_pow_mag_down(-hi, n) if hi < 0.0 else _pow_mag_up(hi, n)
+    return Interval._raw(rlo, rhi)
 
 
 def series_coefficient(n: int) -> Fraction:

@@ -219,6 +219,13 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     ["plot-data", "--figure", "envelopes", "--refine", "-1"],
     ["envelope", "--beta", "0", "--depth", "2"],
     ["poincare", "--n", "2", "--p", "0"],
+    ["envelope", "--beta", "inf", "--depth", "2"],
+    ["poincare", "--n", "2", "--p", "inf"],
+    ["oracle-profile", "--n", "2", "--beta", "nan"],
+    ["oracle-profile", "--n", "2", "--beta", "inf"],
+    ["oracle-profile", "--n", "2", "--beta", "0"],
+    ["oracle-profile", "--n", "2", "--beta", "-1"],
+    ["poincare", "--n", "2", "--p", "2", "--threshold", "nan"],
 ], ids=" ".join)
 def test_out_of_range_oracle_argument_exits_2_without_traceback(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -226,6 +233,26 @@ def test_out_of_range_oracle_argument_exits_2_without_traceback(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot-data", "--figure", "failure"],
+    ["oracle-profile", "--n", "2", "--beta", "1"],
+], ids=" ".join)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    """A reader that closes stdout early ends the command with exit code 1
+    and nothing on stderr."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cubeiso.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback, no "Exception ignored" at exit
 
 
 def test_oracle_profile_matches_hart(tmp_path):

@@ -214,6 +214,43 @@ def test_mul_rounds_every_tied_extremal_product():
     assert out.lo == -math.ulp(0.0) and out.hi == 1e-200
 
 
+def _same_float(u, v):
+    """u and v are the same float, the sign of zero included, or both NaN."""
+    if u != u or v != v:
+        return u != u and v != v
+    return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_mul_operands(), _mul_operands())
+def test_div_matches_eight_quotient_rule(x, y):
+    got, want = x / y, ref.div_eight_quotients(x, y)
+    assert _same_float(got.lo, want.lo) and _same_float(got.hi, want.hi)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_mul_operands())
+def test_ipow_matches_directed_powers(x):
+    for n in range(-3, 6):
+        got, want = x.ipow(n), ref.ipow_directed(x, n)
+        assert _same_float(got.lo, want.lo) and _same_float(got.hi, want.hi), n
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_endpoints, _endpoints, _endpoints, _endpoints)
+def test_div_contains_exact_corner_quotients(a, b, c, d):
+    x, y = ivs(a, b), ivs(c, d)
+    if y.lo <= 0.0 <= y.hi:
+        assert not (x / y).valid
+        return
+    out = x / y
+    for p in (x.lo, x.hi):
+        for q in (y.lo, y.hi):
+            exact = F(p) / F(q)
+            assert out.lo == -math.inf or F(out.lo) <= exact
+            assert out.hi == math.inf or exact <= F(out.hi)
+
+
 @settings(max_examples=150, deadline=None)
 @given(positive, positive)
 def test_containment_log_exp(a, b):
