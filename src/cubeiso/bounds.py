@@ -16,7 +16,7 @@ variables may be Intervals or Grads.  A Grad is a forward-mode interval
 gradient: an enclosure of the value over the box B and enclosures of the
 partials dx, dy over B.  Each atom returns its range enclosure as the value
 and applies the chain rule with its derivative enclosure over the argument's
-range: J with J' (jprime_enclosure), Q with Q' (qprime_range), Q' with Q''
+range: J with J' (j_range), Q with Q' (qprime_range), Q' with Q''
 (Q(., 2)), L with L' (L(., 1)), and J J' with J'^2 - 2 (from J'' = -2/J).
 _mean_value runs the formula at the centre c of B on point Intervals and
 over B on Grads; the value over B is the naive enclosure.  By the mean-value
@@ -48,9 +48,9 @@ and the BetaConsts of the parameters.  BoundFn accepts only the pairs in
 that table; BOUND_IDS lists its fn_ids in table order.
 
 Conventions:
-  * every bound is evaluated with the conservative straddle rules of the J
-    enclosures; a box whose position relative to x0 cannot be certified gets
-    the weaker branch;
+  * J and its derivatives come from gauss.j_range; g_QJ1 and g_P3 branch
+    on x0 themselves, and a box not certified left of it takes -|J'|
+    (absjprime_enclosure) in place of J';
   * Q is concave on [0, 3/4] for the exponents used here, which q_range
     certifies from the sign of Q'' before using endpoint/centered forms
     (a plain interval evaluation is the fallback);
@@ -174,7 +174,7 @@ def _jj_prime_range(a: float, b: float) -> Interval:
     aj = gauss.absjprime_enclosure(a, b)
     if (aj.ipow(2) - TWO).hi < 0.0:  # (J J')' = J'^2 - 2 < 0
         return Interval(jb.lo, ja.hi)
-    return (gauss.j_enclosure(a, b) * gauss.jprime_enclosure(a, b)).hull(ja).hull(jb)
+    return (gauss.j_range(0, a, b) * gauss.j_range(1, a, b)).hull(ja).hull(jb)
 
 
 def _ten_pow(t: Interval) -> Interval:
@@ -265,12 +265,12 @@ def _atom(t, value, deriv):
 
 
 def _J(t):
-    return _atom(t, gauss.j_enclosure, gauss.jprime_enclosure)
+    return _atom(t, lambda a, b: gauss.j_range(0, a, b), lambda a, b: gauss.j_range(1, a, b))
 
 
 def _JJprime(t):
     """J J', whose derivative is J'^2 + J J'' = J'^2 - 2 (J'' = -2/J)."""
-    return _atom(t, _jj_prime_range, lambda a, b: gauss.jprime_enclosure(a, b).ipow(2) - TWO)
+    return _atom(t, _jj_prime_range, lambda a, b: gauss.j_range(1, a, b).ipow(2) - TWO)
 
 
 def _Q(t, bc: BetaConsts):
@@ -323,7 +323,7 @@ def _mean_value(formula, x: Interval, y: Interval, bc: BetaConsts):
 
 def g_JL_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Lower bound for -d^2/dx^2 [J(x) - L_beta(1-x)] on [1/2, 2047/2048]."""
-    jr = gauss.j_enclosure(x.lo, x.hi)
+    jr = gauss.j_range(0, x.lo, x.hi)
     s = ONE - x  # exact at dyadic endpoints
     lg = -s.log()
     term = (bc.beta * bc.log2_pow_mbeta * (ONE / s)
@@ -342,15 +342,14 @@ def _j1_x_factors(xlo: float, xhi: float, bc: BetaConsts):
     """g_J1's factors in x alone over [xlo, xhi]:
     (c/2 J(x)^-1, J3(x)/8, J5(x)/2^7, 7/192 c J4(x)), or None where J(x) has
     no enclosure."""
-    j_x = gauss.j_enclosure(xlo, xhi)
+    j_x = gauss.j_range(0, xlo, xhi)
     if not j_x.valid:
         return None
     c = bc.c
-    a_x = gauss.absjprime_enclosure(xlo, xhi)
     return (c * HALF * (ONE / j_x),
-            Interval(0.125) * gauss.j3_lower(xlo, xhi),
-            Interval(2.0**-7) * gauss.j5_lower(xlo, xhi),
-            J1_C4 * c * gauss.j4_of(a_x, j_x))
+            Interval(0.125) * gauss.j_range(3, xlo, xhi),
+            Interval(2.0**-7) * gauss.j_range(5, xlo, xhi),
+            J1_C4 * c * gauss.j_range(4, xlo, xhi))
 
 
 @functools.cache
@@ -367,7 +366,7 @@ def _j1_xh_factors(lo: float, hi: float, bc: BetaConsts):
     """g_J1's factors in x+h over [lo, hi]: (beta c^(1-1/beta) J^(1-1/beta),
     beta (1-beta)/2 c^(1-2/beta) J^(1-2/beta)), or None where J(x+h) has no
     enclosure."""
-    j_xh = gauss.j_enclosure(lo, hi)
+    j_xh = gauss.j_range(0, lo, hi)
     if not j_xh.valid:
         return None
     return (bc.beta * bc.c_pow_1m1b * j_xh.pow(bc.k_minus_inv_beta(1)),
@@ -377,8 +376,8 @@ def _j1_xh_factors(lo: float, hi: float, bc: BetaConsts):
 def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     """Near-diagonal J-case bound (sixth-order expansion with remainder).
 
-    With e_k = k - 1/beta, J3 and J5 taken at their lower bounds over x
-    (j3_lower, j5_lower), xi1 in [x, x+h] and xi2 in [x, x+h/2]:
+    With e_k = k - 1/beta, J^(k) enclosed by gauss.j_range over x for
+    k = 0, 3, 4, 5 and over xi1 in [x, x+h] and xi2 in [x, x+h/2] for k = 6:
 
         beta c^e_1 J(x+h)^e_1                                  _j1_xh_factors
       - beta (1-beta)/2 c^(1-2/beta) J(x+h)^(1-2/beta) h^(1/beta)
@@ -398,19 +397,14 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     lead, frac = at_xh
     inv_j, d3, d5, d4 = at_x
     h_ib, h2, h3, h4, h5, h6 = _j1_h_factors(h.lo, h.hi, bc)
-    j_xi1 = gauss.j_enclosure(x.lo, xh_hi)
-    a_xi1 = gauss.absjprime_enclosure(x.lo, xh_hi)
-    mid_hi = x.hi + 0.5 * h.hi
-    j_xi2 = gauss.j_enclosure(x.lo, mid_hi)
-    a_xi2 = gauss.absjprime_enclosure(x.lo, mid_hi)
 
     c = bc.c
     out = lead - frac * h_ib
     out = out - inv_j * h2
     out = out + c * (d3 * h3 + d5 * h5)
     out = out + d4 * h4
-    out = out + J1_C6_XI1 * c * gauss.j6_of(a_xi1, j_xi1) * h6
-    out = out - J1_C6_XI2 * c * gauss.j6_of(a_xi2, j_xi2) * h6
+    out = out + J1_C6_XI1 * c * gauss.j_range(6, x.lo, xh_hi) * h6
+    out = out - J1_C6_XI2 * c * gauss.j_range(6, x.lo, x.hi + 0.5 * h.hi) * h6
     return out
 
 
@@ -479,7 +473,7 @@ def _ljq2_beta(beta_lo: float, beta_hi: float) -> tuple[BetaConsts, Interval]:
 def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interval:
     """The x = 1/16 edge of the L/J/Q case, partitioned jointly in (y, beta)."""
     bc, lx = _ljq2_beta(beta.lo, beta.hi)
-    jy = gauss.j_enclosure(y.lo, y.hi)
+    jy = gauss.j_range(0, y.lo, y.hi)
     if not jy.valid:
         return INVALID
     # Uncached: every beta interval has its own BetaConsts, so a q_range
@@ -502,7 +496,7 @@ def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     """-beta d/dx of the Q/J cross quantity, near the diagonal."""
     m_lo = 0.5 * (x.lo + y.lo)
     m_hi = 0.5 * (x.hi + y.hi)
-    jm = gauss.j_enclosure(m_lo, m_hi)
+    jm = gauss.j_range(0, m_lo, m_hi)
     if not jm.valid:
         return INVALID
     e = bc.inv_beta - ONE
@@ -512,7 +506,7 @@ def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     a_pow = a_iv.pow(e)
     out = (y - x).pow(e)
     if m_hi < gauss.profile_constants().x0.lo:
-        out = out + bc.c_pow_inv_beta * a_pow * gauss.jprime_enclosure(m_lo, m_hi)
+        out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
     else:
         out = out - bc.c_pow_inv_beta * a_pow * gauss.absjprime_enclosure(m_lo, m_hi)
     out = out - bc.c_pow_inv_beta * a_pow * qprime_range(x.lo, x.hi, bc)
@@ -530,7 +524,7 @@ def g_QJ2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
 
 def g_P2_bound(x: Interval, bc: BetaConsts) -> Interval:
     """2^(-2 beta0) (L_{1/2}(x) + J(1-x)) - 2 x (1-x) on [1/64, 1/4]."""
-    jx = gauss.j_enclosure(1.0 - x.hi, 1.0 - x.lo)
+    jx = gauss.j_range(0, 1.0 - x.hi, 1.0 - x.lo)
     if not jx.valid:
         return INVALID
     lx = l_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
@@ -549,7 +543,7 @@ def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
     qp = qprime_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
     out = -(HALF * qp)
     if arg_hi < gauss.profile_constants().x0.lo:
-        out = out + TWO_POW_M2BETA0 * gauss.jprime_enclosure(arg_lo, arg_hi)
+        out = out + TWO_POW_M2BETA0 * gauss.j_range(1, arg_lo, arg_hi)
     else:
         out = out - HALF * gauss.absjprime_enclosure(arg_lo, arg_hi)
     out = out + x.pow(P3_E1) * (ONE - x)

@@ -78,7 +78,7 @@ def _cmd_verify(args) -> int:
     try:
         report = claims_mod.run_claim(args.claim, max_depth=args.max_depth, emit_dir=args.emit)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -105,7 +105,10 @@ def _cmd_check_cert(args) -> int:
         with open(args.file, "rb") as fh:
             data = fh.read()
         report = claims_mod.verify_certificate_bytes(data)
-    except (OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report.ok:

@@ -222,7 +222,7 @@ def b(x: Interval, bc: BetaConsts) -> Interval:
     if x.lo <= _HALF_F and x.hi >= _QUARTER:
         parts.append(Q(Interval(max(x.lo, _QUARTER), min(x.hi, _HALF_F)), bc, 0))
     if x.hi >= _HALF_F:
-        parts.append(gauss.j_enclosure(max(x.lo, _HALF_F), x.hi))
+        parts.append(gauss.j_range(0, max(x.lo, _HALF_F), x.hi))
     out = parts[0]
     for p in parts[1:]:
         out = out.hull(p)
@@ -285,7 +285,7 @@ def _f_LJQ_half(y: Interval, order: int) -> Interval:
     bc = beta_consts(BetaParams(BETA_HALF))
     half_y = y * HALF
     if order == 1:
-        jp = gauss.jprime_enclosure(y.lo, y.hi)
+        jp = gauss.j_range(1, y.lo, y.hi)
         return ONE + (SQRT2 - ONE) * jp - Q(half_y, bc, 1)
     # f'' = -2 (sqrt2 - 1) / J - (1/2) Q''(y/2)
     j = gauss.j_value(y)

@@ -12,9 +12,8 @@ solves J'' J = -2 with J_w(1) = 0.  The distinguished width w0 is the value
 normalizing J_{w0}(1/2) = 1/2; it is computed once by certified bisection and
 carried as an interval constant everywhere (never as a point approximation),
 so that all comparisons against the maximum point x0 = 1 - w0/2 can be made
-conservatively.  J is increasing left of x0 and decreasing right of it, which
-yields the endpoint-based enclosures below; a box straddling x0 takes the
-exact peak value J(x0) = sqrt(2) * w0 * (2*pi)**(-1/2) as its upper bound.
+conservatively.  J is increasing left of x0 and decreasing right of it, and
+its peak value is exactly J(x0) = sqrt(2) * w0 * (2*pi)**(-1/2).
 
 Derivatives are evaluated in closed form: J'(x) = sqrt(2) * PhiInv(u) with
 u = (1 - x)/w0 (from I' = -PhiInv), and the higher derivatives are algebraic
@@ -23,15 +22,27 @@ in (J, J'):
     J''  = -2/J                      J''' = 2 J' J^-2
     J4   = -4 (1 + J'^2) J^-3        J5   = 4 J' (7 + 3 J'^2) J^-4
     J6   = -8 (7 + 23 J'^2 + 6 J'^4) J^-5
+    J7   = 8 J' (127 + 163 J'^2 + 30 J'^4) J^-6
 
 These identities live here and only here, as j3_of .. j6_of of (J', J)
-enclosures; j3_lower/j5_lower add the x0 branch, and the sixth-order
-expansion of the g_J1 bound is built from them.
+enclosures; J7 serves only for its sign.  As J > 0, each J^(k+1) has one
+sign or that of J', which is > 0 left of x0 and < 0 right of it:
 
-J and J' at float points and the profile constants are memoized here with
-functools.cache, the mechanism the interval module uses for the quantile
-brackets beneath I, J and J'; the partition engine re-visits corners
-heavily.
+    k          0     1     3     4     5     6
+    J^(k+1)    J'    < 0   < 0   J'    < 0   J'
+
+So by the monotonicity test (Moore, Kearfott & Cloud, Introduction to
+Interval Analysis, SIAM 2009, ch. 6), j_range encloses J^(k) over [a, b] by
+one rule on its end values v(a), v(b): [v(b).lo, v(a).hi] for odd k and for
+even k right of x0, [v(a).lo, v(b).hi] for even k left of x0, and
+[min(v(a).lo, v(b).lo), peak.hi] for even k on a box not certified to lie
+on one side, the peak J^(k)(x0) being the identity at J' = 0 and J(x0).
+|J'| is not a derivative and keeps its own enclosure, absjprime_enclosure.
+
+J, J' and J^(k) at float points and the profile constants are memoized here
+with functools.cache, the mechanism the interval module uses for the
+quantile brackets beneath I, J and J'; the partition engine re-visits
+corners heavily.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from .interval import (
     ONE,
     SQRT2,
     TWO,
+    ZERO,
     Interval,
     normal_pdf,
     normal_quantile,
@@ -164,7 +176,7 @@ def j_value(x: Interval) -> Interval:
         return INVALID
     if x.lo == x.hi:
         return j_point(x.lo)
-    return j_enclosure(x.lo, x.hi)
+    return j_range(0, x.lo, x.hi)
 
 
 @functools.cache
@@ -179,32 +191,6 @@ def jprime_point(x: float) -> Interval:
     if not u.valid or u.lo <= 0.0 or u.hi >= 1.0:
         return INVALID
     return SQRT2 * normal_quantile(u)
-
-
-def j_enclosure(xlo: float, xhi: float) -> Interval:
-    """[min J, max J] over [xlo, xhi]; straddling x0 caps at the exact peak."""
-    c = profile_constants()
-    jl = j_point(xlo)
-    jr = j_point(xhi)
-    if not (jl.valid and jr.valid):
-        return INVALID
-    lo = max(min(jl.lo, jr.lo), 0.0)
-    if xhi < c.x0.lo:
-        hi = jr.hi
-    elif xlo > c.x0.hi:
-        hi = jl.hi
-    else:
-        hi = c.j_peak.hi
-    return Interval(lo, hi)
-
-
-def jprime_enclosure(xlo: float, xhi: float) -> Interval:
-    """J' is strictly decreasing, so the enclosure is endpoint-based."""
-    jl = jprime_point(xlo)
-    jr = jprime_point(xhi)
-    if not (jl.valid and jr.valid):
-        return INVALID
-    return Interval(jr.lo, jl.hi)
 
 
 def absjprime_enclosure(xlo: float, xhi: float) -> Interval:
@@ -225,43 +211,56 @@ def absjprime_enclosure(xlo: float, xhi: float) -> Interval:
 
 
 def j3_of(jp: Interval, j: Interval) -> Interval:
-    """J''' = 2 J' J^-2 from enclosures of J' (or |J'|) and J."""
+    """J''' = 2 J' J^-2 from enclosures of J' and J."""
     return TWO * jp * j.ipow(-2)
 
 
 def j4_of(jp: Interval, j: Interval) -> Interval:
-    """J^(4) = -4 (1 + J'^2) J^-3; even in J', so |J'| serves as well."""
+    """J^(4) = -4 (1 + J'^2) J^-3 from enclosures of J' and J."""
     return -(Interval(4.0) * (ONE + jp.ipow(2)) * j.ipow(-3))
 
 
 def j5_of(jp: Interval, j: Interval) -> Interval:
-    """J^(5) = 4 J' (7 + 3 J'^2) J^-4 from enclosures of J' (or |J'|) and J."""
+    """J^(5) = 4 J' (7 + 3 J'^2) J^-4 from enclosures of J' and J."""
     return Interval(4.0) * jp * (Interval(7.0) + Interval(3.0) * jp.ipow(2)) * j.ipow(-4)
 
 
 def j6_of(jp: Interval, j: Interval) -> Interval:
-    """J^(6) = -8 (7 + 23 J'^2 + 6 J'^4) J^-5; even in J'."""
+    """J^(6) = -8 (7 + 23 J'^2 + 6 J'^4) J^-5 from enclosures of J' and J."""
     return -(Interval(8.0) * (Interval(7.0) + Interval(23.0) * jp.ipow(2)
                               + Interval(6.0) * jp.ipow(4)) * j.ipow(-5))
 
 
-def _odd_lower(jk_of, xlo: float, xhi: float) -> Interval:
-    """Lower bound for J''' or J^(5) over [xlo, xhi]; .lo is the certified bound.
-
-    Left of x0 both are positive and decreasing (J^(4), J^(6) < 0), so their
-    value at xhi is the minimum; elsewhere minus their value at the |J'| and
-    J enclosures of the box bounds them below.
-    """
-    if xhi < profile_constants().x0.lo:
-        return jk_of(jprime_point(xhi), j_point(xhi))
-    return -jk_of(absjprime_enclosure(xlo, xhi), j_enclosure(xlo, xhi))
+_JK_OF = {3: j3_of, 4: j4_of, 5: j5_of, 6: j6_of}
 
 
-def j3_lower(xlo: float, xhi: float) -> Interval:
-    """Tight lower bound for J''' = 2 J' J^-2 over [xlo, xhi]."""
-    return _odd_lower(j3_of, xlo, xhi)
+@functools.cache
+def jk_point(k: int, x: float) -> Interval:
+    """J^(k) at a float point; k = 0 is j_point, as J(1) = 0 while J'(1) is Invalid."""
+    if k == 0:
+        return j_point(x)
+    if k == 1:
+        return jprime_point(x)
+    return _JK_OF[k](jprime_point(x), j_point(x))
 
 
-def j5_lower(xlo: float, xhi: float) -> Interval:
-    """Tight lower bound for J^(5) = 4 J' (7 + 3 J'^2) J^-4 over [xlo, xhi]."""
-    return _odd_lower(j5_of, xlo, xhi)
+@functools.cache
+def _jk_peak(k: int) -> Interval:
+    """J^(k)(x0) for even k: the identity at J' = 0 and the exact peak J(x0)."""
+    j_peak = profile_constants().j_peak
+    return j_peak if k == 0 else _JK_OF[k](ZERO, j_peak)
+
+
+def j_range(k: int, xlo: float, xhi: float) -> Interval:
+    """Range enclosure of J^(k) over [xlo, xhi], k in {0, 1, 3, 4, 5, 6}, by
+    the monotonicity rule of the module docstring."""
+    va = jk_point(k, xlo)
+    vb = jk_point(k, xhi)
+    if not (va.valid and vb.valid):
+        return INVALID
+    x0 = profile_constants().x0
+    if k % 2 == 1 or xlo > x0.hi:
+        return Interval(vb.lo, va.hi)
+    if xhi < x0.lo:
+        return Interval(va.lo, vb.hi)
+    return Interval(min(va.lo, vb.lo), _jk_peak(k).hi)

@@ -3,8 +3,9 @@
 Endpoints are IEEE-754 doubles.  Every operation satisfies the containment
 contract: if x in [a.lo, a.hi] and y in [b.lo, b.hi], then the exact real
 result op(x, y) lies in the returned interval.  Undefined operations (log of
-a non-positive interval, division by an interval containing zero, ...) return
-the designated Invalid value, which absorbs all further arithmetic.
+a non-positive interval, division by an interval containing zero, a quotient
+with an inf/inf corner, ...) return the designated Invalid value, which
+absorbs all further arithmetic.
 
 Outward rounding is realized by post-hoc next-representable stepping rather
 than FPU rounding-mode control, so the module is pure Python and thread-safe.
@@ -306,8 +307,10 @@ class Interval:
         if other.lo <= 0.0 <= other.hi:
             return INVALID
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # inf / inf stays NaN, which min and max pass over unless it comes first
-        return _hull(a, b, c, d, a / c, a / d, b / c, b / d, _div_exact)
+        ac, ad, bc, bd = a / c, a / d, b / c, b / d
+        if ac != ac or ad != ad or bc != bc or bd != bd:  # inf / inf
+            return INVALID
+        return _hull(a, b, c, d, ac, ad, bc, bd, _div_exact)
 
     def __rtruediv__(self, other) -> "Interval":
         return _coerce(other).__truediv__(self)
@@ -392,8 +395,8 @@ class Interval:
         if n == 1:
             return self
         if n % 2 == 0:
-            m = abs(self)
-            return Interval._raw(_pow_mag(m.lo, n, _down), _pow_mag(m.hi, n, _up))
+            m = abs(self)  # x**n >= 0, also where the lower end underflows
+            return Interval._raw(max(_pow_mag(m.lo, n, _down), 0.0), _pow_mag(m.hi, n, _up))
         lo, hi = self.lo, self.hi
         rlo = -_pow_mag(-lo, n, _up) if lo < 0.0 else _pow_mag(lo, n, _down)
         rhi = -_pow_mag(-hi, n, _down) if hi < 0.0 else _pow_mag(hi, n, _up)

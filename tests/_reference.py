@@ -6,17 +6,19 @@ are written directly from their defining formulas, and w0 is obtained by
 mpmath root finding.  mul_four_products, div_eight_quotients and
 ipow_directed are frozen copies of the per-operand rounding rule, which
 rounds every endpoint product or quotient outward on its own, exactness
-tests included; they take from the kernel only the Interval type and its
-INVALID and ONE values, and Interval's ×, ÷ and ipow must give their ends
-bit for bit.  One exception is built from the
-interval kernel: cdf_series_interval, the Gaussian cdf series evaluated with
-one interval operation per term, which the float Horner evaluation must
-never be wider than.  check_tiling_fractions is the certificate tiling check
-in exact rational arithmetic, whose problem list the integer-grid check must
-reproduce exactly.  g_J1_bound_per_box, g_LJQ2_bound_per_box and
-g_QJ1_bound_per_box are three bounds as they were before their one-axis
-factors were memoized: every factor evaluated per box, with the q_range and
-qprime_range memos bypassed.  The memoized bounds must return their bits.
+tests included, plus two rules of their own: a quotient with an inf/inf
+corner is Invalid, and an even power's lower end is at least 0.  They take
+from the kernel only the Interval type and its INVALID and ONE values, and
+Interval's ×, ÷ and ipow must give their ends bit for bit.  One exception is
+built from the interval kernel: cdf_series_interval, the Gaussian cdf series
+evaluated with one interval operation per term, which the float Horner
+evaluation must never be wider than.  check_tiling_fractions is the
+certificate tiling check in exact rational arithmetic, whose problem list
+the integer-grid check must reproduce exactly.  g_J1_bound_per_box,
+g_LJQ2_bound_per_box and g_QJ1_bound_per_box are three bounds as they were
+before their one-axis factors were memoized: every factor evaluated per box,
+with the q_range and qprime_range memos bypassed.  The memoized bounds must
+return their bits.
 """
 
 from __future__ import annotations
@@ -390,12 +392,15 @@ def mul_four_products(x: Interval, y: Interval) -> Interval:
 
 
 def div_eight_quotients(x: Interval, y: Interval) -> Interval:
-    """The interval quotient as min/max over all eight directed quotients."""
+    """The interval quotient as min/max over all eight directed quotients;
+    Invalid when a corner is inf/inf."""
     if not (x.valid and y.valid):
         return INVALID
     if y.lo <= 0.0 <= y.hi:
         return INVALID
     a, b, c, d = x.lo, x.hi, y.lo, y.hi
+    if any(math.isinf(p) and math.isinf(q) for p in (a, b) for q in (c, d)):
+        return INVALID  # inf / inf, whatever the corner order
     lo = min(_div_down(a, c), _div_down(a, d), _div_down(b, c), _div_down(b, d))
     hi = max(_div_up(a, c), _div_up(a, d), _div_up(b, c), _div_up(b, d))
     return Interval._raw(lo, hi)
@@ -413,8 +418,8 @@ def ipow_directed(x: Interval, n: int) -> Interval:
     if n == 1:
         return x
     if n % 2 == 0:
-        m = abs(x)
-        return Interval._raw(_pow_mag_down(m.lo, n), _pow_mag_up(m.hi, n))
+        m = abs(x)  # x**n >= 0: an underflowed lower end stops at 0
+        return Interval._raw(max(_pow_mag_down(m.lo, n), 0.0), _pow_mag_up(m.hi, n))
     lo, hi = x.lo, x.hi
     rlo = -_pow_mag_up(-lo, n) if lo < 0.0 else _pow_mag_down(lo, n)
     rhi = -_pow_mag_down(-hi, n) if hi < 0.0 else _pow_mag_up(hi, n)
@@ -500,16 +505,10 @@ _qprime_range = bounds.qprime_range.__wrapped__
 def g_J1_bound_per_box(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     xh_lo = x.lo + h.lo
     xh_hi = x.hi + h.hi
-    j_xh = gauss.j_enclosure(xh_lo, xh_hi)
-    j_x = gauss.j_enclosure(x.lo, x.hi)
+    j_xh = gauss.j_range(0, xh_lo, xh_hi)
+    j_x = gauss.j_range(0, x.lo, x.hi)
     if not (j_xh.valid and j_x.valid):
         return INVALID
-    a_x = gauss.absjprime_enclosure(x.lo, x.hi)
-    j_xi1 = gauss.j_enclosure(x.lo, xh_hi)
-    a_xi1 = gauss.absjprime_enclosure(x.lo, xh_hi)
-    mid_hi = x.hi + 0.5 * h.hi
-    j_xi2 = gauss.j_enclosure(x.lo, mid_hi)
-    a_xi2 = gauss.absjprime_enclosure(x.lo, mid_hi)
 
     e = bc.k_minus_inv_beta
     c = bc.c
@@ -517,18 +516,18 @@ def g_J1_bound_per_box(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out - (HALF * bc.beta * (ONE - bc.beta) * bc.c_pow_1m2b
                  * j_xh.pow(bc.one_minus_2ib) * h.pow(bc.inv_beta))
     out = out - c * HALF * (ONE / j_x) * h.pow(e(2))
-    out = out + c * (Interval(0.125) * gauss.j3_lower(x.lo, x.hi) * h.pow(e(3))
-                     + Interval(2.0**-7) * gauss.j5_lower(x.lo, x.hi) * h.pow(e(5)))
-    out = out + bounds.J1_C4 * c * gauss.j4_of(a_x, j_x) * h.pow(e(4))
+    out = out + c * (Interval(0.125) * gauss.j_range(3, x.lo, x.hi) * h.pow(e(3))
+                     + Interval(2.0**-7) * gauss.j_range(5, x.lo, x.hi) * h.pow(e(5)))
+    out = out + bounds.J1_C4 * c * gauss.j_range(4, x.lo, x.hi) * h.pow(e(4))
     h6 = h.pow(e(6))
-    out = out + bounds.J1_C6_XI1 * c * gauss.j6_of(a_xi1, j_xi1) * h6
-    out = out - bounds.J1_C6_XI2 * c * gauss.j6_of(a_xi2, j_xi2) * h6
+    out = out + bounds.J1_C6_XI1 * c * gauss.j_range(6, x.lo, xh_hi) * h6
+    out = out - bounds.J1_C6_XI2 * c * gauss.j_range(6, x.lo, x.hi + 0.5 * h.hi) * h6
     return out
 
 
 def g_LJQ2_bound_per_box(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interval:
     bc = BetaConsts(beta, ONE)
-    jy = gauss.j_enclosure(y.lo, y.hi)
+    jy = gauss.j_range(0, y.lo, y.hi)
     if not jy.valid:
         return INVALID
     lx = L_interval(Interval(0.0625), bc, 0)
@@ -539,7 +538,7 @@ def g_LJQ2_bound_per_box(y: Interval, beta: Interval, _bc_unused: BetaConsts) ->
 def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     m_lo = 0.5 * (x.lo + y.lo)
     m_hi = 0.5 * (x.hi + y.hi)
-    jm = gauss.j_enclosure(m_lo, m_hi)
+    jm = gauss.j_range(0, m_lo, m_hi)
     if not jm.valid:
         return INVALID
     e = bc.inv_beta - ONE
@@ -549,7 +548,7 @@ def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     a_pow = a_iv.pow(e)
     out = (y - x).pow(e)
     if m_hi < gauss.profile_constants().x0.lo:
-        out = out + bc.c_pow_inv_beta * a_pow * gauss.jprime_enclosure(m_lo, m_hi)
+        out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
     else:
         out = out - bc.c_pow_inv_beta * a_pow * gauss.absjprime_enclosure(m_lo, m_hi)
     out = out - bc.c_pow_inv_beta * a_pow * _qprime_range(x.lo, x.hi, bc)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ def test_cli_starts_without_numpy():
 
 def test_verify_unknown_claim_is_usage_error(capsys):
     assert main(["verify", "--claim", "nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown claim 'nope'\n"
 
 
 def test_unknown_flag_exits_2():
@@ -102,6 +104,19 @@ def test_check_cert_malformed_exits_1_without_traceback(tmp_path, capsys, make):
     assert main(["check-cert", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("claim_id, beta, message", [
+    ("g_Q_2", F(1, 3), "certificate for g_Q_2 matches no registered run (beta=1/3, c=1)"),
+    ("nosuch", F(1, 2), "unknown claim 'nosuch'"),
+], ids=["no_run", "no_claim"])
+def test_check_cert_unregistered_prints_the_message(tmp_path, capsys, claim_id, beta, message):
+    run = claims.claim_by_id("g_Q_2").runs[0]
+    cert = tmp_path / "unregistered.cert"
+    cert.write_bytes(emit_text(Certificate(claim_id, beta, run.fn.params.c, run.domain,
+                                           [run.domain])))
+    assert main(["check-cert", str(cert)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -75,11 +75,11 @@ def test_j_outside_domain_invalid():
 
 
 def test_enclosure_straddling_peak(constants):
-    e = gauss.j_enclosure(0.5, 0.5625)
+    e = gauss.j_range(0, 0.5, 0.5625)
     assert e.hi == constants.j_peak.hi
     aj = gauss.absjprime_enclosure(0.5, 0.5625)
     assert aj.lo == 0.0  # straddle branch cannot certify a positive |J'|
-    jp = gauss.jprime_enclosure(0.5, 0.5625)
+    jp = gauss.j_range(1, 0.5, 0.5625)
     assert jp.lo < 0.0 < jp.hi
 
 
@@ -120,8 +120,8 @@ def test_j_monotone_around_x0(constants):
 def test_derivative_bundle_signs():
     """Signs of J''' .. J^(6) on [0.6, 0.7], right of x0, from the identities
     at the box's signed J' and J enclosures."""
-    jp = gauss.jprime_enclosure(0.6, 0.7)
-    j = gauss.j_enclosure(0.6, 0.7)
+    jp = gauss.j_range(1, 0.6, 0.7)
+    j = gauss.j_range(0, 0.6, 0.7)
     assert j.lo > 0.0
     assert gauss.j4_of(jp, j).hi < 0.0  # J^(4) < 0 on (1/2, 1)
     assert gauss.j6_of(jp, j).hi < 0.0
@@ -140,25 +140,31 @@ def _x0_boxes(rng, x0):
         yield "straddle", rng.uniform(x0.lo - 0.02, x0.lo), rng.uniform(x0.hi, x0.hi + 0.02)
 
 
-def test_j3_j5_lower_bounds(rng, constants):
-    """The J''' .. J^(6) identities against mpmath derivatives of the oracle J:
-    j3_lower/j5_lower bound J''' and J^(5) below, and j4_of/j6_of at the
-    box's |J'| and J enclosures (as g_J1 uses them) enclose J^(4) and J^(6)."""
+def test_j_range_contains_derivatives(rng, constants):
+    """j_range(k) against mpmath derivatives of the oracle J, for every k: at
+    both ends of and inside boxes left of x0, right of it and straddling it,
+    and at x0 itself, where the even orders peak, on the straddling boxes."""
+    x0 = ref.x0()
     for side, a, b in _x0_boxes(rng, constants.x0):
-        lo3 = gauss.j3_lower(a, b)
-        lo5 = gauss.j5_lower(a, b)
-        aj = gauss.absjprime_enclosure(a, b)
-        jen = gauss.j_enclosure(a, b)
-        j4 = gauss.j4_of(aj, jen)
-        j6 = gauss.j6_of(aj, jen)
-        assert j4.hi < 0.0 and j6.hi < 0.0  # J^(4), J^(6) < 0 on (1/2, 1)
+        ranges = {k: gauss.j_range(k, a, b) for k in (0, 1, 3, 4, 5, 6)}
+        assert ranges[4].hi < 0.0 and ranges[6].hi < 0.0  # J^(4), J^(6) < 0 on (1/2, 1)
         if side == "left":
-            assert lo3.lo > 0.0 and lo5.lo > 0.0
+            assert ranges[3].lo > 0.0 and ranges[5].lo > 0.0
         if side == "right":  # J''' and J^(5) are negative right of x0
-            assert lo3.hi < 0.0 and lo5.hi < 0.0
-        for x in (b, rng.uniform(a, b)):
-            _, _, _, d3, d4, d5, d6 = mp.diffs(ref.J, mp.mpf(x), 6)
-            assert d3 >= mp.mpf(lo3.lo)
-            assert d5 >= mp.mpf(lo5.lo)
-            assert mp.mpf(j4.lo) <= d4 <= mp.mpf(j4.hi)
-            assert mp.mpf(j6.lo) <= d6 <= mp.mpf(j6.hi)
+            assert ranges[3].hi < 0.0 and ranges[5].hi < 0.0
+        xs = [mp.mpf(a), mp.mpf(b), mp.mpf(rng.uniform(a, b))]
+        if side == "straddle":
+            xs.append(x0)
+        for x in xs:
+            for k, dk in enumerate(mp.diffs(ref.J, x, 6)):
+                if k in ranges:
+                    assert mp.mpf(ranges[k].lo) <= dk <= mp.mpf(ranges[k].hi), (side, k)
+
+
+def test_j7_identity():
+    """J^(7) = 8 J' J^-6 (127 + 163 J'^2 + 30 J'^4), whose sign (that of J')
+    makes J^(6) peak at x0, against mpmath derivatives of the oracle J."""
+    for x in ("0.52", "0.6", "0.7", "0.9"):
+        j, jp, _, _, _, _, _, j7 = mp.diffs(ref.J, mp.mpf(x), 7)
+        identity = 8 * jp * j**-6 * (127 + 163 * jp**2 + 30 * jp**4)
+        assert abs(j7 - identity) <= mp.mpf(10) ** -25 * abs(identity), x

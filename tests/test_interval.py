@@ -148,6 +148,24 @@ def test_integer_power_straddle_is_tight():
     assert out.lo == 0.0 and out.hi == 4.0
 
 
+def test_even_power_that_underflows_stays_nonnegative():
+    """x**2 of a tiny x underflows to an inexact 0.0; the lower end stays at 0,
+    so the square has a square root."""
+    for x in (Interval(1e-200), Interval(-1e-200, -1e-201)):
+        sq = x.ipow(2)
+        assert sq.lo == 0.0 and sq.hi == math.ulp(0.0)
+        assert sq.sqrt().valid
+    assert Interval(1e-100).ipow(4).lo == 0.0
+
+
+def test_inf_over_inf_is_invalid_in_every_corner_order():
+    unbounded = (Interval(1.0, math.inf), Interval(-math.inf, -1.0), Interval(-math.inf, math.inf))
+    for x in unbounded:
+        for y in unbounded[:2]:
+            assert not (x / y).valid
+    assert (Interval(1.0, math.inf) / Interval(1.0, 2.0)).hi == math.inf
+
+
 @settings(max_examples=150, deadline=None)
 @given(finite, finite, finite, finite)
 def test_containment_add_mul(a, b, c, d):
