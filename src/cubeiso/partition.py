@@ -12,12 +12,11 @@ which are exactly representable as doubles; midpoints of dyadics are dyadic,
 so the geometry is exact and certificates serialize losslessly as
 (numerator, exponent) pairs, never as decimal floats.
 
-Certificate verification is independent of the construction path: it
-re-checks the exact tiling of the domain and re-evaluates the bound on every
-rectangle, trusting nothing from the file beyond the claim identity.  The
-tiling check maps every endpoint once to an integer on the finest grid of
-the certificate (num << (E - exp), with E its largest exponent) and does
-containment, the area sum and the overlap sweep in integer arithmetic.
+Certificate verification trusts nothing from the file beyond the claim
+identity.  It re-evaluates the bound on every rectangle and checks, on the
+integer grid of the file's finest step, that the rectangles are the leaves
+of a dyadic subdivision of the domain: one walk down that tree, halving
+every box that holds more than one rectangle, finds every gap and overlap.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -76,13 +76,6 @@ class Dyadic:
 
     def __str__(self) -> str:
         return f"{self.num}:{self.exp}"
-
-    @staticmethod
-    def parse(token: str) -> "Dyadic":
-        num_s, _, exp_s = token.partition(":")
-        if not exp_s:
-            raise ValueError(f"malformed dyadic token {token!r}")
-        return Dyadic(int(num_s), int(exp_s))
 
 
 def dyadic_mid(a: Dyadic, b: Dyadic) -> Dyadic:
@@ -247,82 +240,77 @@ class CertificateParseError(ValueError):
         self.fieldname = fieldname
 
 
-def _rect_from_tokens(tokens: list[str], offset: int) -> DyadicRect:
-    if len(tokens) not in (2, 4):
-        raise CertificateParseError("expected 2 or 4 dyadics", offset, "rect")
+# The integer rule of each format: a text token -?[0-9]+, or a JSON integer (not a bool).
+_IS_INTEGER = {"text": re.compile(r"-?[0-9]+").fullmatch, "json": lambda v: type(v) is int}
+
+
+def _pair(pair, is_integer: Callable) -> tuple[int, int]:
+    if type(pair) is not list or len(pair) != 2 or not all(map(is_integer, pair)):
+        raise ValueError("expected a pair of integers")
+    return int(pair[0]), int(pair[1])
+
+
+def _rect(pairs, is_integer: Callable, sizes=(2, 4)) -> DyadicRect:
+    """A rect from [numerator, exponent] pairs, the low corner first."""
+    if type(pairs) is not list or len(pairs) not in sizes:
+        raise ValueError(f"expected {' or '.join(map(str, sizes))} dyadics")
+    ds = [Dyadic(*_pair(p, is_integer)) for p in pairs]
+    return DyadicRect(tuple(ds[:len(ds) // 2]), tuple(ds[len(ds) // 2:]))
+
+
+def _parsed(fieldname: str, offset: int, build: Callable):
     try:
-        ds = [Dyadic.parse(t) for t in tokens]
-    except ValueError as exc:
-        raise CertificateParseError(str(exc), offset, "dyadic") from None
-    if len(ds) == 2:
-        return DyadicRect((ds[0],), (ds[1],))
-    return DyadicRect((ds[0], ds[2]), (ds[1], ds[3]))
+        return build()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertificateParseError(f"malformed {fieldname}: {exc}", offset, fieldname) from None
 
 
-def _json_dyadic(pair) -> Dyadic:
-    num, exp = pair
-    if not (isinstance(num, int) and isinstance(exp, int)):
-        raise TypeError(f"dyadic {pair!r} is not a pair of integers")
-    return Dyadic(num, exp)
-
-
-def _load_json(data: bytes) -> Certificate:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-        ds = [_json_dyadic(pair) for pair in payload["domain"]]
-        raw_rects = [[_json_dyadic(pair) for pair in raw] for raw in payload["rects"]]
-        claim_id = payload["claim"]
-        beta = F(payload["beta"][0], payload["beta"][1])
-        cc = F(payload["c"][0], payload["c"][1])
-    except (TypeError, KeyError, IndexError, ValueError, ZeroDivisionError) as exc:
-        raise CertificateParseError(f"malformed JSON certificate: {exc}", 0, "json") from None
-    k = len(ds) // 2
-    domain = DyadicRect(tuple(ds[:k]), tuple(ds[k:]))
-    rects = []
-    for i, rs in enumerate(raw_rects):
-        if len(rs) != len(ds):
-            raise CertificateParseError(
-                f"rect {i} has {len(rs)} dyadics, the domain {len(ds)}", 0, "rects")
-        rects.append(DyadicRect(tuple(rs[:k]), tuple(rs[k:])))
-    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects)
+def _certificate(fmt: str, claim, beta, c, domain, rects) -> Certificate:
+    """A certificate from the fields of either format, read with that
+    format's integer rule: beta and c as [numerator, denominator] pairs, the
+    domain as in _rect, and the rects as (byte offset, pairs) items, each
+    rect in the domain's dimension."""
+    is_integer = _IS_INTEGER[fmt]
+    if type(claim) is not str:
+        raise CertificateParseError("malformed claim: not a string", 0, "claim")
+    dom = _parsed("domain", 0, lambda: _rect(domain, is_integer))
+    return Certificate(
+        claim_id=claim,
+        beta=_parsed("beta", 0, lambda: F(*_pair(beta, is_integer))),
+        c=_parsed("c", 0, lambda: F(*_pair(c, is_integer))),
+        domain=dom,
+        rects=[_parsed(f"rect {i}", offset, lambda: _rect(r, is_integer, (2 * dom.n,)))
+               for i, (offset, r) in enumerate(rects)],
+    )
 
 
 def load(data: bytes) -> Certificate:
-    """Parse either the text or the JSON certificate format.
-
-    A malformed file raises CertificateParseError, or another ValueError
-    (a degenerate rectangle, bytes that are not UTF-8).  Every rect of the
-    result has the domain's dimension.
-    """
+    """Parse either the text or the JSON certificate format, both through
+    _certificate.  A malformed file raises CertificateParseError, or
+    UnicodeDecodeError for text that is not UTF-8.  A text line gives each
+    dimension's low and high end in turn."""
     if data[:1] == b"{":
-        return _load_json(data)
-    text = data.decode("utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise CertificateParseError("empty certificate", 0, "header")
-    head = lines[0].split()
-    if len(head) < 7 or head[0] != "claim" or head[2] != "beta" or head[4] != "c" or head[6] != "domain":
+        try:
+            payload = json.loads(data.decode("utf-8"))
+            claim, beta, c, domain = (payload[k] for k in ("claim", "beta", "c", "domain"))
+            if type(payload["rects"]) is not list:
+                raise ValueError("rects is not a list")
+        except (ValueError, KeyError, RecursionError) as exc:
+            raise CertificateParseError(f"malformed JSON certificate: {exc}", 0, "json") from None
+        return _certificate("json", claim, beta, c, domain, ((0, r) for r in payload["rects"]))
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    head = lines[0].split() if lines else []
+    if head[0:7:2] != ["claim", "beta", "c", "domain"]:
         raise CertificateParseError("malformed header", 0, "header")
-    claim_id = head[1]
-    try:
-        bn, bd = head[3].split("/")
-        cn, cd = head[5].split("/")
-        beta = F(int(bn), int(bd))
-        cc = F(int(cn), int(cd))
-    except (ValueError, ZeroDivisionError):
-        raise CertificateParseError("malformed rational", 0, "beta/c") from None
-    domain = _rect_from_tokens(head[7:], 0)
-    rects = []
-    offset = len(lines[0]) + 1
-    for line in lines[1:]:
-        if line.strip():
-            rect = _rect_from_tokens(line.split(), offset)
-            if rect.n != domain.n:
-                raise CertificateParseError(
-                    f"{rect.n}-D rect in a {domain.n}-D domain", offset, "rect")
-            rects.append(rect)
-        offset += len(line) + 1
-    return Certificate(claim_id=claim_id, beta=beta, c=cc, domain=domain, rects=rects)
+
+    def corners(tokens):
+        return [t.split(":") for t in tokens[0::2] + tokens[1::2]]
+
+    # the byte offset where each line ends is where the next line starts
+    ends = itertools.accumulate(len(line.encode("utf-8")) for line in lines)
+    rects = ((end, corners(line.split())) for end, line in zip(ends, lines[1:]) if line.strip())
+    return _certificate("text", head[1], head[3].split("/"), head[5].split("/"),
+                        corners(head[7:]), rects)
 
 
 # ---------------------------------------------------------------------------
@@ -339,41 +327,52 @@ class VerificationReport:
 
 
 def _check_tiling(domain: DyadicRect, rects: list[DyadicRect]) -> list[str]:
-    """Exact integer check: rects are inside the domain, interiors are
-    pairwise disjoint, and areas sum to the domain area.
+    """Exact check that the rects, in any order, are the leaves of a dyadic
+    subdivision of the domain, as `partition` emits them.
 
-    Every endpoint num / 2**exp becomes num << (e - exp) on the grid of step
-    2**-e, e the largest exponent present, so all comparisons and areas are
-    exact integer operations.
+    Endpoints become integers num << (e - exp) on the grid of step 2**-e, e
+    the largest exponent.  After the rects outside the domain, a walk down
+    the tree takes each box with the rects inside it: one rect equal to the
+    box is a leaf, none is a gap, and one equal to the box beside others
+    overlaps them.  Any other box is halved in every coordinate; a rect that
+    straddles a midpoint, or lies in a box whose midpoint is off the grid,
+    is reported, and every other rect goes to the child that holds it.
     """
     e = max(d.exp for r in (domain, *rects) for d in r.lo + r.hi)
 
-    def grid(r: DyadicRect) -> tuple[list[int], list[int]]:
-        return ([d.num << (e - d.exp) for d in r.lo], [d.num << (e - d.exp) for d in r.hi])
+    def grid(r: DyadicRect) -> tuple[tuple[int, int], ...]:
+        return tuple((a.num << (e - a.exp), b.num << (e - b.exp)) for a, b in zip(r.lo, r.hi))
 
-    dlo, dhi = grid(domain)
-    boxes = [grid(r) for r in rects]
-    problems = []
-    total = 0
-    for i, (lo, hi) in enumerate(boxes):
-        if not all(a <= x and y <= b for a, b, x, y in zip(dlo, dhi, lo, hi)):
-            problems.append(f"rect {i} not inside domain")
-        total += math.prod(y - x for x, y in zip(lo, hi))
-    domain_area = math.prod(b - a for a, b in zip(dlo, dhi))
-    if total != domain_area:
-        scale = 1 << (e * domain.n)
-        problems.append(f"area mismatch: sum {F(total, scale)} != domain {F(domain_area, scale)}")
-    # sweep by first coordinate to keep the overlap test near-linear
-    order = sorted(range(len(boxes)), key=lambda i: (boxes[i][0][0], boxes[i][0][-1]))
-    active: list[int] = []
-    for idx in order:
-        lo, hi = boxes[idx]
-        active = [j for j in active if boxes[j][1][0] > lo[0]]
-        for j in active:
-            olo, ohi = boxes[j]
-            if all(a < ob and oa < b for a, b, oa, ob in zip(lo, hi, olo, ohi)):
-                problems.append(f"rects {j} and {idx} overlap")
-        active.append(idx)
+    def show(box) -> str:
+        ends = (F(g, 1 << e) for side in box for g in side)
+        return " ".join(f"{x.numerator}:{x.denominator.bit_length() - 1}" for x in ends)
+
+    root, boxes = grid(domain), [grid(r) for r in rects]
+    inside = [all(a <= x and y <= b for (a, b), (x, y) in zip(root, r)) for r in boxes]
+    problems = [f"rect {i} not inside domain" for i, ok in enumerate(inside) if not ok]
+    # a loop, not recursion: a box can be up to 1060 halvings below the domain
+    stack = [(root, [i for i, ok in enumerate(inside) if ok])]
+    while stack:
+        box, idx = stack.pop()
+        whole = [i for i in idx if boxes[i] == box]
+        if not idx:
+            problems.append(f"gap: no rect covers {show(box)}")
+        elif whole:
+            problems += [f"rects {whole[0]} and {i} overlap in {show(box)}"
+                         for i in idx if i != whole[0]]
+        elif any((a + b) % 2 for a, b in box):
+            problems += [f"rect {i} lies in {show(box)}, whose midpoint is off the grid"
+                         for i in idx]
+        else:
+            mid = [(a + b) // 2 for a, b in box]
+            halves = {side: [] for side in itertools.product((False, True), repeat=len(box))}
+            for i in idx:
+                if any(x < m < y for (x, y), m in zip(boxes[i], mid)):
+                    problems.append(f"rect {i} straddles the midpoint of {show(box)}")
+                else:
+                    halves[tuple(x >= m for (x, _), m in zip(boxes[i], mid))].append(i)
+            stack += [(tuple((m, b) if s else (a, m) for s, (a, b), m in zip(side, box, mid)), sub)
+                      for side, sub in reversed(halves.items())]
     return problems
 
 

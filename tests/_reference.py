@@ -12,9 +12,12 @@ from the kernel only the Interval type and its INVALID and ONE values, and
 Interval's ×, ÷ and ipow must give their ends bit for bit.  One exception is
 built from the interval kernel: cdf_series_interval, the Gaussian cdf series
 evaluated with one interval operation per term, which the float Horner
-evaluation must never be wider than.  check_tiling_fractions is the
-certificate tiling check in exact rational arithmetic, whose problem list
-the integer-grid check must reproduce exactly.  g_J1_bound_per_box,
+evaluation must never be wider than.  check_tiling_fractions is a general
+tiling check in exact rational arithmetic (containment, area sum, overlap
+sweep) that every tiling the certificate check accepts must pass.
+check_dyadic_tree_fractions is the certificate check's walk down the dyadic
+tree with a Fraction per endpoint, whose problem list the integer-grid walk
+must reproduce exactly.  g_J1_bound_per_box,
 g_LJQ2_bound_per_box and g_QJ1_bound_per_box are three bounds as they were
 before their one-axis factors were memoized: every factor evaluated per box,
 with the q_range and qprime_range memos bypassed.  The memoized bounds must
@@ -23,6 +26,7 @@ return their bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -491,6 +495,52 @@ def check_tiling_fractions(domain, rects) -> list[str]:
                    for a, b, oa, ob in zip(r.lo, r.hi, o.lo, o.hi)):
                 problems.append(f"rects {j} and {idx} overlap")
         active.append(idx)
+    return problems
+
+
+def check_dyadic_tree_fractions(domain, rects) -> list[str]:
+    """The walk down the dyadic tree with a Fraction per endpoint.  A box is
+    halved into the children whose sides are its half sides, unless its
+    midpoint is not a multiple of the finest step 2**-e in the file; each
+    rect goes to the first child that contains it."""
+    step = Fraction(1, 1 << max(d.exp for r in (domain, *rects) for d in r.lo + r.hi))
+
+    def sides(r):
+        return tuple((_fr(a), _fr(b)) for a, b in zip(r.lo, r.hi))
+
+    def contains(box, r):
+        return all(a <= x and y <= b for (a, b), (x, y) in zip(box, r))
+
+    def show(box):
+        return " ".join(f"{x.numerator}:{x.denominator.bit_length() - 1}"
+                        for side in box for x in side)
+
+    root, boxes = sides(domain), [sides(r) for r in rects]
+    problems = [f"rect {i} not inside domain" for i, r in enumerate(boxes)
+                if not contains(root, r)]
+    stack = [(root, [i for i, r in enumerate(boxes) if contains(root, r)])]
+    while stack:
+        box, idx = stack.pop()
+        equal = [i for i in idx if boxes[i] == box]
+        if not idx:
+            problems.append(f"gap: no rect covers {show(box)}")
+        elif equal:
+            problems.extend(f"rects {equal[0]} and {i} overlap in {show(box)}"
+                            for i in idx if i != equal[0])
+        elif any((a + b) / 2 % step for a, b in box):
+            problems.extend(f"rect {i} lies in {show(box)}, whose midpoint is off the grid"
+                            for i in idx)
+        else:
+            halves = [((a, (a + b) / 2), ((a + b) / 2, b)) for a, b in box]
+            children = list(itertools.product(*halves))
+            members = {child: [] for child in children}
+            for i in idx:
+                child = next((ch for ch in children if contains(ch, boxes[i])), None)
+                if child is None:
+                    problems.append(f"rect {i} straddles the midpoint of {show(box)}")
+                else:
+                    members[child].append(i)
+            stack.extend((child, members[child]) for child in reversed(children))
     return problems
 
 

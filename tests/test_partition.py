@@ -1,6 +1,7 @@
 """Dyadic geometry, the partition engine, and certificate round trips."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -29,11 +30,9 @@ def test_dyadic_normalization_and_roundtrip():
     assert (d.num, d.exp) == (3, 2)
     assert F(d.to_float()) == F(3, 4)
     assert d.to_float() == 0.75
-    assert Dyadic.parse(str(d)) == d
+    assert str(d) == "3:2"
     with pytest.raises(ValueError):
         Dyadic.from_fraction(F(1, 3))
-    with pytest.raises(ValueError):
-        Dyadic.parse("7")
 
 
 def test_dyadic_normalization_takes_one_shift():
@@ -156,6 +155,72 @@ def test_parse_error_names_offset_and_field():
     assert "byte" in str(err.value) and "field" in str(err.value)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_parse_error_offset_counts_bytes(sample_cert, newline):
+    """The offset is the byte offset of the bad rect's line, whatever ends
+    the lines and however many bytes a character takes."""
+    lines = emit(sample_cert, "text").splitlines()
+    lines[0] = lines[0].replace(b"g_Q_2", "g_Q_\u00e9".encode())  # a two-byte character
+    lines[3] = b"1:2 3:3 7 1:1"
+    data = newline.join(lines) + newline
+    with pytest.raises(CertificateParseError) as err:
+        load(data)
+    assert err.value.offset == data.index(b"1:2 3:3 7 1:1")
+    assert err.value.fieldname == "rect 2"
+
+
+_DOMAIN = "[[1,2],[1,2],[1,1],[1,1]]"
+
+
+def _text(beta="1/2", domain="1:2 1:1 1:2 1:1", rect="1:2 1:1 1:2 1:1"):
+    """A g_Q_2 text certificate whose one rect is the whole domain."""
+    return f"claim g_Q_2 beta {beta} c 1/1 domain {domain}\n{rect}\n".encode()
+
+
+def _json(beta="[1,2]", claim='"g_Q_2"', domain=_DOMAIN, rect=_DOMAIN):
+    return (f'{{"beta":{beta},"c":[1,1],"claim":{claim},'
+            f'"domain":{domain},"rects":[{rect}]}}\n').encode()
+
+
+def test_wellformed_text_and_json_load():
+    """The unbroken certificates that the malformed cases below start from."""
+    for data in (_text(), _json()):
+        cert = load(data)
+        assert cert.beta == F(1, 2) and cert.rects == [cert.domain]
+
+
+_MALFORMED = {
+    "beta_three_integers": (_text(beta="1/2/99"), _json(beta="[1,2,99]")),
+    "beta_bool": (_text(beta="true/2"), _json(beta="[true,2]")),
+    "beta_plus_sign": (_text(beta="+1/2"), _json(beta='["+1",2]')),
+    "beta_underscore": (_text(beta="1_0/20"), _json(beta='["1_0",20]')),
+    "beta_float": (_text(beta="0.5/1"), _json(beta="[0.5,1]")),
+    "dyadic_plus_sign": (_text(rect="+1:2 1:1 1:2 1:1"),
+                         _json(rect='[["+1",2],[1,2],[1,1],[1,1]]')),
+    "dyadic_bool": (_text(rect="true:1 1:1 1:2 1:1"), _json(rect="[[true,1],[1,2],[1,1],[1,1]]")),
+    "dyadic_not_a_pair": (_text(rect="7 1:1 1:2 1:1"), _json(rect="[7,[1,2],[1,1],[1,1]]")),
+    "dyadic_three_integers": (_text(rect="1:2:3 1:1 1:2 1:1"),
+                              _json(rect="[[1,2,3],[1,2],[1,1],[1,1]]")),
+    "domain_three_dyadics": (_text(domain="1:2 1:1 1:2"), _json(domain="[[1,2],[1,2],[1,1]]")),
+    "rect_of_other_dimension": (_text(rect="1:2 1:1"), _json(rect="[[1,2],[1,1]]")),
+}
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(data, id=f"{name}-{fmt}")
+    for name, pair in _MALFORMED.items() for fmt, data in zip(("text", "json"), pair)
+] + [pytest.param(_json(claim="5"), id="claim_not_a_string-json")])
+def test_both_formats_share_one_token_rule(data):
+    """A field that breaks a token rule is a parse error in either format."""
+    with pytest.raises(CertificateParseError):
+        load(data)
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(CertificateParseError):
+        load(b'{"claim":' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+
+
 def _exact_area(r: DyadicRect) -> F:
     return math.prod(F(b.to_float()) - F(a.to_float()) for a, b in zip(r.lo, r.hi))
 
@@ -234,8 +299,12 @@ def _tilings(draw):
 @given(_tilings(), st.data())
 def test_tiling_check_matches_rational_reference(tiling, data):
     domain, rects = tiling
+    assert _check_tiling(domain, data.draw(st.permutations(rects))) == []
     rects = _mutated(data, domain, rects)
-    assert _check_tiling(domain, rects) == ref.check_tiling_fractions(domain, rects)
+    problems = _check_tiling(domain, rects)
+    assert problems == ref.check_dyadic_tree_fractions(domain, rects)
+    if not problems:  # soundness: an accepted certificate tiles its domain exactly
+        assert ref.check_tiling_fractions(domain, rects) == []
 
 
 @settings(max_examples=50, deadline=None)
@@ -244,7 +313,42 @@ def test_tiling_check_matches_reference_on_sample_certificate(sample_cert, data)
     domain = sample_cert.domain
     assert _check_tiling(domain, sample_cert.rects) == []
     rects = _mutated(data, domain, sample_cert.rects)
-    assert _check_tiling(domain, rects) == ref.check_tiling_fractions(domain, rects)
+    problems = _check_tiling(domain, rects)
+    assert problems == ref.check_dyadic_tree_fractions(domain, rects)
+    if not problems:
+        assert ref.check_tiling_fractions(domain, rects) == []
+
+
+@pytest.mark.parametrize("domain, cut", [((F(0), F(1)), F(1, 4)), ((F(0), F(3)), F(1))],
+                         ids=["unit_at_quarter", "odd_width_at_one"])
+def test_exact_tiling_off_the_dyadic_tree_is_rejected(domain, cut):
+    """Two rects tile the domain exactly, but they are not the children of
+    one halving: the check accepts only the leaves of a dyadic subdivision."""
+    dom = DyadicRect.build(domain)
+    rects = [DyadicRect.build((domain[0], cut)), DyadicRect.build((cut, domain[1]))]
+    assert ref.check_tiling_fractions(dom, rects) == []
+    problems = _check_tiling(dom, rects)
+    assert problems and problems == ref.check_dyadic_tree_fractions(dom, rects)
+
+
+def test_rect_outside_domain_is_reported_and_kept_out_of_the_walk():
+    dom = DyadicRect.build((F(0), F(1)), (F(0), F(1)))
+    outside = DyadicRect.build((F(1), F(3, 2)), (F(0), F(1, 2)))
+    assert _check_tiling(dom, [*dom.children(), outside]) == ["rect 4 not inside domain"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_rect_is_rejected_without_recursion(n):
+    """One 2^-1000-wide rect in the unit box: the walk goes 1000 boxes deep
+    and reports the 2^n - 1 empty children of each box on the way."""
+    dom = DyadicRect.build(*[(F(0), F(1))] * n)
+    tiny = DyadicRect.build(*[(F(0), F(1, 2**1000))] * n)
+    t0 = time.perf_counter()
+    problems = _check_tiling(dom, [tiny])
+    assert time.perf_counter() - t0 < 5.0
+    assert len(problems) == 1000 * (2**n - 1)
+    assert all(p.startswith("gap: ") for p in problems)
+    assert problems[-1] == "gap: no rect covers " + " ".join(["1:1 1:0"] * n)
 
 
 def test_verify_roundtrip_and_tampering(sample_cert):
