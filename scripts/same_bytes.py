@@ -8,12 +8,17 @@ Each DIR is a checkout with src/.  Both run `verify-all --emit OUT
 default worker count and at --threads 4.  At each worker count every
 emitted file is compared byte for byte, as cmp does.  Each file that
 differs or exists on one side only is printed, and so is a differing exit
-code.  The exit code is 1 on any difference and 0 otherwise.
+code.  A differing certificate (.cert or .cert.json) is printed with its
+rect count on each side, and a differing summary.json with the claims whose
+rects, margin or reference_margin_met differ, so the rect and margin table
+of a declared certificate change can be read off the output.  The exit code
+is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +44,42 @@ def read(path: str) -> bytes | None:
         return None
 
 
+def rect_count(name: str, data: bytes | None) -> int | None:
+    """The rects in a certificate's bytes: a text file's lines after its
+    header line, a JSON file's "rects" list; None for a missing file."""
+    if data is None:
+        return None
+    if name.endswith(".json"):
+        return len(json.loads(data)["rects"])
+    return len(data.splitlines()) - 1
+
+
+def summary_changes(parent: bytes | None, change: bytes | None) -> list[str]:
+    """One line per claim whose rects, margin or reference_margin_met differ
+    between two summary.json files."""
+    def claims(data):
+        return {c["id"]: c for c in json.loads(data)["claims"]} if data else {}
+
+    p, c = claims(parent), claims(change)
+    out = []
+    for cid in dict.fromkeys([*p, *c]):
+        old, new = p.get(cid, {}), c.get(cid, {})
+        diffs = [f"{k} {old.get(k)} -> {new.get(k)}"
+                 for k in ("rects", "margin", "reference_margin_met") if old.get(k) != new.get(k)]
+        if diffs:
+            out.append(f"{cid}: {', '.join(diffs)}")
+    return out
+
+
+def difference(name: str, parent: bytes | None, change: bytes | None) -> list[str]:
+    """What differs in the file name, beyond its bytes."""
+    if name == "summary.json":
+        return summary_changes(parent, change)
+    if name.endswith((".cert", ".cert.json")):
+        return [f"rects {rect_count(name, parent)} -> {rect_count(name, change)}"]
+    return []
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
@@ -50,10 +91,15 @@ def main() -> int:
             outs = {side: os.path.join(tmp, side) for side in ("parent", "change")}
             codes = {side: emit(getattr(args, side), extra, out) for side, out in outs.items()}
             names = sorted(set(os.listdir(outs["parent"])) | set(os.listdir(outs["change"])))
-            differ = [n for n in names
-                      if read(os.path.join(outs["parent"], n)) != read(os.path.join(outs["change"], n))]
-        for n in differ:
+            differ = {}
+            for n in names:
+                p, c = (read(os.path.join(outs[side], n)) for side in ("parent", "change"))
+                if p != c:
+                    differ[n] = difference(n, p, c)
+        for n, details in differ.items():
             print(f"{label}: {n} differs")
+            for line in details:
+                print(f"{label}:   {line}")
         if codes["parent"] != codes["change"]:
             print(f"{label}: exit code {codes['parent']} at the parent, {codes['change']} with the change")
         same = same and not differ and codes["parent"] == codes["change"]

@@ -28,7 +28,7 @@ reaches 0), the naive enclosure stands alone.  g_LJQ1 takes the form of G1
 and G2 separately, then their max.  The other nine bounds are naive.
 
 Memoized factors.  A partition visits few distinct intervals on each axis
-(g_J1 at beta0: 2,893 boxes over 85 x-intervals and 653 h-intervals), so
+(g_J1 at beta0: 2,897 boxes over 85 x-intervals and 653 h-intervals), so
 the factors that depend on one axis alone are computed once per axis
 interval with functools.cache, the mechanism of the gauss and interval
 memos: q_range and qprime_range; g_J1's x-only, h-only and x+h factors
@@ -48,9 +48,8 @@ and the BetaConsts of the parameters.  BoundFn accepts only the pairs in
 that table; BOUND_IDS lists its fn_ids in table order.
 
 Conventions:
-  * J and its derivatives come from gauss.j_range; g_QJ1 and g_P3 branch
-    on x0 themselves, and a box not certified left of it takes -|J'|
-    (absjprime_enclosure) in place of J';
+  * J and its derivatives come from gauss.j_range, on every box, also
+    where J' changes sign (g_QJ1 and g_P3 take the signed J');
   * Q is concave on [0, 3/4] for the exponents used here, which q_range
     certifies from the sign of Q'' before using endpoint/centered forms
     (a plain interval evaluation is the fallback);
@@ -377,7 +376,8 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     """Near-diagonal J-case bound (sixth-order expansion with remainder).
 
     With e_k = k - 1/beta, J^(k) enclosed by gauss.j_range over x for
-    k = 0, 3, 4, 5 and over xi1 in [x, x+h] and xi2 in [x, x+h/2] for k = 6:
+    k = 0, 3, 4, 5, and for k = 6 over [x, x+h], which holds both xi1 in
+    [x, x+h] and xi2 in [x, x+h/2]:
 
         beta c^e_1 J(x+h)^e_1                                  _j1_xh_factors
       - beta (1-beta)/2 c^(1-2/beta) J(x+h)^(1-2/beta) h^(1/beta)
@@ -387,7 +387,9 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
       + 1/720 c J6(xi1) h^e_6 - 1/23040 c J6(xi2) h^e_6        per box
 
     The powers of h come from _j1_h_factors.  Each factor is evaluated as
-    written, left to right, so the memos change no bit of the result.
+    written, left to right, so the memos change no bit of the result.  The
+    two remainders share the product c J6 h^e_6 but stay separate terms:
+    xi1 and xi2 differ, so 1/720 - 1/23040 is not a coefficient of J6.
     """
     xh_hi = x.hi + h.hi
     at_xh = _j1_xh_factors(x.lo + h.lo, xh_hi, bc)
@@ -403,8 +405,9 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out - inv_j * h2
     out = out + c * (d3 * h3 + d5 * h5)
     out = out + d4 * h4
-    out = out + J1_C6_XI1 * c * gauss.j_range(6, x.lo, xh_hi) * h6
-    out = out - J1_C6_XI2 * c * gauss.j_range(6, x.lo, x.hi + 0.5 * h.hi) * h6
+    rem = c * gauss.j_range(6, x.lo, xh_hi) * h6
+    out = out + J1_C6_XI1 * rem
+    out = out - J1_C6_XI2 * rem
     return out
 
 
@@ -505,10 +508,7 @@ def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
         return INVALID
     a_pow = a_iv.pow(e)
     out = (y - x).pow(e)
-    if m_hi < gauss.profile_constants().x0.lo:
-        out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
-    else:
-        out = out - bc.c_pow_inv_beta * a_pow * gauss.absjprime_enclosure(m_lo, m_hi)
+    out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
     out = out - bc.c_pow_inv_beta * a_pow * qprime_range(x.lo, x.hi, bc)
     return out
 
@@ -538,14 +538,9 @@ P3_E2 = Interval.from_fraction(2 * BETA0_DYADIC)
 
 def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Negated x-derivative of the Poincare comparison on [1/4, 1/2]."""
-    arg_lo = 1.0 - x.hi
-    arg_hi = 1.0 - x.lo
     qp = qprime_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
     out = -(HALF * qp)
-    if arg_hi < gauss.profile_constants().x0.lo:
-        out = out + TWO_POW_M2BETA0 * gauss.j_range(1, arg_lo, arg_hi)
-    else:
-        out = out - HALF * gauss.absjprime_enclosure(arg_lo, arg_hi)
+    out = out + TWO_POW_M2BETA0 * gauss.j_range(1, 1.0 - x.hi, 1.0 - x.lo)
     out = out + x.pow(P3_E1) * (ONE - x)
     out = out - x
     out = out + (ONE - x).pow(P3_E2)

@@ -20,7 +20,9 @@ Rounding is monotone, so for finite and infinite endpoints alike this gives
 the ends that rounding every corner outward gives, and nextafter(+-inf,
 -+inf) = +-MAX makes a lower end that overflowed to +inf the largest float,
 as directed rounding does.  An integer power applies the rule at each step
-of its repeated multiplication of the end magnitudes.  Library
+of its repeated multiplication of the end magnitudes.  A product of
+nonnegative factors and an even power keep a lower end of at least 0, where
+stepping an underflowed 0.0 down would give -2^-1074.  Library
 transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
 by 2 ulp on each side; this assumption is exercised empirically by the
 randomized containment suite against a high-precision oracle.
@@ -290,13 +292,17 @@ class Interval:
         ac = a * c
         if a == b and c == d:
             if not _mul_exact(a, c, ac):
-                return Interval._raw(_down(ac), _up(ac))
+                lo = _down(ac)
+                return Interval._raw(0.0 if lo < 0.0 <= min(a, c) else lo, _up(ac))
             return Interval._raw(ac, ac) if ac == ac else ZERO  # 0 * inf is 0
         ad, bc, bd = a * d, b * c, b * d
         if ac != ac or ad != ad or bc != bc or bd != bd:
             # 0 * inf: the factor 0 is exact, so the product is 0
             ac, ad, bc, bd = (0.0 if p != p else p for p in (ac, ad, bc, bd))
-        return _hull(a, b, c, d, ac, ad, bc, bd, _mul_exact)
+        out = _hull(a, b, c, d, ac, ad, bc, bd, _mul_exact)
+        if out.lo < 0.0 <= min(a, c):  # x, y >= 0: an underflowed x*y stops at 0
+            return Interval._raw(0.0, out.hi)
+        return out
 
     __rmul__ = __mul__
 

@@ -79,11 +79,9 @@ class Dyadic:
 
 
 def dyadic_mid(a: Dyadic, b: Dyadic) -> Dyadic:
-    e = max(a.exp, b.exp) + 1
-    num = a.num * (1 << (e - a.exp)) + b.num * (1 << (e - b.exp))
-    if num % 2:
-        raise ArithmeticError("midpoint not representable")  # cannot happen
-    return Dyadic(num // 2, e)
+    """(a + b)/2: the sum on the finer grid 2^-e, halved by one more bit."""
+    e = max(a.exp, b.exp)
+    return Dyadic((a.num << (e - a.exp)) + (b.num << (e - b.exp)), e + 1)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ are written directly from their defining formulas, and w0 is obtained by
 mpmath root finding.  mul_four_products, div_eight_quotients and
 ipow_directed are frozen copies of the per-operand rounding rule, which
 rounds every endpoint product or quotient outward on its own, exactness
-tests included, plus two rules of their own: a quotient with an inf/inf
-corner is Invalid, and an even power's lower end is at least 0.  They take
+tests included, plus three rules of their own: a quotient with an inf/inf
+corner is Invalid, and a product of nonnegative factors and an even power
+have a lower end of at least 0.  They take
 from the kernel only the Interval type and its INVALID and ONE values, and
 Interval's ×, ÷ and ipow must give their ends bit for bit.  One exception is
 built from the interval kernel: cdf_series_interval, the Gaussian cdf series
@@ -386,11 +387,14 @@ def _pow_mag_up(v: float, n: int) -> float:
 
 
 def mul_four_products(x: Interval, y: Interval) -> Interval:
-    """The interval product as min/max over all four directed products."""
+    """The interval product as min/max over all four directed products; the
+    lower end is at least 0 when both factors are."""
     if not (x.valid and y.valid):
         return INVALID
     a, b, c, d = x.lo, x.hi, y.lo, y.hi
     lo = min(_mul_down(a, c), _mul_down(a, d), _mul_down(b, c), _mul_down(b, d))
+    if a >= 0.0 and c >= 0.0 and lo < 0.0:
+        lo = 0.0  # an underflowed product of nonnegative factors
     hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
     return Interval._raw(lo, hi)
 
@@ -569,9 +573,9 @@ def g_J1_bound_per_box(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out + c * (Interval(0.125) * gauss.j_range(3, x.lo, x.hi) * h.pow(e(3))
                      + Interval(2.0**-7) * gauss.j_range(5, x.lo, x.hi) * h.pow(e(5)))
     out = out + bounds.J1_C4 * c * gauss.j_range(4, x.lo, x.hi) * h.pow(e(4))
-    h6 = h.pow(e(6))
-    out = out + bounds.J1_C6_XI1 * c * gauss.j_range(6, x.lo, xh_hi) * h6
-    out = out - bounds.J1_C6_XI2 * c * gauss.j_range(6, x.lo, x.hi + 0.5 * h.hi) * h6
+    rem = c * gauss.j_range(6, x.lo, xh_hi) * h.pow(e(6))
+    out = out + bounds.J1_C6_XI1 * rem
+    out = out - bounds.J1_C6_XI2 * rem
     return out
 
 
@@ -597,9 +601,6 @@ def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
         return INVALID
     a_pow = a_iv.pow(e)
     out = (y - x).pow(e)
-    if m_hi < gauss.profile_constants().x0.lo:
-        out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
-    else:
-        out = out - bc.c_pow_inv_beta * a_pow * gauss.absjprime_enclosure(m_lo, m_hi)
+    out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
     out = out - bc.c_pow_inv_beta * a_pow * _qprime_range(x.lo, x.hi, bc)
     return out

@@ -3,7 +3,8 @@
 For random boxes inside each claim domain and random points inside each box,
 the high-precision point value of the target function must dominate the
 box lower bound.  For shrinking boxes around a fixed interior point the
-bound must approach the point value.
+bound must approach the point value.  g_J1 must prove its claim without
+reading J' at the midpoints x + h/2.
 """
 
 import math
@@ -14,8 +15,11 @@ import pytest
 
 import _reference as ref
 from conftest import scale
+from cubeiso import bounds, gauss
 from cubeiso.bounds import BOUND_IDS, BoundFn, eval_bound_fn
+from cubeiso.claims import claim_by_id
 from cubeiso.funcs import BETA0_DYADIC, BETA1, C0, BetaParams
+from cubeiso.partition import partition
 
 HALF = BetaParams(F(1, 2))
 BETA0 = BetaParams(BETA0_DYADIC)
@@ -176,6 +180,21 @@ def test_g_J1_tightness_is_cauchy():
     assert abs(vals[-1] - vals[-2]) <= 1e-6
     tv = float(ref.target_g_J1(p[0], p[1], BETA0_DYADIC, 1))
     assert tv >= vals[-1] - 1e-11
+
+
+def test_g_J1_at_beta0_reads_jprime_at_few_points():
+    """g_J1 encloses J6 at xi1 in [x, x+h] and at xi2 in [x, x+h/2] by one
+    range over [x, x+h], so proving g_J_1 at beta0 from cold memos never
+    reads J' at x + h/2: it reads 952 distinct points, where a second range
+    over [x, x+h/2] read 1,749."""
+    for memo in (gauss.j_point, gauss.jprime_point, gauss.jk_point,
+                 bounds._j1_x_factors, bounds._j1_h_factors, bounds._j1_xh_factors):
+        memo.cache_clear()
+    run = claim_by_id("g_J_1").runs[0]
+    assert run.fn.params == BETA0
+    _, failure, _ = partition(run.evaluate, run.domain)
+    assert failure is None
+    assert gauss.jprime_point.cache_info().currsize <= 1000
 
 
 def test_g_J2_root_box_requires_subdivision():

@@ -224,12 +224,25 @@ def test_mul_matches_four_product_rule(x, y):
 
 
 def test_mul_rounds_every_tied_extremal_product():
-    # 0 * 1e-200 is exact, 1e-200 * 1e-200 underflows to the same 0.0 and is
-    # not: the lower end must step below zero, as rounding all four does.
-    x, y = Interval(0.0, 1e-200), Interval(1e-200, 1.0)
+    # 0 * 1e-200 is exact, -1e-200 * 1e-200 underflows to the same 0 and is
+    # not: the upper end must step above zero, as rounding all four does.
+    x, y = Interval(-1e-200, 0.0), Interval(1e-200, 1.0)
     out = x * y
     assert out == ref.mul_four_products(x, y)
-    assert out.lo == -math.ulp(0.0) and out.hi == 1e-200
+    assert out.lo == -1e-200 and out.hi == math.ulp(0.0)
+
+
+def test_product_of_nonnegative_factors_that_underflows_stays_nonnegative():
+    """1e-200 * 1e-200 underflows to an inexact 0.0; with both factors >= 0
+    the lower end stays at 0, so the product has a square root."""
+    sq = Interval(1e-200) * Interval(1e-200)
+    assert sq.lo == 0.0 and sq.hi == math.ulp(0.0)
+    assert sq.sqrt().valid
+    for x, y in ((Interval(1e-200), Interval(1e-200, 1.0)),
+                 (Interval(0.0, 1e-200), Interval(1e-200, 1.0))):
+        out = x * y
+        assert out == ref.mul_four_products(x, y)
+        assert out.lo == 0.0 and out.hi == 1e-200
 
 
 def _same_float(u, v):
