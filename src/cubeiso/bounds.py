@@ -3,8 +3,8 @@
 Each function g_* takes the coordinate ranges of an axis-aligned box and
 returns an interval whose .lo endpoint is a certified lower bound for the
 target quantity over the whole box.  The displayed corner formulas are
-realized by plugging range-tight enclosures of the atoms (Q, L, J, J', |J'|)
-into the formula and evaluating in interval arithmetic: the lower end of the
+realized by plugging range-tight enclosures of the atoms (Q, L, J, J') into
+the formula and evaluating in interval arithmetic: the lower end of the
 result then coincides with the intended corner combination wherever the atom
 is monotone, and remains sound where it is not.
 
@@ -25,7 +25,9 @@ outward rounding, and the bound is its intersection with the naive
 enclosure.  An Invalid naive value gives Invalid.  Where no derivative
 enclosure exists (J' at y = 1, sqrt or a fractional power of a range that
 reaches 0), the naive enclosure stands alone.  g_LJQ1 takes the form of G1
-and G2 separately, then their max.  The other nine bounds are naive.
+and G2 separately, then their max; G1 and G2 are funcs.G1 and funcs.G2, the
+formulas G_of_b evaluates, and g_LJQ2 is funcs.G2 on its edge x = 1/16.  The
+other nine bounds are naive.
 
 Memoized factors.  A partition visits few distinct intervals on each axis
 (g_J1 at beta0: 2,897 boxes over 85 x-intervals and 653 h-intervals), so
@@ -81,9 +83,12 @@ from fractions import Fraction
 from . import gauss
 from .funcs import (
     BETA0_DYADIC,
+    L_INCREASING_BELOW,
     TWO_POW_M2BETA0,
     BetaConsts,
     BetaParams,
+    G1,
+    G2,
     L,
     Q,
     beta_consts,
@@ -159,19 +164,23 @@ def l_range(a: float, b: float, bc: BetaConsts) -> Interval:
     """Range enclosure of L over [a, b]; endpoint form on the increasing part."""
     if a == b:
         return L(Interval(a), bc, 0)
-    if b <= 0.3678:  # log(1/x) > 1 >= beta there, so L is increasing
+    if b <= L_INCREASING_BELOW:
         return Interval(L(Interval(a), bc, 0).lo, L(Interval(b), bc, 0).hi)
     return L(Interval(a, b), bc, 0)
 
 
+def _jj_slope(a: float, b: float) -> Interval:
+    """(J J')' = J'^2 + J J'' = J'^2 - 2 over [a, b] (J'' = -2/J)."""
+    return gauss.j_range(1, a, b).ipow(2) - TWO
+
+
 def _jj_prime_range(a: float, b: float) -> Interval:
-    """Range of J*J' over [a, b]; decreasing whenever sup |J'|^2 < 2."""
+    """Range of J*J' over [a, b]; decreasing where the slope is < 0."""
     ja = gauss.j_point(a) * gauss.jprime_point(a)
     jb = gauss.j_point(b) * gauss.jprime_point(b)
     if a == b:
         return ja
-    aj = gauss.absjprime_enclosure(a, b)
-    if (aj.ipow(2) - TWO).hi < 0.0:  # (J J')' = J'^2 - 2 < 0
+    if _jj_slope(a, b).hi < 0.0:
         return Interval(jb.lo, ja.hi)
     return (gauss.j_range(0, a, b) * gauss.j_range(1, a, b)).hull(ja).hull(jb)
 
@@ -226,7 +235,7 @@ class Grad:
         return Grad(q, (self.dx - q * o.dx) / o.v, (self.dy - q * o.dy) / o.v)
 
     def ipow(self, n: int) -> "Grad":
-        return self.chain(self.v.ipow(n), Interval(float(n)) * self.v.ipow(n - 1))
+        return self.pow(n)
 
     def pow(self, p) -> "Grad":
         """self**p for a constant p; a non-integer p needs self.v.lo > 0 for
@@ -268,8 +277,7 @@ def _J(t):
 
 
 def _JJprime(t):
-    """J J', whose derivative is J'^2 + J J'' = J'^2 - 2 (J'' = -2/J)."""
-    return _atom(t, _jj_prime_range, lambda a, b: gauss.j_range(1, a, b).ipow(2) - TWO)
+    return _atom(t, _jj_prime_range, _jj_slope)
 
 
 def _Q(t, bc: BetaConsts):
@@ -321,13 +329,9 @@ def _mean_value(formula, x: Interval, y: Interval, bc: BetaConsts):
 # ---------------------------------------------------------------------------
 
 def g_JL_bound(x: Interval, bc: BetaConsts) -> Interval:
-    """Lower bound for -d^2/dx^2 [J(x) - L_beta(1-x)] on [1/2, 2047/2048]."""
-    jr = gauss.j_range(0, x.lo, x.hi)
-    s = ONE - x  # exact at dyadic endpoints
-    lg = -s.log()
-    term = (bc.beta * bc.log2_pow_mbeta * (ONE / s)
-            * (ONE - bc.beta + lg) * lg.pow(bc.beta - TWO))
-    return TWO / jr - term
+    """Lower bound for -d^2/dx^2 [J(x) - L_beta(1-x)] = 2/J(x) + L''(1-x) on
+    [1/2, 2047/2048]; 1 - x is exact at dyadic endpoints."""
+    return TWO / gauss.j_range(0, x.lo, x.hi) + L(ONE - x, bc, 2)
 
 
 # Taylor coefficients of g_J1, converted once rather than per box.
@@ -448,15 +452,10 @@ def g_Q2_bound(h: Interval, y: Interval, bc: BetaConsts) -> Interval:
 
 
 def _g_LJQ1(x, y, bc: BetaConsts):
-    """(G1, G2) with B = b_beta on [1/16, 1/4] x [1/2, 3/4]:
-    G1 = ((y-x)^(1/beta) + J(y)^(1/beta))^beta + L(x) - 2 Q((x+y)/2),
-    G2 = (y-x) + (2^beta - 1) J(y) + L(x) - 2 Q((x+y)/2)."""
-    d = y - x
-    jy = _J(y)
-    rest = _L(x, bc) - _Q(_mid(x, y), bc) * TWO
-    g1 = (d.pow(bc.inv_beta) + jy.pow(bc.inv_beta)).pow(bc.beta) + rest
-    g2 = d + jy * bc.two_pow_beta_m1 + rest
-    return g1, g2
+    """(G1, G2) with B = b_beta = (L(x), J(y), Q((x+y)/2)) on
+    [1/16, 1/4] x [1/2, 3/4]."""
+    bx, by, bmid = _L(x, bc), _J(y), _Q(_mid(x, y), bc)
+    return G1(x, y, bx, by, bmid, bc), G2(x, y, bx, by, bmid, bc)
 
 
 def g_LJQ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
@@ -474,7 +473,8 @@ def _ljq2_beta(beta_lo: float, beta_hi: float) -> tuple[BetaConsts, Interval]:
 
 
 def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interval:
-    """The x = 1/16 edge of the L/J/Q case, partitioned jointly in (y, beta)."""
+    """G2 on the x = 1/16 edge of the L/J/Q case, partitioned jointly in
+    (y, beta)."""
     bc, lx = _ljq2_beta(beta.lo, beta.hi)
     jy = gauss.j_range(0, y.lo, y.hi)
     if not jy.valid:
@@ -482,7 +482,7 @@ def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interva
     # Uncached: every beta interval has its own BetaConsts, so a q_range
     # memo entry made here would never be read again.
     qm = q_range.__wrapped__(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
-    return y - Interval(0.0625) + bc.two_pow_beta_m1 * jy + lx - TWO * qm
+    return G2(Interval(0.0625), y, lx, jy, qm, bc)
 
 
 def _g_QJQ(x, y, bc: BetaConsts):

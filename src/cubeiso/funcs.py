@@ -15,6 +15,10 @@ and the two-point functionals
     G2[B](x,y) = y - x + (2^beta - 1) B(y) + B(x) - 2 B((x+y)/2)
     G = max(G1, G2).
 
+G1 and G2 are written here only: their arguments may be Intervals or the
+forward-mode gradients of bounds.Grad, so the bounds' mean-value forms run
+the same formula as G_of_b and the scalar checks.
+
 Everything is interval arithmetic; beta is normally an exact dyadic or
 rational carried by BetaParams, but the evaluators also accept an interval
 beta (needed once, for beta = log2(3/2) in a scalar check).
@@ -140,6 +144,10 @@ def _log_recip(x: Interval) -> Interval:
     return -x.log()
 
 
+# L increases on [0, e^-beta], and e^-beta >= e^-1 > 0.3678 for beta <= 1.
+L_INCREASING_BELOW = 0.3678
+
+
 def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
     """L_beta and its first two derivatives.
 
@@ -156,7 +164,7 @@ def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
                 return Interval(0.0)
             upper = L(Interval(x.hi), bc, 0)
             # L increases up to exp(-beta); past it, cap with the peak value
-            if x.hi > 0.3678:
+            if x.hi > L_INCREASING_BELOW:
                 peak = (-bc.beta).exp() * (bc.beta / LOG2).pow(bc.beta)
                 return Interval(0.0, max(upper.hi, peak.hi))
             return Interval(0.0, upper.hi)
@@ -168,8 +176,8 @@ def L(x: Interval, bc: BetaConsts, order: int = 0) -> Interval:
     if order == 1:
         return bc.log2_pow_mbeta * lg.pow(bc.beta - ONE) * (lg - bc.beta)
     if order == 2:
-        return -(bc.beta * bc.log2_pow_mbeta * (ONE / x) * lg.pow(bc.beta - TWO)
-                 * (ONE - bc.beta + lg))
+        return -(bc.beta * bc.log2_pow_mbeta * (ONE / x)
+                 * (ONE - bc.beta + lg) * lg.pow(bc.beta - TWO))
     raise ValueError(f"unsupported L derivative order {order}")
 
 
@@ -233,31 +241,28 @@ def b(x: Interval, bc: BetaConsts) -> Interval:
 # Two-point functionals
 # ---------------------------------------------------------------------------
 
-def G_functional(
-    x: Interval,
-    y: Interval,
-    bx: Interval,
-    by: Interval,
-    bmid: Interval,
-    bc: BetaConsts,
-) -> tuple[Interval, Interval]:
-    """(G1, G2) for given values B(x), B(y), B((x+y)/2)."""
-    d = y - x
-    g2 = d + bc.two_pow_beta_m1 * by + bx - TWO * bmid
-    if d.valid and d.lo >= 0.0 and by.valid and by.lo >= 0.0:
-        g1 = (d.pow(bc.inv_beta) + by.pow(bc.inv_beta)).pow(bc.beta) + bx - TWO * bmid
-    else:
-        g1 = INVALID
-    return g1, g2
+def G1(x, y, bx, by, bmid, bc: BetaConsts):
+    """((y-x)^(1/beta) + B(y)^(1/beta))^beta + (B(x) - 2 B(mid)), for given
+    values B(x), B(y), B(mid) of Intervals or Grads (a Grad stays left)."""
+    return ((y - x).pow(bc.inv_beta) + by.pow(bc.inv_beta)).pow(bc.beta) + (bx - bmid * TWO)
+
+
+def G2(x, y, bx, by, bmid, bc: BetaConsts):
+    """(y-x) + (2^beta - 1) B(y) + (B(x) - 2 B(mid)); arguments as for G1."""
+    return (y - x) + by * bc.two_pow_beta_m1 + (bx - bmid * TWO)
 
 
 def G_of_b(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
-    """G_beta[b_beta](x, y) = max(G1, G2) with B = b_beta."""
+    """G_beta[b_beta](x, y) = max(G1, G2) with B = b_beta; G2 alone unless
+    y - x and B(y) are provably >= 0."""
     mid = (x + y) * HALF
-    g1, g2 = G_functional(x, y, b(x, bc), b(y, bc), b(mid, bc), bc)
-    if not g1.valid:
+    bx, by, bmid = b(x, bc), b(y, bc), b(mid, bc)
+    g2 = G2(x, y, bx, by, bmid, bc)
+    d = y - x
+    if not (d.valid and d.lo >= 0.0 and by.valid and by.lo >= 0.0):
         return g2
-    return g1.max(g2)
+    g1 = G1(x, y, bx, by, bmid, bc)
+    return g1.max(g2) if g1.valid else g2
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +293,7 @@ def _f_LJQ_half(y: Interval, order: int) -> Interval:
         jp = gauss.j_range(1, y.lo, y.hi)
         return ONE + (SQRT2 - ONE) * jp - Q(half_y, bc, 1)
     # f'' = -2 (sqrt2 - 1) / J - (1/2) Q''(y/2)
-    j = gauss.j_value(y)
+    j = gauss.j_range(0, y.lo, y.hi)
     return -(TWO * (SQRT2 - ONE) / j) - HALF * Q(half_y, bc, 2)
 
 
@@ -315,18 +320,18 @@ def _f_Q_drop(y: Interval, bc: BetaConsts, order: int) -> Interval:
 
 
 def _g_LJ(x: Interval, y: Interval) -> Interval:
-    """y - x + (sqrt2 - 1) J(y) + L_{1/2}(x) - 2 J((x+y)/2)."""
+    """G2 at beta = 1/2 with B = (L_{1/2}, J, J) at (x, y, (x+y)/2)."""
     bc = beta_consts(BetaParams(BETA_HALF))
     mid = (x + y) * HALF
-    return (y - x + (SQRT2 - ONE) * gauss.j_value(y) + L(x, bc, 0)
-            - TWO * gauss.j_value(mid))
+    return G2(x, y, L(x, bc, 0), gauss.j_range(0, y.lo, y.hi),
+              gauss.j_range(0, mid.lo, mid.hi), bc)
 
 
 def _dxx_g_LJ(x: Interval, y: Interval) -> Interval:
     """L''_{1/2}(x) + 1/J((x+y)/2)."""
     bc = beta_consts(BetaParams(BETA_HALF))
     mid = (x + y) * HALF
-    return L(x, bc, 2) + ONE / gauss.j_value(mid)
+    return L(x, bc, 2) + ONE / gauss.j_range(0, mid.lo, mid.hi)
 
 
 def _p_cubic(x: Interval, beta: Fraction) -> Interval:
@@ -391,7 +396,7 @@ def scalar_checks() -> list[ScalarCheck]:
         "f0' at 1/2 for beta = 1/2")
     add("Q_fb2_beta0", _f_Q_drop(half, bc_beta0, 1), F(-3, 5), "below",
         "f0' at 1/2 for the dyadic beta0")
-    ljq3 = (TWO * Interval(0.75) - ONE + (SQRT2 - ONE) * gauss.j_value(Interval(0.75))
+    ljq3 = (TWO * Interval(0.75) - ONE + (SQRT2 - ONE) * gauss.j_range(0, 0.75, 0.75)
             + L(q, bc_half, 0) - ONE)
     add("LJQ_II_3", ljq3, F(1, 100), "above",
         "anti-diagonal L/J/Q edge value at y = 3/4")

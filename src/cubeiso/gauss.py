@@ -37,7 +37,6 @@ one rule on its end values v(a), v(b): [v(b).lo, v(a).hi] for odd k and for
 even k right of x0, [v(a).lo, v(b).hi] for even k left of x0, and
 [min(v(a).lo, v(b).lo), peak.hi] for even k on a box not certified to lie
 on one side, the peak J^(k)(x0) being the identity at J' = 0 and J(x0).
-|J'| is not a derivative and keeps its own enclosure, absjprime_enclosure.
 
 J, J' and J^(k) at float points and the profile constants are memoized here
 with functools.cache, the mechanism the interval module uses for the
@@ -170,15 +169,6 @@ def _u_of(x: Interval) -> Interval:
     return u
 
 
-def j_value(x: Interval) -> Interval:
-    """Enclosure of J over an interval inside [1 - w0, 1]."""
-    if not x.valid:
-        return INVALID
-    if x.lo == x.hi:
-        return j_point(x.lo)
-    return j_range(0, x.lo, x.hi)
-
-
 @functools.cache
 def j_point(x: float) -> Interval:
     u = _u_of(Interval(x))
@@ -191,23 +181,6 @@ def jprime_point(x: float) -> Interval:
     if not u.valid or u.lo <= 0.0 or u.hi >= 1.0:
         return INVALID
     return SQRT2 * normal_quantile(u)
-
-
-def absjprime_enclosure(xlo: float, xhi: float) -> Interval:
-    """|J'| over the box; the lower end is 0 unless the box avoids x0 provably."""
-    c = profile_constants()
-    jl = jprime_point(xlo)
-    jr = jprime_point(xhi)
-    if not (jl.valid and jr.valid):
-        return INVALID
-    hi = max(abs(jl).hi, abs(jr).hi)
-    if xhi < c.x0.lo:
-        lo = max(jr.lo, 0.0)
-    elif xlo > c.x0.hi:
-        lo = max(-jl.hi, 0.0)
-    else:
-        lo = 0.0
-    return Interval(min(lo, hi), hi)
 
 
 def j3_of(jp: Interval, j: Interval) -> Interval:

@@ -37,8 +37,8 @@ coefficients; argument rounding of t*t, through |P'| <= 1/6; and truncation,
 by the first omitted term.  Only the final assembly of the cdf uses interval
 operations.
 
-The certified quantile bisection is memoized per (p, tol), so repeated
-quantile points cost one bisection per process.
+The certified quantile bisection is memoized per p, so repeated quantile
+points cost one bisection per process.
 
 Endpoints may be -inf (lower) or +inf (upper) to express one-sided bounds.
 Comparison against scalars is a partial order: ``strictly_greater(a, t)``
@@ -649,10 +649,11 @@ def _quantile_seed(p: float) -> float:
 
 
 @functools.cache
-def _quantile_point(p: float, tol: float) -> tuple[float, float]:
-    """Certified bracket [a, b] with Phi(a) < p < Phi(b).
+def _quantile_point(p: float) -> tuple[float, float]:
+    """Certified bracket [a, b] with Phi(a) < p < Phi(b), of relative width
+    <= QUANTILE_TOL where double precision reaches it.
 
-    A pure function of (p, tol), memoized so that I, J and J' at the same
+    A pure function of p, memoized so that I, J and J' at the same
     point share one bisection.  Each worker process has its own memo.
     """
     t = _quantile_seed(p)
@@ -666,7 +667,7 @@ def _quantile_point(p: float, tol: float) -> tuple[float, float]:
     else:
         raise QuantileError(f"cannot bracket quantile at p={p!r}")
     # certified bisection down to the requested width
-    while b - a > tol * max(1.0, abs(a), abs(b)):
+    while b - a > QUANTILE_TOL * max(1.0, abs(a), abs(b)):
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
@@ -680,20 +681,20 @@ def _quantile_point(p: float, tol: float) -> tuple[float, float]:
     return a, b
 
 
-def normal_quantile(p: Interval, tol: float = QUANTILE_TOL) -> Interval:
+def normal_quantile(p: Interval) -> Interval:
     """Certified enclosure of Phi^{-1}(p) for p strictly inside (0, 1).
 
     The bracket is refined by certified bisection on the cdf enclosure until
-    its relative width is <= tol.  Near the tails double precision cannot
-    always reach the default tolerance; the sound best-effort bracket is
+    its relative width is <= QUANTILE_TOL.  Near the tails double precision
+    cannot always reach that width; the sound best-effort bracket is
     returned then.
     """
     if not p.valid or p.lo <= 0.0 or p.hi >= 1.0:
         return INVALID
     try:
-        alo, bhi = _quantile_point(p.lo, tol)
+        alo, bhi = _quantile_point(p.lo)
         if p.hi != p.lo:
-            bhi = _quantile_point(p.hi, tol)[1]
+            bhi = _quantile_point(p.hi)[1]
     except QuantileError:
         return INVALID
     return Interval._raw(alo, bhi)

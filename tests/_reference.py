@@ -586,7 +586,7 @@ def g_LJQ2_bound_per_box(y: Interval, beta: Interval, _bc_unused: BetaConsts) ->
         return INVALID
     lx = L_interval(Interval(0.0625), bc, 0)
     qm = _q_range(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
-    return y - Interval(0.0625) + bc.two_pow_beta_m1 * jy + lx - TWO * qm
+    return y - Interval(0.0625) + jy * bc.two_pow_beta_m1 + (lx - qm * TWO)
 
 
 def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:

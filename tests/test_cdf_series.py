@@ -121,12 +121,12 @@ def test_quantile_brackets_reach_tolerance_where_reference_does(monkeypatch):
         return b - a <= QUANTILE_TOL * max(1.0, abs(a), abs(b))
 
     grid = [1e-3 + k * (1.0 - 2e-3) / 200 for k in range(201)]
-    got = {p: _quantile_point(p, QUANTILE_TOL) for p in grid}
+    got = {p: _quantile_point(p) for p in grid}
     # the same bisection, run on the interval-per-term series
     monkeypatch.setattr(interval, "_cdf_point", _reference_cdf_point)
     for p in grid:
         a, b = got[p]
-        ra, rb = _quantile_point.__wrapped__(p, QUANTILE_TOL)
+        ra, rb = _quantile_point.__wrapped__(p)
         assert b - a <= rb - ra
         assert reached(a, b) or not reached(ra, rb)
     assert sum(reached(*got[p]) for p in grid) > 150
@@ -134,5 +134,5 @@ def test_quantile_brackets_reach_tolerance_where_reference_does(monkeypatch):
 
 def test_quantile_bracket_in_series_tail():
     # t = -4.26: the series enclosure is tight enough to bisect below 1e-7
-    a, b = _quantile_point(1e-5, QUANTILE_TOL)
+    a, b = _quantile_point(1e-5)
     assert b - a <= 1e-7

@@ -18,11 +18,12 @@ from cubeiso.funcs import (
     R,
     b,
     beta_consts,
-    G_functional,
+    G1,
+    G2,
     G_of_b,
     run_scalar_checks,
 )
-from cubeiso.interval import Interval
+from cubeiso.interval import HALF, Interval
 
 
 BC_HALF = beta_consts(BetaParams(F(1, 2)))
@@ -156,8 +157,21 @@ def test_G_vanishes_on_diagonal():
     bc = BC_BETA0
     x = Interval(0.3)
     bx = b(x, bc)
-    g1, g2 = G_functional(x, x, bx, bx, bx, bc)
+    g1 = G1(x, x, bx, bx, bx, bc)
     assert g1.valid and g1.contains(F(0)) and g1.width < 1e-12
+
+
+def test_G_of_b_below_diagonal_is_G2():
+    """y < x: G_of_b is G2 exactly.  At beta = 1/2, 1/beta = 2 is an integer
+    power, so an unguarded G1 would be finite there and would win the max."""
+    bc = BC_HALF
+    x, y = Interval(0.7), Interval(0.3)
+    bx, by, bmid = b(x, bc), b(y, bc), b((x + y) * HALF, bc)
+    g2 = G2(x, y, bx, by, bmid, bc)
+    got = G_of_b(x, y, bc)
+    assert (got.lo, got.hi) == (g2.lo, g2.hi)
+    g1 = G1(x, y, bx, by, bmid, bc)
+    assert g1.valid and g1.lo > g2.hi
 
 
 def test_G_branch_selection(rng):

@@ -13,7 +13,6 @@ import _reference as ref
 from cubeiso import gauss
 from cubeiso.interval import (
     INVALID,
-    QUANTILE_TOL,
     SQRT2,
     Interval,
     _quantile_point,
@@ -337,9 +336,9 @@ def test_quantile_domain():
 
 def test_quantile_memo_matches_fresh_bisection():
     for p in (0.3, 1e-5, 0.5 + 2.0**-30, 0.99999):
-        fresh = _quantile_point.__wrapped__(p, QUANTILE_TOL)
-        assert _quantile_point(p, QUANTILE_TOL) == fresh
-        assert _quantile_point(p, QUANTILE_TOL) == fresh  # served from the memo
+        fresh = _quantile_point.__wrapped__(p)
+        assert _quantile_point(p) == fresh
+        assert _quantile_point(p) == fresh  # served from the memo
     # the J and J' point memos beside it
     for point in (gauss.j_point, gauss.jprime_point):
         for x in (0.2, 0.5, 0.55 + 2.0**-30, 0.999):
@@ -347,17 +346,6 @@ def test_quantile_memo_matches_fresh_bisection():
             assert fresh.valid
             assert (point(x).lo, point(x).hi) == (fresh.lo, fresh.hi)
             assert point(x) is point(x)  # served from the memo
-
-
-def test_quantile_memo_keys_on_tolerance():
-    # Deep in the tail the bisection runs, so the tolerance moves the bracket.
-    p, loose_tol = 2e-12, 2.0**-20
-    tight = _quantile_point(p, QUANTILE_TOL)
-    loose = _quantile_point(p, loose_tol)
-    assert loose == _quantile_point.__wrapped__(p, loose_tol)
-    assert loose[1] - loose[0] > tight[1] - tight[0]
-    q = normal_quantile(Interval(p), tol=loose_tol)
-    assert (q.lo, q.hi) == loose
 
 
 def test_gaussian_identities(rng):
