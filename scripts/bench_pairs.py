@@ -9,8 +9,10 @@ seed seed0 + k, the parent first on even k and the change first on odd k.
 A run is `python3 perfbench/run.py --workload W --seed S --seconds T` in the
 side's own directory, with T the change's BENCHMARK.json run_seconds, so
 every pass starts a fresh worker interpreter with cold caches.  With
---trace, one traced run per side and workload adds the per-layer metrics and
-their change/parent ratios.
+--trace, three traced runs per side and workload, on seeds seed0 + k for
+k = 0, 1, 2 and with the side that runs first alternating as above, add the
+per-layer metrics: every traced value, each side's median and the ratio of
+the medians.
 
 For each end-to-end metric the file holds every run, each side's median and
 quartiles (statistics.quantiles, exclusive method), the pairs the change
@@ -30,6 +32,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+TRACED_RUNS = 3
 
 
 def bench_run(checkout, workload, seed, seconds, trace=False):
@@ -72,6 +76,19 @@ def summarize(runs, better):
             "gain_rule_met": (wins >= 0.9 * len(runs)
                               and sign * (cs["median"] - ps["median"]) > ps["q3"] - ps["q1"]),
         }
+    return out
+
+
+def layer(name, traced):
+    """One per-layer metric over the traced runs: every value, each side's
+    median, and the change's median over the parent's."""
+    out = {}
+    for side, runs in traced.items():
+        values = [m[name] for m in runs if name in m]
+        out[side] = statistics.median(values) if values else None
+        out[f"{side}_runs"] = values
+    par, chg = out["parent"], out["change"]
+    out["change_over_parent"] = chg / par if par and chg is not None else None
     return out
 
 
@@ -126,15 +143,16 @@ def main(argv=None):
             entry["summary"] = summarize(entry["runs"], better)
             save()
         if args.trace and "trace" not in entry:
-            traced = {side: bench_run(path, workload, args.seed0, seconds, trace=True)
-                      for side, path in sides.items()}
-            par, chg = traced["parent"]["metrics"], traced["change"]["metrics"]
+            traced = {"parent": [], "change": []}
+            for k in range(TRACED_RUNS):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = bench_run(sides[side], workload, args.seed0 + k, seconds, trace=True)
+                    traced[side].append(run["metrics"])
+                    print(f"{workload} seed {args.seed0 + k} {side}: traced", flush=True)
             entry["trace"] = {
-                "seed": args.seed0,
-                "layers": {name: {"parent": par[name], "change": chg.get(name),
-                                  "change_over_parent": (chg.get(name, 0) / par[name]
-                                                         if par[name] else None)}
-                           for name in par},
+                "seeds": [args.seed0 + k for k in range(TRACED_RUNS)],
+                "layers": {name: layer(name, traced) for name in traced["parent"][0]},
             }
             save()
     return 0

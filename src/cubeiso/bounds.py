@@ -317,7 +317,7 @@ def _mean_value(formula, x: Interval, y: Interval, bc: BetaConsts):
         mv = fc + g.dx * ex + g.dy * ey
         if not mv.valid:
             return naive
-        return Interval._raw(max(naive.lo, mv.lo), min(naive.hi, mv.hi))
+        return Interval(max(naive.lo, mv.lo), min(naive.hi, mv.hi))
 
     if isinstance(over, tuple):
         return tuple(map(form, at_c, over))

@@ -232,8 +232,11 @@ def j_range(k: int, xlo: float, xhi: float) -> Interval:
     if not (va.valid and vb.valid):
         return INVALID
     x0 = profile_constants().x0
+    out = object.__new__(Interval)  # both ends come from valid enclosures
     if k % 2 == 1 or xlo > x0.hi:
-        return Interval(vb.lo, va.hi)
-    if xhi < x0.lo:
-        return Interval(va.lo, vb.hi)
-    return Interval(min(va.lo, vb.lo), _jk_peak(k).hi)
+        out.lo, out.hi = vb.lo, va.hi
+    elif xhi < x0.lo:
+        out.lo, out.hi = va.lo, vb.hi
+    else:
+        out.lo, out.hi = min(va.lo, vb.lo), _jk_peak(k).hi
+    return out

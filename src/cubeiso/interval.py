@@ -8,24 +8,34 @@ with an inf/inf corner, ...) return the designated Invalid value, which
 absorbs all further arithmetic.
 
 Outward rounding is realized by post-hoc next-representable stepping rather
-than FPU rounding-mode control, so the module is pure Python and thread-safe.
-Additions and subtractions recover the exact rounding error with a 2Sum step
-and only widen when the float result is inexact.  Products, quotients and
-integer powers share one rule: take the float result at each corner, take
-the min and max, and step an end one float outward only when a corner
+than FPU rounding-mode control, so the module is pure Python and
+thread-safe.  Additions and subtractions recover the exact rounding error of
+each end with one 2Sum step (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+26, 2005) and only widen when the float result is inexact; an end whose sum
+or error is not finite goes through _add_down/_add_up.  Products, quotients
+and integer powers share one rule: take the float result at each corner,
+take the min and max, and step an end one float outward only when a corner
 result equal to it is not provably exact.  Exact are a zero or infinite
 factor or dividend, a product of small integers, and scaling by a power of
-two that stays in the normal range; an overflowed result never is.
-Rounding is monotone, so for finite and infinite endpoints alike this gives
-the ends that rounding every corner outward gives, and nextafter(+-inf,
--+inf) = +-MAX makes a lower end that overflowed to +inf the largest float,
-as directed rounding does.  An integer power applies the rule at each step
-of its repeated multiplication of the end magnitudes.  A product of
-nonnegative factors and an even power keep a lower end of at least 0, where
-stepping an underflowed 0.0 down would give -2^-1074.  Library
-transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
-by 2 ulp on each side; this assumption is exercised empirically by the
-randomized containment suite against a high-precision oracle.
+two (a lookup in _POW2) that stays in the normal range; an overflowed result
+never is.  Rounding is monotone, so for finite and infinite endpoints alike
+this gives the ends that rounding every corner outward gives, and
+nextafter(+-inf, -+inf) = +-MAX makes a lower end that overflowed to +inf
+the largest float, as directed rounding does.  When each factor, or the
+dividend, has both ends nonzero and of one sign, the signs name the corners
+that give the ends (Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, SIAM 2009), and only those two are computed and tested for
+exactness.  An exact one may tie with an inexact corner, which then moves
+its end.  A product with a point factor has no other corners, so the two
+settle that as well; otherwise an exact one falls back to all four corners,
+as do operands with a zero, an infinite or a straddling end.  An integer
+power applies the rule at each step of its repeated multiplication of the
+end magnitudes.  A product of nonnegative factors and an even power keep a
+lower end of at least 0, where stepping an underflowed 0.0 down would give
+-2^-1074.  Library transcendentals (exp, log) are assumed correct to <= 1
+ulp and are widened by 2 ulp on each side; this assumption is exercised
+empirically by the randomized containment suite against a high-precision
+oracle.
 
 The Gaussian cdf at a float 0 < |t| <= 4.5 is 1/2 + (2 pi)^(-1/2) t P(t^2),
 with P(x) = int_0^1 exp(-x s^2/2) ds evaluated as a Maclaurin polynomial in
@@ -57,6 +67,10 @@ _INF = math.inf
 _MAX = sys.float_info.max
 _MIN_NORMAL = sys.float_info.min
 _nextafter = math.nextafter
+_new = object.__new__
+
+# +-2^k for every power of two a double holds, the subnormal ones included
+_POW2 = frozenset(s * math.ldexp(1.0, k) for k in range(-1074, 1024) for s in (1.0, -1.0))
 
 ScalarLike = Union[int, float, Fraction]
 
@@ -121,14 +135,7 @@ def _mul_exact(a: float, b: float, p: float) -> bool:
     if math.isinf(p):  # an infinite factor, or overflow
         return math.isinf(a) or math.isinf(b)
     # scaling by a power of two is exact unless the result underflows
-    if abs(p) >= _MIN_NORMAL:
-        ma, _ = math.frexp(a)
-        if ma == 0.5 or ma == -0.5:
-            return True
-        mb, _ = math.frexp(b)
-        if mb == 0.5 or mb == -0.5:
-            return True
-    return False
+    return (a in _POW2 or b in _POW2) and abs(p) >= _MIN_NORMAL
 
 
 def _div_exact(a: float, b: float, q: float) -> bool:
@@ -137,11 +144,7 @@ def _div_exact(a: float, b: float, q: float) -> bool:
     overflow or an underflow does not."""
     if a == 0.0 or math.isinf(a):
         return True
-    if abs(q) >= _MIN_NORMAL and not math.isinf(q):
-        mb, _ = math.frexp(b)
-        if mb == 0.5 or mb == -0.5:
-            return True
-    return False
+    return _MIN_NORMAL <= abs(q) < _INF and b in _POW2
 
 
 def _hull(a: float, b: float, c: float, d: float,
@@ -160,16 +163,19 @@ def _hull(a: float, b: float, c: float, d: float,
     if ((ac == hi and not exact(a, c, ac)) or (ad == hi and not exact(a, d, ad))
             or (bc == hi and not exact(b, c, bc)) or (bd == hi and not exact(b, d, bd))):
         hi = _up(hi)
-    return Interval._raw(lo, hi)
+    out = _new(Interval)
+    out.lo = lo
+    out.hi = hi
+    return out
 
 
-def _pow_mag(v: float, n: int, step) -> float:
+def _pow_mag(v: float, n: int, toward: float) -> float:
     """v**n for v >= 0 by repeated multiplication, each product not provably
-    exact moved one float by step (_down or _up)."""
+    exact moved one float toward -inf or +inf."""
     r = v
     for _ in range(n - 1):
         p = r * v
-        r = p if _mul_exact(r, v, p) else step(p)
+        r = p if _mul_exact(r, v, p) else _nextafter(p, toward)
     return r
 
 
@@ -178,7 +184,12 @@ def _pow_mag(v: float, n: int, step) -> float:
 # ---------------------------------------------------------------------------
 
 class Interval:
-    """A closed interval [lo, hi] of extended reals, or Invalid (NaN ends)."""
+    """A closed interval [lo, hi] of extended reals, or Invalid (NaN ends).
+
+    The constructor checks its ends.  The arithmetic operators and the
+    elementary functions build their results with _new and two slot stores,
+    as their ends are well formed by construction.
+    """
 
     __slots__ = ("lo", "hi")
 
@@ -198,31 +209,22 @@ class Interval:
 
     @staticmethod
     def invalid() -> "Interval":
-        iv = Interval.__new__(Interval)
-        iv.lo = math.nan
-        iv.hi = math.nan
-        return iv
-
-    @staticmethod
-    def _raw(lo: float, hi: float) -> "Interval":
-        iv = Interval.__new__(Interval)
-        iv.lo = lo
-        iv.hi = hi
-        return iv
+        return Interval(math.nan)
 
     @staticmethod
     def from_fraction(fr: ScalarLike) -> "Interval":
         """Width-minimal interval containing an exact rational."""
         fr = Fraction(fr)
-        f = float(fr)
-        if math.isinf(f):
-            return Interval._raw(_MAX, _INF) if f > 0 else Interval._raw(-_INF, -_MAX)
+        try:
+            f = float(fr)
+        except OverflowError:  # beyond the float range
+            return Interval(_MAX, _INF) if fr > 0 else Interval(-_INF, -_MAX)
         ff = Fraction(f)
         if ff == fr:
-            return Interval._raw(f, f)
+            return Interval(f)
         if ff < fr:
-            return Interval._raw(f, _up(f))
-        return Interval._raw(_down(f), f)
+            return Interval(f, _up(f))
+        return Interval(_down(f), f)
 
     # -- predicates ---------------------------------------------------------
 
@@ -263,56 +265,135 @@ class Interval:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Interval":
-        other = _coerce(other)
+        if other.__class__ is not Interval:
+            other = _coerce(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        lo = a + c
+        hi = b + d
+        # 2Sum: elo and ehi are the exact rounding errors of lo and hi
+        v = lo - a
+        w = hi - b
+        elo = (a - (lo - v)) + (c - v)
+        ehi = (b - (hi - w)) + (d - w)
+        if elo - elo == 0.0 and ehi - ehi == 0.0:  # both finite
+            out = _new(Interval)
+            out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
+            out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
+            return out
         if not (self.valid and other.valid):
             return INVALID
-        return Interval._raw(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
+        return Interval(_add_down(a, c), _add_up(b, d))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        other = _coerce(other)
+        if other.__class__ is not Interval:
+            other = _coerce(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        lo = a - d
+        hi = b - c
+        # 2Sum of a + (-d) and b + (-c), as in __add__
+        v = lo - a
+        w = hi - b
+        elo = (a - (lo - v)) + (-d - v)
+        ehi = (b - (hi - w)) + (-c - w)
+        if elo - elo == 0.0 and ehi - ehi == 0.0:
+            out = _new(Interval)
+            out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
+            out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
+            return out
         if not (self.valid and other.valid):
             return INVALID
-        return Interval._raw(_sub_down(self.lo, other.hi), _sub_up(self.hi, other.lo))
+        return Interval(_sub_down(a, d), _sub_up(b, c))
 
     def __rsub__(self, other) -> "Interval":
         return _coerce(other).__sub__(self)
 
     def __neg__(self) -> "Interval":
-        if not self.valid:
-            return INVALID
-        return Interval._raw(-self.hi, -self.lo)
+        out = _new(Interval)  # exact; NaN ends stay NaN
+        out.lo = -self.hi
+        out.hi = -self.lo
+        return out
 
     def __mul__(self, other) -> "Interval":
-        other = _coerce(other)
+        if other.__class__ is not Interval:
+            other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        # Factors of one sign each: p*q is the lowest corner, r*s the highest.
+        # An infinite end lies in one of them and makes it exact.
+        corners = None
+        if 0.0 < a:
+            if 0.0 < c:
+                corners = a, c, b, d
+            elif d < 0.0:
+                corners = b, c, a, d
+        elif b < 0.0:
+            if 0.0 < c:
+                corners = a, d, b, c
+            elif d < 0.0:
+                corners = b, d, a, c
+        if corners is not None:
+            p, q, r, s = corners
+            lo = p * q
+            hi = r * s
+            lo_exact = _mul_exact(p, q, lo)
+            hi_exact = _mul_exact(r, s, hi)
+            # With a point factor, p*q and r*s are all the corners, so they
+            # alone decide the tie rule of _hull.
+            if not (lo_exact or hi_exact) or a == b or c == d:
+                tie = lo == hi
+                out = _new(Interval)
+                out.hi = hi if hi_exact and (lo_exact or not tie) else _nextafter(hi, _INF)
+                if not lo_exact or (tie and not hi_exact):
+                    lo = _nextafter(lo, -_INF)
+                    if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
+                        lo = 0.0
+                out.lo = lo
+                return out
         if a != a or c != c:
             return INVALID
-        ac = a * c
-        if a == b and c == d:
-            if not _mul_exact(a, c, ac):
-                lo = _down(ac)
-                return Interval._raw(0.0 if lo < 0.0 <= min(a, c) else lo, _up(ac))
-            return Interval._raw(ac, ac) if ac == ac else ZERO  # 0 * inf is 0
-        ad, bc, bd = a * d, b * c, b * d
+        ac, ad, bc, bd = a * c, a * d, b * c, b * d
         if ac != ac or ad != ad or bc != bc or bd != bd:
             # 0 * inf: the factor 0 is exact, so the product is 0
             ac, ad, bc, bd = (0.0 if p != p else p for p in (ac, ad, bc, bd))
         out = _hull(a, b, c, d, ac, ad, bc, bd, _mul_exact)
         if out.lo < 0.0 <= min(a, c):  # x, y >= 0: an underflowed x*y stops at 0
-            return Interval._raw(0.0, out.hi)
+            out.lo = 0.0
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        other = _coerce(other)
+        if other.__class__ is not Interval:
+            other = _coerce(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        # A dividend of one sign by a finite divisor of one sign: p/q is the
+        # lowest corner, r/s the highest.  An infinite end of the dividend
+        # lies in one of them and makes it exact.
+        corners = None
+        if 0.0 < c and d < _INF:
+            if 0.0 < a:
+                corners = a, d, b, c
+            elif b < 0.0:
+                corners = a, c, b, d
+        elif d < 0.0 and -_INF < c:
+            if 0.0 < a:
+                corners = b, d, a, c
+            elif b < 0.0:
+                corners = b, c, a, d
+        if corners is not None:
+            p, q, r, s = corners
+            lo = p / q
+            hi = r / s
+            if not (_div_exact(p, q, lo) or _div_exact(r, s, hi)):
+                out = _new(Interval)
+                out.lo = _nextafter(lo, -_INF)
+                out.hi = _nextafter(hi, _INF)
+                return out
         if not (self.valid and other.valid):
             return INVALID
-        if other.lo <= 0.0 <= other.hi:
+        if c <= 0.0 <= d:
             return INVALID
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
         ac, ad, bc, bd = a / c, a / d, b / c, b / d
         if ac != ac or ad != ad or bc != bc or bd != bd:  # inf / inf
             return INVALID
@@ -328,34 +409,35 @@ class Interval:
         if a >= 0.0:
             return self
         if b <= 0.0:
-            return Interval._raw(-b, -a)
-        return Interval._raw(0.0, max(-a, b))
+            return -self
+        return Interval(0.0, max(-a, b))
 
     def min(self, other) -> "Interval":
         other = _coerce(other)
         if not (self.valid and other.valid):
             return INVALID
-        return Interval._raw(min(self.lo, other.lo), min(self.hi, other.hi))
+        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
 
     def max(self, other) -> "Interval":
         other = _coerce(other)
         if not (self.valid and other.valid):
             return INVALID
-        return Interval._raw(max(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
     def hull(self, other: "Interval") -> "Interval":
         if not (self.valid and other.valid):
             return INVALID
-        return Interval._raw(min(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- elementary functions ------------------------------------------------
 
     def sqrt(self) -> "Interval":
         if not self.valid or self.lo < 0.0:
             return INVALID
-        lo = 0.0 if self.lo == 0.0 else max(0.0, _down(math.sqrt(self.lo)))
-        hi = self.hi if math.isinf(self.hi) else _up(math.sqrt(self.hi))
-        return Interval._raw(lo, hi)
+        out = _new(Interval)
+        out.lo = 0.0 if self.lo == 0.0 else max(0.0, _down(math.sqrt(self.lo)))
+        out.hi = self.hi if math.isinf(self.hi) else _up(math.sqrt(self.hi))
+        return out
 
     def exp(self) -> "Interval":
         if not self.valid:
@@ -378,17 +460,21 @@ class Interval:
                 hi = _up(_up(math.exp(self.hi)))
             except OverflowError:
                 hi = _INF
-        return Interval._raw(lo, hi)
+        out = _new(Interval)
+        out.lo = lo
+        out.hi = hi
+        return out
 
     def log(self) -> "Interval":
         if not self.valid or self.lo <= 0.0:
             return INVALID
-        lo = 0.0 if self.lo == 1.0 else _down(_down(math.log(self.lo)))
+        out = _new(Interval)
+        out.lo = 0.0 if self.lo == 1.0 else _down(_down(math.log(self.lo)))
         if self.hi == 1.0:
-            hi = 0.0
+            out.hi = 0.0
         else:
-            hi = _INF if math.isinf(self.hi) else _up(_up(math.log(self.hi)))
-        return Interval._raw(lo, hi)
+            out.hi = _INF if math.isinf(self.hi) else _up(_up(math.log(self.hi)))
+        return out
 
     def ipow(self, n: int) -> "Interval":
         """Integer power, tight on the dependency x**n (not x*x*...*x)."""
@@ -400,13 +486,16 @@ class Interval:
             return ONE / self.ipow(-n)
         if n == 1:
             return self
+        out = _new(Interval)
         if n % 2 == 0:
             m = abs(self)  # x**n >= 0, also where the lower end underflows
-            return Interval._raw(max(_pow_mag(m.lo, n, _down), 0.0), _pow_mag(m.hi, n, _up))
+            out.lo = max(_pow_mag(m.lo, n, -_INF), 0.0)
+            out.hi = _pow_mag(m.hi, n, _INF)
+            return out
         lo, hi = self.lo, self.hi
-        rlo = -_pow_mag(-lo, n, _up) if lo < 0.0 else _pow_mag(lo, n, _down)
-        rhi = -_pow_mag(-hi, n, _down) if hi < 0.0 else _pow_mag(hi, n, _up)
-        return Interval._raw(rlo, rhi)
+        out.lo = -_pow_mag(-lo, n, _INF) if lo < 0.0 else _pow_mag(lo, n, -_INF)
+        out.hi = -_pow_mag(-hi, n, -_INF) if hi < 0.0 else _pow_mag(hi, n, _INF)
+        return out
 
     def pow(self, p) -> "Interval":
         """Real power x**p, for p an Interval or anything _coerce takes.
@@ -429,10 +518,12 @@ class Interval:
             if p.lo > 0.0:
                 if self.hi == 0.0:
                     return ZERO
-                tip = Interval._raw(self.hi, self.hi)._pow_pos(p)
+                if self.hi == _INF:
+                    return Interval(0.0, _INF)
+                tip = Interval(self.hi)._pow_pos(p)
                 if not tip.valid:
                     return INVALID
-                return Interval._raw(0.0, tip.hi)
+                return Interval(0.0, tip.hi)
             return INVALID
         return self._pow_pos(p)
 
@@ -443,25 +534,24 @@ class Interval:
 def _coerce(x) -> Interval:
     if isinstance(x, Interval):
         return x
-    if isinstance(x, Fraction):
+    if isinstance(x, float) or (isinstance(x, int) and -(2**53) <= x <= 2**53):
+        out = _new(Interval)
+        out.lo = out.hi = float(x)
+        return out
+    if isinstance(x, (int, Fraction)):  # an int beyond 2^53 may not be a float
         return Interval.from_fraction(x)
-    if isinstance(x, (int, float)):
-        f = float(x)
-        if isinstance(x, int) and f != x:
-            return Interval.from_fraction(x)
-        return Interval._raw(f, f)
     raise TypeError(f"cannot use {type(x).__name__} as an interval")
 
 
 INVALID = Interval.invalid()
-ZERO = Interval._raw(0.0, 0.0)
-ONE = Interval._raw(1.0, 1.0)
-HALF = Interval._raw(0.5, 0.5)
-TWO = Interval._raw(2.0, 2.0)
+ZERO = Interval(0.0)
+ONE = Interval(1.0)
+HALF = Interval(0.5)
+TWO = Interval(2.0)
 
-PI = Interval._raw(_down(math.pi), _up(math.pi))
-LOG2 = Interval._raw(2.0, 2.0).log()
-LOG10 = Interval._raw(10.0, 10.0).log()
+PI = Interval(_down(math.pi), _up(math.pi))
+LOG2 = TWO.log()
+LOG10 = Interval(10.0).log()
 SQRT2 = TWO.sqrt()
 SQRT_TWO_PI = (TWO * PI).sqrt()
 INV_SQRT_TWO_PI = ONE / SQRT_TWO_PI
@@ -575,8 +665,8 @@ def _cdf_series(t: float) -> Interval:
     """Phi at a float 0 < |t| <= _SERIES_CUT, via the series."""
     y, e_horner, e_coeff, e_arg, e_trunc = _series_terms(t)
     e = e_horner + e_coeff + e_arg + e_trunc
-    p = Interval._raw(_sub_down(y, e), _add_up(y, e))
-    return HALF + INV_SQRT_TWO_PI * (Interval._raw(t, t) * p)
+    p = Interval(_sub_down(y, e), _add_up(y, e))
+    return HALF + INV_SQRT_TWO_PI * (Interval(t) * p)
 
 
 def _upper_tail(z: Interval) -> Interval:
@@ -586,8 +676,8 @@ def _upper_tail(z: Interval) -> Interval:
     acc_hi = ((((Interval(105.0) * iz2 - 15.0) * iz2 + 3.0) * iz2 - 1.0) * iz2) + 1.0
     acc_lo = acc_hi - Interval(945.0) * iz2.ipow(5)
     dens = INV_SQRT_TWO_PI * (-(z.ipow(2)) * HALF).exp()
-    out = (dens / z) * Interval._raw(max(acc_lo.lo, 0.0), acc_hi.hi)
-    return Interval._raw(max(out.lo, 0.0), out.hi)
+    out = (dens / z) * Interval(max(acc_lo.lo, 0.0), acc_hi.hi)
+    return Interval(max(out.lo, 0.0), out.hi)
 
 
 def _cdf_point(t: float) -> Interval:
@@ -596,12 +686,12 @@ def _cdf_point(t: float) -> Interval:
     a = abs(t)
     if a <= _SERIES_CUT:
         res = _cdf_series(t)
-        return Interval._raw(max(res.lo, 0.0), min(res.hi, 1.0))
-    tail = _upper_tail(Interval._raw(a, a))
+        return Interval(max(res.lo, 0.0), min(res.hi, 1.0))
+    tail = _upper_tail(Interval(a))
     if t < 0.0:
         return tail
     res = ONE - tail
-    return Interval._raw(res.lo, min(res.hi, 1.0))
+    return Interval(res.lo, min(res.hi, 1.0))
 
 
 def normal_pdf(t: Interval) -> Interval:
@@ -616,7 +706,7 @@ def normal_cdf(t: Interval) -> Interval:
         return INVALID
     lo = 0.0 if t.lo == -_INF else _cdf_point(t.lo).lo
     hi = 1.0 if t.hi == _INF else _cdf_point(t.hi).hi
-    return Interval._raw(max(lo, 0.0), min(hi, 1.0))
+    return Interval(max(lo, 0.0), min(hi, 1.0))
 
 
 QUANTILE_TOL = 2.0**-46
@@ -697,4 +787,4 @@ def normal_quantile(p: Interval) -> Interval:
             bhi = _quantile_point(p.hi)[1]
     except QuantileError:
         return INVALID
-    return Interval._raw(alo, bhi)
+    return Interval(alo, bhi)

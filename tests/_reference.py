@@ -8,9 +8,12 @@ ipow_directed are frozen copies of the per-operand rounding rule, which
 rounds every endpoint product or quotient outward on its own, exactness
 tests included, plus three rules of their own: a quotient with an inf/inf
 corner is Invalid, and a product of nonnegative factors and an even power
-have a lower end of at least 0.  They take
-from the kernel only the Interval type and its INVALID and ONE values, and
-Interval's ×, ÷ and ipow must give their ends bit for bit.  One exception is
+have a lower end of at least 0.  add_directed and sub_directed round the
+exact Fraction sum of each pair of ends in its direction, with the kernel's
+conventions for inf - inf and overflow.  They take from the kernel only
+the Interval type and its INVALID and ONE values, and Interval's ×, ÷, ipow,
++ and − must give their ends bit for bit (×: up to the sign of a zero
+end).  One exception is
 built from the interval kernel: cdf_series_interval, the Gaussian cdf series
 evaluated with one interval operation per term, which the float Horner
 evaluation must never be wider than.  check_tiling_fractions is a general
@@ -396,7 +399,7 @@ def mul_four_products(x: Interval, y: Interval) -> Interval:
     if a >= 0.0 and c >= 0.0 and lo < 0.0:
         lo = 0.0  # an underflowed product of nonnegative factors
     hi = max(_mul_up(a, c), _mul_up(a, d), _mul_up(b, c), _mul_up(b, d))
-    return Interval._raw(lo, hi)
+    return Interval(lo, hi)
 
 
 def div_eight_quotients(x: Interval, y: Interval) -> Interval:
@@ -411,7 +414,7 @@ def div_eight_quotients(x: Interval, y: Interval) -> Interval:
         return INVALID  # inf / inf, whatever the corner order
     lo = min(_div_down(a, c), _div_down(a, d), _div_down(b, c), _div_down(b, d))
     hi = max(_div_up(a, c), _div_up(a, d), _div_up(b, c), _div_up(b, d))
-    return Interval._raw(lo, hi)
+    return Interval(lo, hi)
 
 
 def ipow_directed(x: Interval, n: int) -> Interval:
@@ -427,11 +430,48 @@ def ipow_directed(x: Interval, n: int) -> Interval:
         return x
     if n % 2 == 0:
         m = abs(x)  # x**n >= 0: an underflowed lower end stops at 0
-        return Interval._raw(max(_pow_mag_down(m.lo, n), 0.0), _pow_mag_up(m.hi, n))
+        return Interval(max(_pow_mag_down(m.lo, n), 0.0), _pow_mag_up(m.hi, n))
     lo, hi = x.lo, x.hi
     rlo = -_pow_mag_up(-lo, n) if lo < 0.0 else _pow_mag_down(lo, n)
     rhi = -_pow_mag_down(-hi, n) if hi < 0.0 else _pow_mag_up(hi, n)
-    return Interval._raw(rlo, rhi)
+    return Interval(rlo, rhi)
+
+
+def _sum_directed(a: float, b: float, down: bool) -> float:
+    """a + b rounded down (or up) from the exact rational sum.  With an
+    infinite term the sum is that infinity, and inf + -inf is -inf down and
+    +inf up.  A sum beyond the float range rounds to +-MAX or +-inf by
+    direction.  An exact zero has the sign of the float sum."""
+    if math.isinf(a) or math.isinf(b):
+        toward = -math.inf if down else math.inf
+        return toward if toward in (a, b) else a + b
+    s = Fraction(a) + Fraction(b)
+    if s == 0:
+        return a + b
+    if s > _MAX:
+        return _MAX if down else math.inf
+    if s < -_MAX:
+        return -math.inf if down else -_MAX
+    f = float(s)
+    if Fraction(f) == s:
+        return f
+    if down:
+        return f if Fraction(f) < s else _down(f)
+    return f if Fraction(f) > s else _up(f)
+
+
+def add_directed(x: Interval, y: Interval) -> Interval:
+    """[x.lo + y.lo rounded down, x.hi + y.hi rounded up]."""
+    if not (x.valid and y.valid):
+        return INVALID
+    return Interval(_sum_directed(x.lo, y.lo, True), _sum_directed(x.hi, y.hi, False))
+
+
+def sub_directed(x: Interval, y: Interval) -> Interval:
+    """[x.lo - y.hi rounded down, x.hi - y.lo rounded up]."""
+    if not (x.valid and y.valid):
+        return INVALID
+    return Interval(_sum_directed(x.lo, -y.hi, True), _sum_directed(x.hi, -y.lo, False))
 
 
 def series_coefficient(n: int) -> Fraction:

@@ -116,20 +116,30 @@ def _reference_cdf_point(t):
     return _cdf_point(t)
 
 
+_GRID = [1e-3 + k * (1.0 - 2e-3) / 200 for k in range(201)]
+
+
 def test_quantile_brackets_reach_tolerance_where_reference_does(monkeypatch):
     def reached(a, b):
         return b - a <= QUANTILE_TOL * max(1.0, abs(a), abs(b))
 
-    grid = [1e-3 + k * (1.0 - 2e-3) / 200 for k in range(201)]
-    got = {p: _quantile_point(p) for p in grid}
+    got = {p: _quantile_point(p) for p in _GRID}
     # the same bisection, run on the interval-per-term series
     monkeypatch.setattr(interval, "_cdf_point", _reference_cdf_point)
-    for p in grid:
+    for p in _GRID:
         a, b = got[p]
         ra, rb = _quantile_point.__wrapped__(p)
         assert b - a <= rb - ra
         assert reached(a, b) or not reached(ra, rb)
-    assert sum(reached(*got[p]) for p in grid) > 150
+    assert sum(reached(*got[p]) for p in _GRID) > 150
+
+
+def test_quantile_brackets_contain_the_quantile():
+    """Each bracket contains the quantile, by mpmath; the two tests above
+    check only widths."""
+    for p in _GRID + [1e-5, 1e-8]:
+        a, b = _quantile_point(p)
+        assert a <= mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1) <= b, p
 
 
 def test_quantile_bracket_in_series_tail():

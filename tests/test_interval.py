@@ -222,6 +222,58 @@ def test_mul_matches_four_product_rule(x, y):
         assert got.lo == want.lo and got.hi == want.hi
 
 
+@settings(max_examples=2000, deadline=None)
+@given(_mul_operands(), _mul_operands())
+def test_add_sub_match_directed_sums(x, y):
+    assert _same_ends(x + y, ref.add_directed(x, y))
+    assert _same_ends(x - y, ref.sub_directed(x, y))
+
+
+_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)
+# Each sign class, as points and as wider intervals, with zero, -0.0,
+# power-of-two, small-integer, subnormal, MAX and infinite ends.
+# [-1e-200, 0] * [1e-200, 1] has the exact corner 0 * 1e-200 tied with the
+# inexact -1e-200 * 1e-200, which underflows to the same 0.
+_FIXED_OPERANDS = (
+    Interval(0.3, 0.7), Interval(-2.3, -1.1), Interval(0.1), Interval(-0.1),
+    Interval(1.0, math.nextafter(1.0, math.inf)), Interval(-3.0, math.nextafter(-3.0, 0.0)),
+    Interval(1.0, 3.0), Interval(-6.0, -2.0), Interval(3.0), Interval(-0.25), Interval(0.5, 0.75),
+    Interval(0.0), Interval(-0.0), Interval(-0.0, 0.0), Interval(0.0, 2.0), Interval(-1.5, -0.0),
+    Interval(-0.3, 0.7), Interval(-1e-200, 0.0), Interval(1e-200), Interval(1e-200, 1.0),
+    Interval(_TINY), Interval(1e-310, 1e-300), Interval(-1e-200, -_TINY),
+    Interval(_MAX), Interval(-_MAX, -1.0), Interval(1e300, _MAX),
+    Interval(1.0, math.inf), Interval(-math.inf, -2.0), Interval(_MAX, math.inf),
+    Interval(0.0, math.inf), Interval(-math.inf, 0.0), Interval(-math.inf, math.inf), INVALID,
+)
+
+
+def test_arithmetic_matches_references_on_fixed_operands():
+    """Every pair of _FIXED_OPERANDS, so that every path of ×, ÷, + and −
+    runs on each tier-1 run: both extreme corners inexact, an exact one, a
+    point factor, the four-corner fallback, the clamp at 0, the 2Sum test
+    and its non-finite fallback."""
+    for x in _FIXED_OPERANDS:
+        for y in _FIXED_OPERANDS:
+            # == ignores the sign of a zero end, as test_mul_matches_four_product_rule does
+            assert x * y == ref.mul_four_products(x, y), (x, y)
+            assert _same_ends(x / y, ref.div_eight_quotients(x, y)), (x, y)
+            assert _same_ends(x + y, ref.add_directed(x, y)), (x, y)
+            assert _same_ends(x - y, ref.sub_directed(x, y)), (x, y)
+
+
+def test_rationals_beyond_the_float_range_are_one_sided():
+    """A rational or int beyond the float range is [MAX, inf] or [-inf, -MAX],
+    also where an operator coerces it."""
+    for big in (10**400, F(10**400, 3)):
+        assert Interval.from_fraction(big) == Interval(_MAX, math.inf)
+        assert Interval.from_fraction(-big) == Interval(-math.inf, -_MAX)
+    assert Interval(1.0) * 10**400 == Interval(_MAX, math.inf)
+    assert Interval(1.0) * -(10**400) == Interval(-math.inf, -_MAX)
+    assert Interval(1.0) - 10**400 == Interval(-math.inf, math.nextafter(-_MAX, 0.0))
+    assert Interval(0.0) + (2**53 + 1) == Interval(2.0**53, 2.0**53 + 2)  # above 2^53: not a float
+
+
 def test_mul_rounds_every_tied_extremal_product():
     # 0 * 1e-200 is exact, -1e-200 * 1e-200 underflows to the same 0 and is
     # not: the upper end must step above zero, as rounding all four does.
@@ -249,6 +301,10 @@ def _same_float(u, v):
     if u != u or v != v:
         return u != u and v != v
     return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+
+
+def _same_ends(got, want):
+    return _same_float(got.lo, want.lo) and _same_float(got.hi, want.hi)
 
 
 @settings(max_examples=3000, deadline=None)
