@@ -35,6 +35,7 @@ IPOW = T + "test_ipow_matches_directed_powers"
 ADD = T + "test_add_sub_match_directed_sums"
 TIE = T + "test_mul_rounds_every_tied_extremal_product"
 BIG = T + "test_rationals_beyond_the_float_range_are_one_sided"
+LEAST_NORMAL = T + "test_results_rounded_onto_the_least_normal_float_are_not_exact"
 GAUSS = "src/cubeiso/gauss.py"
 J_RANGE = ["tests/test_gauss.py::test_j_range_contains_derivatives",
            "tests/test_gauss.py::test_enclosure_straddling_peak"]
@@ -68,22 +69,34 @@ MUTANTS = [
     ("mul: wrong extreme corner", INTERVAL,
      "                corners = b, c, a, d\n        elif b < 0.0:",
      "                corners = a, c, b, d\n        elif b < 0.0:", [FIXED]),
+    ("mul: exactness of the lowest corner not tested", INTERVAL,
+     "if not _mul_exact(p, q, lo):", "if True:", [FIXED]),
     ("mul: exactness of the highest corner not tested", INTERVAL,
-     "hi_exact = _mul_exact(r, s, hi)", "hi_exact = False", [FIXED]),
+     "hi if _mul_exact(r, s, hi) else", "hi if False else", [FIXED]),
     ("mul: no clamp at 0 for positive factors", INTERVAL,
-     """                    if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
-                        lo = 0.0
+     """                if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
+                    lo = 0.0
 """, "", [FIXED]),
     ("div: wrong extreme corner", INTERVAL,
      "            if 0.0 < a:\n                corners = b, d, a, c",
      "            if 0.0 < a:\n                corners = a, d, b, c", [FIXED]),
-    ("div: exact-corner fallback dropped", INTERVAL,
-     "if not (_div_exact(p, q, lo) or _div_exact(r, s, hi)):", "if True:", [FIXED]),
+    ("div: exactness of the lowest corner not tested", INTERVAL,
+     "lo if _div_exact(p, q, lo) else", "lo if False else", [FIXED]),
+    ("div: exactness of the highest corner not tested", INTERVAL,
+     "hi if _div_exact(r, s, hi) else", "hi if False else", [FIXED]),
     # The inline 2Sum of + and −.
     ("add: 2Sum error sign flipped", INTERVAL,
      "elo = (a - (lo - v)) + (c - v)", "elo = -((a - (lo - v)) + (c - v))", [FIXED, ADD]),
     ("sub: 2Sum error sign flipped", INTERVAL,
      "ehi = (b - (hi - w)) + (-c - w)", "ehi = -((b - (hi - w)) + (-c - w))", [FIXED, ADD]),
+    ("mul_exact: a result rounded onto the least normal float exact", INTERVAL,
+     "(a in _POW2 or b in _POW2) and abs(p) > _MIN_NORMAL",
+     "(a in _POW2 or b in _POW2) and abs(p) >= _MIN_NORMAL", [LEAST_NORMAL]),
+    ("div_exact: a result rounded onto the least normal float exact", INTERVAL,
+     "return _MIN_NORMAL < abs(q) < _INF", "return _MIN_NORMAL <= abs(q) < _INF", [LEAST_NORMAL]),
+    ("hash: Invalid hashed by its NaN ends", INTERVAL,
+     "return hash((lo, self.hi)) if lo == lo else 0", "return hash((lo, self.hi))",
+     [T + "test_every_invalid_hashes_alike"]),
     # Rationals beyond the float range.
     ("from_fraction: overflow not caught", INTERVAL,
      "        try:\n            f = float(fr)\n        except OverflowError:",

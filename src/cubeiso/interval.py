@@ -11,31 +11,36 @@ Outward rounding is realized by post-hoc next-representable stepping rather
 than FPU rounding-mode control, so the module is pure Python and
 thread-safe.  Additions and subtractions recover the exact rounding error of
 each end with one 2Sum step (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
-26, 2005) and only widen when the float result is inexact; an end whose sum
-or error is not finite goes through _add_down/_add_up.  Products, quotients
-and integer powers share one rule: take the float result at each corner,
-take the min and max, and step an end one float outward only when a corner
-result equal to it is not provably exact.  Exact are a zero or infinite
-factor or dividend, a product of small integers, and scaling by a power of
-two (a lookup in _POW2) that stays in the normal range; an overflowed result
-never is.  Rounding is monotone, so for finite and infinite endpoints alike
-this gives the ends that rounding every corner outward gives, and
-nextafter(+-inf, -+inf) = +-MAX makes a lower end that overflowed to +inf
-the largest float, as directed rounding does.  When each factor, or the
-dividend, has both ends nonzero and of one sign, the signs name the corners
-that give the ends (Moore, Kearfott & Cloud, Introduction to Interval
-Analysis, SIAM 2009), and only those two are computed and tested for
-exactness.  An exact one may tie with an inexact corner, which then moves
-its end.  A product with a point factor has no other corners, so the two
-settle that as well; otherwise an exact one falls back to all four corners,
-as do operands with a zero, an infinite or a straddling end.  An integer
-power applies the rule at each step of its repeated multiplication of the
-end magnitudes.  A product of nonnegative factors and an even power keep a
-lower end of at least 0, where stepping an underflowed 0.0 down would give
--2^-1074.  Library transcendentals (exp, log) are assumed correct to <= 1
-ulp and are widened by 2 ulp on each side; this assumption is exercised
-empirically by the randomized containment suite against a high-precision
-oracle.
+26, 2005) and only widen when the float result is inexact; an infinite or
+overflowed sum has a NaN error, which steps its end, so a true +-inf stays
+and an overflow becomes +-MAX, as _add_down and _add_up give.  Products,
+quotients and integer powers share one rule: take the float result at each
+corner, take the min and max, and step an end one float outward only when a
+corner result equal to it is not provably exact.  Exact are a zero or
+infinite factor or dividend, a product of small integers, and scaling by a
+power of two (a lookup in _POW2) to a result above the least normal float,
+which a product or quotient just below it rounds up to; an overflowed
+result never is.  Rounding is monotone, so for finite and infinite
+endpoints alike this gives the ends that rounding every corner outward
+gives, and nextafter(+-inf, -+inf) = +-MAX makes a lower end that
+overflowed to +inf the largest float, as directed rounding does.  When each
+factor, or the dividend, has both ends nonzero and of one sign, the signs
+name the corners that give the ends (Moore, Kearfott & Cloud, Introduction
+to Interval Analysis, SIAM 2009), and only those two are computed and
+tested for exactness.  No other corner can round onto an exact one.  An exact
+result is normal or infinite, and a step at +-inf changes nothing.  For
+0 < a, 0 < c < d and ac exact with 2^E <= ac, the spacing above c exceeds
+c 2^-53, so ad - ac = a(d - c) > ac 2^-53 >= 2^(E-53), half the spacing
+above ac, and ad rounds above it; the spacing below d is at least d 2^-53,
+which keeps the other corners and the quotients off an exact end alike.
+Operands with a zero or a straddling end, and quotients by an infinite
+divisor, take all four corners.  An integer power applies the rule at each
+step of its repeated multiplication of the end magnitudes.  A product of
+nonnegative factors and an even power keep a lower end of at least 0, where
+stepping an underflowed 0.0 down would give -2^-1074.  Library
+transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
+by 2 ulp on each side; this assumption is exercised empirically by the
+randomized containment suite against a high-precision oracle.
 
 The Gaussian cdf at a float 0 < |t| <= 4.5 is 1/2 + (2 pi)^(-1/2) t P(t^2),
 with P(x) = int_0^1 exp(-x s^2/2) ds evaluated as a Maclaurin polynomial in
@@ -134,8 +139,9 @@ def _mul_exact(a: float, b: float, p: float) -> bool:
         return True
     if math.isinf(p):  # an infinite factor, or overflow
         return math.isinf(a) or math.isinf(b)
-    # scaling by a power of two is exact unless the result underflows
-    return (a in _POW2 or b in _POW2) and abs(p) >= _MIN_NORMAL
+    # scaling by a power of two is exact unless the result underflows; a
+    # result that rounds up onto the least normal float may have
+    return (a in _POW2 or b in _POW2) and abs(p) > _MIN_NORMAL
 
 
 def _div_exact(a: float, b: float, q: float) -> bool:
@@ -144,7 +150,7 @@ def _div_exact(a: float, b: float, q: float) -> bool:
     overflow or an underflow does not."""
     if a == 0.0 or math.isinf(a):
         return True
-    return _MIN_NORMAL <= abs(q) < _INF and b in _POW2
+    return _MIN_NORMAL < abs(q) < _INF and b in _POW2
 
 
 def _hull(a: float, b: float, c: float, d: float,
@@ -260,7 +266,8 @@ class Interval:
         return self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
+        lo = self.lo
+        return hash((lo, self.hi)) if lo == lo else 0  # every Invalid is equal
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -270,19 +277,16 @@ class Interval:
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         lo = a + c
         hi = b + d
-        # 2Sum: elo and ehi are the exact rounding errors of lo and hi
+        # 2Sum: elo and ehi are the exact rounding errors of lo and hi.  A NaN
+        # error, from an infinite or overflowed sum, steps its end.
         v = lo - a
         w = hi - b
         elo = (a - (lo - v)) + (c - v)
         ehi = (b - (hi - w)) + (d - w)
-        if elo - elo == 0.0 and ehi - ehi == 0.0:  # both finite
-            out = _new(Interval)
-            out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
-            out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
-            return out
-        if not (self.valid and other.valid):
-            return INVALID
-        return Interval(_add_down(a, c), _add_up(b, d))
+        out = _new(Interval)
+        out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
+        out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
+        return out
 
     __radd__ = __add__
 
@@ -297,14 +301,10 @@ class Interval:
         w = hi - b
         elo = (a - (lo - v)) + (-d - v)
         ehi = (b - (hi - w)) + (-c - w)
-        if elo - elo == 0.0 and ehi - ehi == 0.0:
-            out = _new(Interval)
-            out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
-            out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
-            return out
-        if not (self.valid and other.valid):
-            return INVALID
-        return Interval(_sub_down(a, d), _sub_up(b, c))
+        out = _new(Interval)
+        out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
+        out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
+        return out
 
     def __rsub__(self, other) -> "Interval":
         return _coerce(other).__sub__(self)
@@ -336,20 +336,14 @@ class Interval:
             p, q, r, s = corners
             lo = p * q
             hi = r * s
-            lo_exact = _mul_exact(p, q, lo)
-            hi_exact = _mul_exact(r, s, hi)
-            # With a point factor, p*q and r*s are all the corners, so they
-            # alone decide the tie rule of _hull.
-            if not (lo_exact or hi_exact) or a == b or c == d:
-                tie = lo == hi
-                out = _new(Interval)
-                out.hi = hi if hi_exact and (lo_exact or not tie) else _nextafter(hi, _INF)
-                if not lo_exact or (tie and not hi_exact):
-                    lo = _nextafter(lo, -_INF)
-                    if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
-                        lo = 0.0
-                out.lo = lo
-                return out
+            if not _mul_exact(p, q, lo):
+                lo = _nextafter(lo, -_INF)
+                if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
+                    lo = 0.0
+            out = _new(Interval)
+            out.lo = lo
+            out.hi = hi if _mul_exact(r, s, hi) else _nextafter(hi, _INF)
+            return out
         if a != a or c != c:
             return INVALID
         ac, ad, bc, bd = a * c, a * d, b * c, b * d
@@ -385,11 +379,10 @@ class Interval:
             p, q, r, s = corners
             lo = p / q
             hi = r / s
-            if not (_div_exact(p, q, lo) or _div_exact(r, s, hi)):
-                out = _new(Interval)
-                out.lo = _nextafter(lo, -_INF)
-                out.hi = _nextafter(hi, _INF)
-                return out
+            out = _new(Interval)
+            out.lo = lo if _div_exact(p, q, lo) else _nextafter(lo, -_INF)
+            out.hi = hi if _div_exact(r, s, hi) else _nextafter(hi, _INF)
+            return out
         if not (self.valid and other.valid):
             return INVALID
         if c <= 0.0 <= d:

@@ -301,8 +301,9 @@ def _mul_exact(a: float, b: float, p: float) -> bool:
     if a.is_integer() and b.is_integer() and abs(a) < 67108864.0 and abs(b) < 67108864.0:
         return True
     # scaling by a power of two is exact unless the result leaves the
-    # normal range (overflow is handled by the caller)
-    if abs(p) >= _MIN_NORMAL:
+    # normal range (overflow is handled by the caller); a result just below
+    # the least normal float rounds up onto it
+    if abs(p) > _MIN_NORMAL:
         ma, _ = math.frexp(a)
         if ma == 0.5 or ma == -0.5:
             return True
@@ -341,7 +342,7 @@ def _mul_up(a: float, b: float) -> float:
 def _div_exact(a: float, b: float, q: float) -> bool:
     if a == 0.0:
         return True
-    if abs(q) >= _MIN_NORMAL and not math.isinf(q):
+    if abs(q) > _MIN_NORMAL and not math.isinf(q):
         mb, _ = math.frexp(b)
         if mb == 0.5 or mb == -0.5:
             return True

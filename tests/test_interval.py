@@ -242,6 +242,7 @@ _FIXED_OPERANDS = (
     Interval(0.0), Interval(-0.0), Interval(-0.0, 0.0), Interval(0.0, 2.0), Interval(-1.5, -0.0),
     Interval(-0.3, 0.7), Interval(-1e-200, 0.0), Interval(1e-200), Interval(1e-200, 1.0),
     Interval(_TINY), Interval(1e-310, 1e-300), Interval(-1e-200, -_TINY),
+    Interval(sys.float_info.min, math.nextafter(sys.float_info.min, 1.0)), Interval(1.0 - 2.0**-53, 1.0),
     Interval(_MAX), Interval(-_MAX, -1.0), Interval(1e300, _MAX),
     Interval(1.0, math.inf), Interval(-math.inf, -2.0), Interval(_MAX, math.inf),
     Interval(0.0, math.inf), Interval(-math.inf, 0.0), Interval(-math.inf, math.inf), INVALID,
@@ -251,8 +252,8 @@ _FIXED_OPERANDS = (
 def test_arithmetic_matches_references_on_fixed_operands():
     """Every pair of _FIXED_OPERANDS, so that every path of ×, ÷, + and −
     runs on each tier-1 run: both extreme corners inexact, an exact one, a
-    point factor, the four-corner fallback, the clamp at 0, the 2Sum test
-    and its non-finite fallback."""
+    point factor, the four-corner path, the clamp at 0, and the 2Sum test
+    with finite, infinite and overflowed sums."""
     for x in _FIXED_OPERANDS:
         for y in _FIXED_OPERANDS:
             # == ignores the sign of a zero end, as test_mul_matches_four_product_rule does
@@ -260,6 +261,30 @@ def test_arithmetic_matches_references_on_fixed_operands():
             assert _same_ends(x / y, ref.div_eight_quotients(x, y)), (x, y)
             assert _same_ends(x + y, ref.add_directed(x, y)), (x, y)
             assert _same_ends(x - y, ref.sub_directed(x, y)), (x, y)
+
+
+def test_results_rounded_onto_the_least_normal_float_are_not_exact():
+    """2^-1022 (1 - 2^-53) lies half a subnormal step below the least normal
+    float and rounds up onto it, also as (2^-1021 - 2^-1074) / 2: a factor or
+    divisor that is a power of two does not make such a result exact."""
+    m = sys.float_info.min
+    below_one, below_2m = 1.0 - 2.0**-53, math.nextafter(2.0 * m, 0.0)
+    for s in (1, -1):
+        cases = ((Interval(s * m) * Interval(below_one), s * F(m) * F(below_one)),
+                 (Interval(below_one) * Interval(s * m), s * F(m) * F(below_one)),
+                 (Interval(s * below_2m) * Interval(0.5), s * F(below_2m) / 2),
+                 (Interval(s * below_2m) / Interval(2.0), s * F(below_2m) / 2),
+                 (Interval(m, math.nextafter(m, 1.0)) * Interval(s * below_one), s * F(m) * F(below_one)))
+        for out, exact in cases:
+            assert F(out.lo) <= exact <= F(out.hi), (out, exact)
+
+
+def test_every_invalid_hashes_alike():
+    """Arithmetic on Invalid gives new intervals with NaN ends; they equal
+    INVALID, so they must hash like it, or memo lookups miss."""
+    for bad in (-INVALID, INVALID + 1.0, Interval(2.0) - INVALID, INVALID * Interval(0.3, 0.7),
+                Interval(math.nan)):
+        assert bad == INVALID and hash(bad) == hash(INVALID)
 
 
 def test_rationals_beyond_the_float_range_are_one_sided():
