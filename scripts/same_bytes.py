@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two checkouts emit the same certificate bytes.
+"""Check that two checkouts emit the same certificate and oracle bytes.
 
     python3 scripts/same_bytes.py --parent DIR --change DIR
 
@@ -11,8 +11,11 @@ differs or exists on one side only is printed, and so is a differing exit
 code.  A differing certificate (.cert or .cert.json) is printed with its
 rect count on each side, and a differing summary.json with the claims whose
 rects, margin or reference_margin_met differ, so the rect and margin table
-of a declared certificate change can be read off the output.  The exit code
-is 1 on any difference and 0 otherwise.
+of a declared certificate change can be read off the output.
+
+Then each checkout runs the oracle commands of ORACLE_COMMANDS once, and
+their stdout (the CSV where a command writes one) and exit codes are
+compared.  The exit code is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -25,15 +28,32 @@ import sys
 import tempfile
 
 WORKER_ARGS = {"--threads 1": ["--threads", "1"], "default": [], "--threads 4": ["--threads", "4"]}
+ORACLE_COMMANDS = [
+    *(["plot-data", "--figure", f] for f in ("bounds", "failure", "envelopes")),
+    *(["oracle-profile", "--n", str(n), "--beta", "1"] for n in range(1, 5)),
+    *(["poincare", "--n", str(n), "--p", p] for n in range(1, 5) for p in ("1.00113", "2")),
+    ["envelope", "--beta", "1", "--depth", "6"],
+]
+
+
+def cli(checkout: str, argv: list[str], stdout=subprocess.DEVNULL):
+    """The CLI of checkout's own src/ run on argv."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(checkout), "src")}
+    return subprocess.run([sys.executable, "-m", "cubeiso.cli", *argv], cwd=checkout, env=env,
+                          stdout=stdout)
 
 
 def emit(checkout: str, extra: list[str], out: str) -> int:
     """verify-all of checkout into the directory out; its exit code."""
     os.makedirs(out)
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(checkout), "src")}
-    cmd = [sys.executable, "-m", "cubeiso.cli", "verify-all", "--emit", out,
-           "--summary-json", os.path.join(out, "summary.json"), *extra]
-    return subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL).returncode
+    argv = ["verify-all", "--emit", out, "--summary-json", os.path.join(out, "summary.json")]
+    return cli(checkout, [*argv, *extra]).returncode
+
+
+def oracle_outputs(checkout: str) -> list[tuple[int, bytes]]:
+    """The exit code and stdout of each of ORACLE_COMMANDS in checkout."""
+    procs = (cli(checkout, argv, stdout=subprocess.PIPE) for argv in ORACLE_COMMANDS)
+    return [(p.returncode, p.stdout) for p in procs]
 
 
 def read(path: str) -> bytes | None:
@@ -105,6 +125,13 @@ def main() -> int:
         same = same and not differ and codes["parent"] == codes["change"]
         print(f"{label}: {len(names) - len(differ)} of {len(names)} files identical, "
               f"exit codes {codes['parent']} and {codes['change']}")
+    outputs = zip(oracle_outputs(args.parent), oracle_outputs(args.change))
+    differ = [" ".join(argv) for argv, (p, c) in zip(ORACLE_COMMANDS, outputs) if p != c]
+    for command in differ:
+        print(f"oracle: {command} differs")
+    same = same and not differ
+    print(f"oracle: {len(ORACLE_COMMANDS) - len(differ)} of {len(ORACLE_COMMANDS)} "
+          f"outputs identical")
     return 0 if same else 1
 
 

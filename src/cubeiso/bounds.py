@@ -222,17 +222,9 @@ class Grad:
         o = _lift(other)
         return Grad(self.v - o.v, self.dx - o.dx, self.dy - o.dy)
 
-    def __neg__(self) -> "Grad":
-        return Grad(-self.v, -self.dx, -self.dy)
-
     def __mul__(self, other) -> "Grad":
         o = _lift(other)
         return Grad(self.v * o.v, self.dx * o.v + self.v * o.dx, self.dy * o.v + self.v * o.dy)
-
-    def __truediv__(self, other) -> "Grad":
-        o = _lift(other)
-        q = self.v / o.v
-        return Grad(q, (self.dx - q * o.dx) / o.v, (self.dy - q * o.dy) / o.v)
 
     def ipow(self, n: int) -> "Grad":
         return self.pow(n)

@@ -324,4 +324,5 @@ def summary_table(reports: list[ClaimReport]) -> str:
             f"{r.claim_id:<10s}  {'ok' if r.ok else 'FAIL':<4s}"
             f"  {margin:<12s}  {r.rect_count:<6d}  {ref:<10s}  {met:<4s}  {r.seconds:.2f}"
         )
+        rows.extend(f"  note: {note}" for note in r.notes)
     return "\n".join(rows)

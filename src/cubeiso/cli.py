@@ -149,25 +149,24 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    import numpy as np
+
     from . import oracle
 
-    arr = oracle.poincare_exhaustive(args.n, args.p)
-    pops = oracle._popcounts(args.n)
-    nverts = 1 << args.n
+    lhs_p, rhs_p = oracle.poincare_exhaustive(args.n, args.p)[1:-1].T  # proper subsets
+    base = lhs_p / rhs_p  # NaN where both underflow to 0, and never the worst
+    violations = np.count_nonzero(lhs_p < rhs_p - 1e-15)
+    # The ratio is base^(1/p) with Python's pow, as numpy's may round
+    # otherwise, and the worst is the first least one.  A base whose power
+    # can round onto the least power lies within p 2^-50 of the least base.
+    cut = np.nanmin(base) * (1.0 + args.p * 2.0**-50)
     worst_ratio = math.inf
     worst_mask = None
-    violations = 0
-    for mask in range(arr.shape[0]):
-        k = int(pops[mask])
-        if k == 0 or k == nverts:
-            continue
-        lhs_p, rhs_p = arr[mask]
-        ratio = (lhs_p / rhs_p) ** (1.0 / args.p)
+    for i in np.flatnonzero(base <= cut):
+        ratio = float(base[i]) ** (1.0 / args.p)
         if ratio < worst_ratio:
             worst_ratio = ratio
-            worst_mask = mask
-        if lhs_p < rhs_p - 1e-15:
-            violations += 1
+            worst_mask = int(i) + 1
     print(f"n={args.n} p={args.p}: min ||grad f||_p / ||f - Ef||_p = {worst_ratio:.12f} "
           f"at mask {worst_mask}; {violations} subsets below 1")
     return 0 if worst_ratio >= args.threshold else 1
@@ -268,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-all", help="prove every claim and scalar check")
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=_ranged(int, 0), default=None)
     p.add_argument("--emit", default=None, help="directory for certificates")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_ranged(int, 1), default=None,
                    help="worker processes for the 19 (claim, run) units (default: "
                         "the CPUs available, at most 19; 1 runs in-process)")
     p.add_argument("--summary-json", default=None)
@@ -278,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="prove a single claim")
     p.add_argument("--claim", required=True)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=_ranged(int, 0), default=None)
     p.add_argument("--emit", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", help="prove a claim and emit certificates")
     p.add_argument("--claim", required=True)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=_ranged(int, 0), default=None)
     p.add_argument("--out-dir", default=None,
                    help=f"certificate directory (default ${CERT_DIR_ENV} or ./certificates)")
     p.set_defaults(func=_cmd_certify)

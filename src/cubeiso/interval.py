@@ -13,7 +13,8 @@ thread-safe.  Additions and subtractions recover the exact rounding error of
 each end with one 2Sum step (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
 26, 2005) and only widen when the float result is inexact; an infinite or
 overflowed sum has a NaN error, which steps its end, so a true +-inf stays
-and an overflow becomes +-MAX, as _add_down and _add_up give.  Products,
+and an overflow becomes +-MAX, as directed rounding gives.  This is the one
+directed sum in the module: the cdf series and width use it too.  Products,
 quotients and integer powers share one rule: take the float result at each
 corner, take the min and max, and step an end one float outward only when a
 corner result equal to it is not provably exact.  Exact are a zero or
@@ -90,43 +91,6 @@ def _up(x: float) -> float:
 
 def _down(x: float) -> float:
     return _nextafter(x, -_INF)
-
-
-def _add_down(a: float, b: float) -> float:
-    if math.isinf(a) or math.isinf(b):
-        s = a + b
-        return -_INF if s != s else s  # inf + -inf: no information, round to -inf
-    s = a + b
-    if math.isinf(s):
-        # overflow of a finite true sum
-        return _MAX if s > 0 else s
-    bv = s - a
-    if math.isinf(bv):
-        return _down(s)
-    err = (a - (s - bv)) + (b - bv)
-    return s if err >= 0 else _down(s)
-
-
-def _add_up(a: float, b: float) -> float:
-    if math.isinf(a) or math.isinf(b):
-        s = a + b
-        return _INF if s != s else s
-    s = a + b
-    if math.isinf(s):
-        return s if s > 0 else -_MAX
-    bv = s - a
-    if math.isinf(bv):
-        return _up(s)
-    err = (a - (s - bv)) + (b - bv)
-    return s if err <= 0 else _up(s)
-
-
-def _sub_down(a: float, b: float) -> float:
-    return _add_down(a, -b)
-
-
-def _sub_up(a: float, b: float) -> float:
-    return _add_up(a, -b)
 
 
 def _mul_exact(a: float, b: float, p: float) -> bool:
@@ -240,7 +204,7 @@ class Interval:
 
     @property
     def width(self) -> float:
-        return _sub_up(self.hi, self.lo)
+        return (self - Interval(self.lo, _INF)).hi
 
     @property
     def mid(self) -> float:
@@ -528,8 +492,11 @@ def _coerce(x) -> Interval:
     if isinstance(x, Interval):
         return x
     if isinstance(x, float) or (isinstance(x, int) and -(2**53) <= x <= 2**53):
+        x = float(x)
+        if not -_INF < x < _INF:
+            return Interval(x)  # checked: NaN is Invalid, an infinite point is refused
         out = _new(Interval)
-        out.lo = out.hi = float(x)
+        out.lo = out.hi = x
         return out
     if isinstance(x, (int, Fraction)):  # an int beyond 2^53 may not be a float
         return Interval.from_fraction(x)
@@ -658,8 +625,7 @@ def _cdf_series(t: float) -> Interval:
     """Phi at a float 0 < |t| <= _SERIES_CUT, via the series."""
     y, e_horner, e_coeff, e_arg, e_trunc = _series_terms(t)
     e = e_horner + e_coeff + e_arg + e_trunc
-    p = Interval(_sub_down(y, e), _add_up(y, e))
-    return HALF + INV_SQRT_TWO_PI * (Interval(t) * p)
+    return HALF + INV_SQRT_TWO_PI * (Interval(t) * (Interval(y) + Interval(-e, e)))
 
 
 def _upper_tail(z: Interval) -> Interval:
@@ -668,8 +634,7 @@ def _upper_tail(z: Interval) -> Interval:
     # partial sums: ... + 105/z^8 is an upper bound, ... - 945/z^10 a lower one
     acc_hi = ((((Interval(105.0) * iz2 - 15.0) * iz2 + 3.0) * iz2 - 1.0) * iz2) + 1.0
     acc_lo = acc_hi - Interval(945.0) * iz2.ipow(5)
-    dens = INV_SQRT_TWO_PI * (-(z.ipow(2)) * HALF).exp()
-    out = (dens / z) * Interval(max(acc_lo.lo, 0.0), acc_hi.hi)
+    out = normal_pdf(z) / z * Interval(max(acc_lo.lo, 0.0), acc_hi.hi)
     return Interval(max(out.lo, 0.0), out.hi)
 
 

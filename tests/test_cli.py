@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -224,6 +225,25 @@ def test_verify_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "g_tail"],
+    ["verify-all"],
+], ids=" ".join)
+def test_failed_side_condition_is_printed_under_its_claim(capsys, monkeypatch, argv):
+    """A failing g_tail side condition fails the claim with its reason on
+    stdout; g_tail alone stands in for verify-all's registry."""
+    monkeypatch.setattr(claims, "tail_side_conditions",
+                        lambda: [("tail_exponent", True), ("tail_c2_le_0.4", False)])
+    monkeypatch.setattr(claims, "run_all", lambda **kw: [claims.run_claim("g_tail")])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("g_tail "))
+    assert "FAIL" in lines[row]
+    assert lines[row + 1] == "  note: side condition failed: tail_c2_le_0.4"
+    assert "tail_exponent" not in captured.out and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["poincare", "--n", "5", "--p", "2"],
     ["oracle-profile", "--n", "5", "--beta", "1"],
     ["oracle-profile", "--n", "0", "--beta", "1"],
@@ -241,8 +261,15 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     ["oracle-profile", "--n", "2", "--beta", "0"],
     ["oracle-profile", "--n", "2", "--beta", "-1"],
     ["poincare", "--n", "2", "--p", "2", "--threshold", "nan"],
+    ["verify-all", "--threads", "0"],
+    ["verify-all", "--threads", "-3"],
+    ["verify-all", "--max-depth", "-1"],
+    ["verify", "--claim", "g_Q_1", "--max-depth", "-1"],
+    ["certify", "--claim", "g_Q_1", "--max-depth", "-1"],
 ], ids=" ".join)
 def test_out_of_range_oracle_argument_exits_2_without_traceback(capsys, argv):
+    """Out-of-range values of the oracle commands' arguments, and of
+    --threads and --max-depth, are usage errors."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -300,6 +327,36 @@ def test_envelope_csv(tmp_path):
 def test_poincare_command(capsys):
     assert main(["poincare", "--n", "3", "--p", "2.0"]) == 0
     assert "min" in capsys.readouterr().out
+
+
+def _poincare_by_loop(n, p):
+    """The worst ratio, its mask and the violation count by a plain loop
+    over the proper subsets: the reference for the command's numpy scan."""
+    from cubeiso import oracle
+
+    arr = oracle.poincare_exhaustive(n, p)
+    worst_ratio, worst_mask, violations = math.inf, None, 0
+    for mask in range(1, arr.shape[0] - 1):  # the proper subsets
+        lhs_p, rhs_p = arr[mask]
+        ratio = (lhs_p / rhs_p) ** (1.0 / p)
+        if ratio < worst_ratio:
+            worst_ratio, worst_mask = ratio, mask
+        if lhs_p < rhs_p - 1e-15:
+            violations += 1
+    return worst_ratio, worst_mask, violations
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", ["0.7", "1.00113", "3.3", "60"])
+def test_poincare_command_matches_the_loop_over_every_mask(capsys, n, p):
+    """Same line and exit code as the loop, also where x^(1/p) maps
+    neighbouring ratios to one float (large p)."""
+    worst_ratio, worst_mask, violations = _poincare_by_loop(n, float(p))
+    code = main(["poincare", "--n", str(n), "--p", p])
+    assert code == (0 if worst_ratio >= 1.0 else 1)
+    assert capsys.readouterr().out == (
+        f"n={n} p={float(p)}: min ||grad f||_p / ||f - Ef||_p = {worst_ratio:.12f} "
+        f"at mask {worst_mask}; {violations} subsets below 1\n")
 
 
 def test_plot_data_failure_series(tmp_path):

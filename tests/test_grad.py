@@ -70,8 +70,8 @@ def test_atom_derivative_encloses_mpmath(name, rng):
 
 def _expr(x, y, ipow, pow_, sqrt):
     """Every Grad operation once, written for Grads and for mpf alike."""
-    u = ipow(x * y - x / y, 2) + pow_(-x + y * 3.0, 1.5)
-    return sqrt(u) / (y - x) - ipow(x, 3) * 0.5
+    u = ipow(x * y - x * x, 2) + pow_(y * 3.0 - x, 1.5)
+    return sqrt(u) * (y - x) - ipow(x, 3) * 0.5 + ipow(y, -2)
 
 
 def _grad_expr(x, y):
