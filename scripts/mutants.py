@@ -40,6 +40,10 @@ GAUSS = "src/cubeiso/gauss.py"
 J_RANGE = ["tests/test_gauss.py::test_j_range_contains_derivatives",
            "tests/test_gauss.py::test_enclosure_straddling_peak"]
 PARTITION = "src/cubeiso/partition.py"
+ORACLE = "src/cubeiso/oracle.py"
+O = "tests/test_oracle.py::"
+CLI = "src/cubeiso/cli.py"
+C = "tests/test_cli.py::"
 P = "tests/test_partition.py::"
 
 MUTANTS = [
@@ -112,6 +116,9 @@ MUTANTS = [
      "if _cdf_point(a).hi < p and _cdf_point(b).lo > p:",
      "if _cdf_point(a).lo < p and _cdf_point(b).hi > p:",
      ["tests/test_cdf_series.py::test_quantile_brackets_contain_the_quantile"]),
+    ("quantile: the seed takes 1/q of a subnormal q", INTERVAL,
+     "        q = max(q, _MIN_NORMAL)  # 1/q is finite\n", "",
+     ["tests/test_cdf_series.py::test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid"]),
     # The range rule for J and its derivatives.
     ("j_range: straddle upper end without the peak", GAUSS,
      "min(va.lo, vb.lo), _jk_peak(k).hi", "min(va.lo, vb.lo), max(va.hi, vb.hi)", J_RANGE),
@@ -126,6 +133,20 @@ MUTANTS = [
     ("bounds: midpoint without its 1/2", "src/cubeiso/bounds.py",
      "    return (x + y) * HALF\n", "    return x + y\n",
      ["tests/test_bounds.py::test_bound_is_true_lower_bound"]),
+    # The oracle's table of h and |A|.
+    ("oracle: h table without the last direction", ORACLE,
+     "    for i in range(n):\n        h += member", "    for i in range(n - 1):\n        h += member",
+     [O + "test_tables_match_the_definitional_loop"]),
+    ("oracle: set sizes counted on the boundary only", ORACLE,
+     "member.sum(axis=0, dtype=np.int8)", "(h > 0).sum(axis=0, dtype=np.int8)",
+     [O + "test_tables_match_the_definitional_loop"]),
+    # The poincare command's verdict.
+    ("poincare: violations counted with an absolute slack", CLI,
+     "lhs_p < rhs_p * (1.0 - 2.0**-40)", "lhs_p < rhs_p - 1e-15",
+     [C + "test_poincare_counts_violations_where_the_powers_are_tiny"]),
+    ("poincare: a pass without a finite ratio", CLI,
+     "math.isfinite(worst_ratio) and worst_ratio >= args.threshold", "worst_ratio >= args.threshold",
+     [C + "test_poincare_without_a_finite_ratio_fails"]),
     # The certificate parser and the tiling check.
     ("parser: a rect of another dimension accepted", PARTITION,
      "_rect(r, is_integer, (2 * dom.n,))", "_rect(r, is_integer)",

@@ -30,8 +30,9 @@ import tempfile
 WORKER_ARGS = {"--threads 1": ["--threads", "1"], "default": [], "--threads 4": ["--threads", "4"]}
 ORACLE_COMMANDS = [
     *(["plot-data", "--figure", f] for f in ("bounds", "failure", "envelopes")),
-    *(["oracle-profile", "--n", str(n), "--beta", "1"] for n in range(1, 5)),
+    *(["oracle-profile", "--n", str(n), "--beta", b] for b in ("1", "0.5") for n in range(1, 5)),
     *(["poincare", "--n", str(n), "--p", p] for n in range(1, 5) for p in ("1.00113", "2")),
+    *(["poincare", "--n", str(n), "--p", "8"] for n in range(2, 5)),  # the listed p with violations
     ["envelope", "--beta", "1", "--depth", "6"],
 ]
 

@@ -63,11 +63,6 @@ class Claim:
     reference_margin: Optional[Fraction]
     max_depth: int = MAX_DEPTH_DEFAULT
 
-    @property
-    def kind(self) -> str:
-        """partition1 or partition2, after the dimension of the domain."""
-        return f"partition{self.runs[0].domain.n}"
-
 
 @dataclass
 class RunReport:

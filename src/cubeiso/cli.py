@@ -155,7 +155,8 @@ def _cmd_poincare(args) -> int:
 
     lhs_p, rhs_p = oracle.poincare_exhaustive(args.n, args.p)[1:-1].T  # proper subsets
     base = lhs_p / rhs_p  # NaN where both underflow to 0, and never the worst
-    violations = np.count_nonzero(lhs_p < rhs_p - 1e-15)
+    # relative, so that the count holds where the p-th powers are tiny
+    violations = np.count_nonzero(lhs_p < rhs_p * (1.0 - 2.0**-40))
     # The ratio is base^(1/p) with Python's pow, as numpy's may round
     # otherwise, and the worst is the first least one.  A base whose power
     # can round onto the least power lies within p 2^-50 of the least base.
@@ -169,7 +170,7 @@ def _cmd_poincare(args) -> int:
             worst_mask = int(i) + 1
     print(f"n={args.n} p={args.p}: min ||grad f||_p / ||f - Ef||_p = {worst_ratio:.12f} "
           f"at mask {worst_mask}; {violations} subsets below 1")
-    return 0 if worst_ratio >= args.threshold else 1
+    return 0 if math.isfinite(worst_ratio) and worst_ratio >= args.threshold else 1
 
 
 def _grid(depth: int) -> list[float]:
@@ -259,7 +260,15 @@ def _cube_dimension(text: str) -> int:
     return _ranged(int, 1, MAX_N_EXHAUSTIVE)(text)
 
 
+def _exponent(text: str) -> float:
+    """--beta and --p of the oracle commands, in (0, oracle.MAX_EXPONENT]."""
+    from .oracle import MAX_EXPONENT
+
+    return _ranged(float, 0.0, MAX_EXPONENT, low_open=True)(text)
+
+
 _cube_dimension.__name__ = "int"
+_exponent.__name__ = "float"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-profile", help="brute-force profile for small n")
     p.add_argument("--n", type=_cube_dimension, required=True)
-    p.add_argument("--beta", type=_ranged(float, 0.0, low_open=True), required=True)
+    p.add_argument("--beta", type=_exponent, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle_profile)
 
     p = sub.add_parser("envelope", help="envelope approximation as CSV")
-    p.add_argument("--beta", type=_ranged(float, 0.0, low_open=True), required=True)
+    p.add_argument("--beta", type=_exponent, required=True)
     p.add_argument("--depth", type=_ranged(int, 0, 10), required=True)  # envelope_approx's cap
     p.add_argument("--refine", type=_ranged(int, 0), default=None)
     p.add_argument("--out", default=None)
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="exhaustive Poincare comparison")
     p.add_argument("--n", type=_cube_dimension, required=True)
-    p.add_argument("--p", type=_ranged(float, 0.0, low_open=True), required=True)
+    p.add_argument("--p", type=_exponent, required=True)
     p.add_argument("--threshold", type=_ranged(float), default=1.0)
     p.set_defaults(func=_cmd_poincare)
 

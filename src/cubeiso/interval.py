@@ -679,6 +679,7 @@ def _quantile_seed(p: float) -> float:
     # Newton on the float cdf; only used as a seed, never trusted.
     if p < 0.02 or p > 0.98:
         q = min(p, 1.0 - p)
+        q = max(q, _MIN_NORMAL)  # 1/q is finite
         t = math.sqrt(max(2.0 * math.log(1.0 / q) - math.log(2.0 * math.pi), 1e-8))
         t = math.copysign(t, p - 0.5)
     else:

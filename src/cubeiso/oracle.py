@@ -8,13 +8,15 @@ A subset A of {0,1}^n is a bitmask over the 2^n vertices.  h_A(x) counts the
 edges from a member vertex x to the complement (0 off A), E f is the uniform
 average 2^-n sum f(x), and the beta-moment is E h_A^beta with 0^beta := 0.
 
-Exhaustive sweeps (all 2^(2^n) subsets, n <= 4) are vectorized with numpy;
-single-subset operations accept n <= 5.
+Exhaustive sweeps (all 2^(2^n) subsets, n <= 4) are vectorized with numpy
+over one table of h and |A| per n; boundary_counts is the definitional loop
+for one subset, n <= 5.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +28,11 @@ F = Fraction
 
 MAX_N_EXHAUSTIVE = 4
 MAX_N = 5
+# The largest beta or p the oracle commands take: up to it, for every
+# n <= MAX_N_EXHAUSTIVE, the least term of the deviation power,
+# (2^-n)^p (1 - 2^-n), is a normal float, and n^beta is finite.
+MAX_EXPONENT = math.floor((1 - sys.float_info.min_exp + math.log2(1 - 2.0 ** -MAX_N_EXHAUSTIVE))
+                          / MAX_N_EXHAUSTIVE)
 
 
 @dataclass(frozen=True)
@@ -38,17 +45,6 @@ class CubeSubset:
             raise ValueError(f"n={self.n} outside 1..{MAX_N}")
         if not 0 <= self.mask < (1 << (1 << self.n)):
             raise ValueError("mask has bits beyond 2^n vertices")
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def measure(self) -> Fraction:
-        return F(self.size, 1 << self.n)
-
-    def complement(self) -> "CubeSubset":
-        full = (1 << (1 << self.n)) - 1
-        return CubeSubset(self.n, self.mask ^ full)
 
 
 def boundary_counts(a: CubeSubset) -> list[int]:
@@ -66,29 +62,9 @@ def boundary_counts(a: CubeSubset) -> list[int]:
     return out
 
 
-def beta_moment(a: CubeSubset, beta: float) -> float:
-    """E h_A^beta with 0^beta = 0."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    total = 0.0
-    for h in boundary_counts(a):
-        if h:
-            total += h ** beta
-    return total / (1 << a.n)
-
-
-def edge_boundary_sum(a: CubeSubset) -> int:
-    """sum_x h_A(x), an exact integer (twice nothing: each cut edge once)."""
-    return sum(boundary_counts(a))
-
-
 # ---------------------------------------------------------------------------
 # Hart's exact edge-isoperimetric profile
 # ---------------------------------------------------------------------------
-
-def binary_digit_sum(j: int) -> int:
-    return j.bit_count()
-
 
 def hart_profile(k: int, n: int) -> Fraction:
     """Exact minimum of E h_A over |A| = k 2^-n:
@@ -97,7 +73,7 @@ def hart_profile(k: int, n: int) -> Fraction:
     """
     if not 0 < k <= (1 << n):
         raise ValueError(f"k={k} outside 1..2^{n}")
-    s = sum(binary_digit_sum(j) for j in range(1, k))
+    s = sum(j.bit_count() for j in range(1, k))
     return F(k * n - 2 * s, 1 << n)
 
 
@@ -105,42 +81,38 @@ def hart_profile(k: int, n: int) -> Fraction:
 # Exhaustive profiles
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=MAX_N_EXHAUSTIVE)
+def _cube_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """h_A(x) for every mask A (row) and vertex x (column), dtype uint8, and
+    |A| 2^n for every mask, dtype int8."""
+    if n > MAX_N_EXHAUSTIVE:
+        raise ValueError(f"exhaustive enumeration capped at n={MAX_N_EXHAUSTIVE}")
+    verts = np.arange(1 << n)
+    masks = np.arange(1 << verts.size, dtype=np.uint32)
+    # vertex-major, so that each neighbour gather below moves whole rows
+    member = np.array([(masks >> v) & 1 == 1 for v in range(verts.size)])
+    h = np.zeros(member.shape, dtype=np.uint8)
+    for i in range(n):
+        h += member & ~member[verts ^ (1 << i)]
+    return np.ascontiguousarray(h.T), member.sum(axis=0, dtype=np.int8)
+
+
 def _h_table(n: int) -> np.ndarray:
-    """h vectors for every mask: shape (2^(2^n), 2^n), dtype uint8."""
-    if n > MAX_N_EXHAUSTIVE:
-        raise ValueError(f"exhaustive enumeration capped at n={MAX_N_EXHAUSTIVE}")
-    nverts = 1 << n
-    nmasks = 1 << nverts
-    masks = np.arange(nmasks, dtype=np.uint32 if nverts <= 16 else np.uint64)
-    h = np.zeros((nmasks, nverts), dtype=np.uint8)
-    member = np.zeros((nmasks, nverts), dtype=bool)
-    for v in range(nverts):
-        member[:, v] = (masks >> v) & 1 == 1
-    for v in range(nverts):
-        mv = member[:, v]
-        for i in range(n):
-            h[:, v] += (mv & ~member[:, v ^ (1 << i)]).astype(np.uint8)
-    return h
+    return _cube_tables(n)[0]
 
 
-@lru_cache(maxsize=8)
 def _popcounts(n: int) -> np.ndarray:
-    if n > MAX_N_EXHAUSTIVE:
-        raise ValueError(f"exhaustive enumeration capped at n={MAX_N_EXHAUSTIVE}")
-    return np.array([m.bit_count() for m in range(1 << (1 << n))], dtype=np.int8)
+    return _cube_tables(n)[1]
 
 
 def all_beta_moments(n: int, beta: float) -> np.ndarray:
-    """E h_A^beta for every mask, as float64."""
-    h = _h_table(n)
+    """E h_A^beta for every mask, as float64; exact at beta = 1, where it
+    sums at most 2^n small integers and divides by 2^n."""
     powtab = np.array([0.0] + [float(k) ** beta for k in range(1, n + 1)])
-    return powtab[h].sum(axis=1) / (1 << n)
-
-
-def all_edge_sums(n: int) -> np.ndarray:
-    """Integer sum_x h_A(x) for every mask."""
-    return _h_table(n).sum(axis=1, dtype=np.int64)
+    h = _h_table(n)
+    # 4096 rows at a time, so that the float copy of h stays at 512 KB
+    sums = [powtab[h[i:i + 4096]].sum(axis=1) for i in range(0, len(h), 4096)]
+    return np.concatenate(sums) / (1 << n)
 
 
 @dataclass(frozen=True)
@@ -148,32 +120,19 @@ class ProfilePoint:
     x: Fraction
     value: float
     argmin: CubeSubset
-    value_exact: Optional[Fraction] = None  # populated for beta = 1
 
 
 def profile_bruteforce(n: int, beta: float) -> list[ProfilePoint]:
-    """Minimum of E h_A^beta over all A with |A| = k 2^-n, for k = 0..2^n."""
-    if n > MAX_N_EXHAUSTIVE:
-        raise ValueError(f"exhaustive enumeration capped at n={MAX_N_EXHAUSTIVE}")
+    """Minimum of E h_A^beta over all A with |A| = k 2^-n, for k = 0..2^n,
+    with the first mask attaining it."""
+    vals = all_beta_moments(n, beta)
     pops = _popcounts(n)
-    nverts = 1 << n
     points = []
-    exact = beta == 1.0
-    vals = all_edge_sums(n).astype(np.float64) if exact else all_beta_moments(n, beta)
-    for k in range(nverts + 1):
-        sel = np.nonzero(pops == k)[0]
-        sub = vals[sel]
-        arg = int(sel[int(np.argmin(sub))])
-        best = float(sub.min())
-        if exact:
-            ve = F(int(best), 1 << n)
-            value = float(ve)
-        else:
-            ve = None
-            value = best
-        points.append(ProfilePoint(
-            x=F(k, nverts), value=value, argmin=CubeSubset(n, arg), value_exact=ve,
-        ))
+    for k in range((1 << n) + 1):
+        sel = np.flatnonzero(pops == k)
+        arg = int(sel[np.argmin(vals[sel])])
+        points.append(ProfilePoint(x=F(k, 1 << n), value=float(vals[arg]),
+                                   argmin=CubeSubset(n, arg)))
     return points
 
 
@@ -353,20 +312,11 @@ def envelope_approx(
 # Poincare and Bobkov checks
 # ---------------------------------------------------------------------------
 
-def poincare_check(a: CubeSubset, p: float) -> tuple[float, float]:
-    """(||grad f||_p, ||f - E f||_p) for f = 1_A.
-
-    ||grad f||_p^p = 2^-p (E h_A^{p/2} + E h_{A^c}^{p/2}) and
-    ||f - E f||_p^p = |A|^p (1-|A|) + |A| (1-|A|)^p.
-    """
-    lhs_p = 2.0 ** (-p) * (beta_moment(a, p / 2) + beta_moment(a.complement(), p / 2))
-    meas = float(a.measure())
-    rhs_p = meas ** p * (1 - meas) + meas * (1 - meas) ** p
-    return lhs_p ** (1 / p), rhs_p ** (1 / p)
-
-
 def poincare_exhaustive(n: int, p: float) -> np.ndarray:
-    """Array over all masks of ||grad||_p^p - and ||f-Ef||_p^p, stacked.
+    """||grad f||_p^p and ||f - E f||_p^p for f = 1_A, for every mask A:
+
+        ||grad f||_p^p = 2^-p (E h_A^{p/2} + E h_{A^c}^{p/2}),
+        ||f - E f||_p^p = |A|^p (1-|A|) + |A| (1-|A|)^p.
 
     Returns shape (nmasks, 2): column 0 the gradient side, column 1 the
     deviation side, both raised to the p-th power (monotone comparison).

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from cubeiso import interval
-from cubeiso.interval import QUANTILE_TOL, _cdf_point, _quantile_point, _series_terms
+from cubeiso.interval import (
+    QUANTILE_TOL,
+    Interval,
+    _cdf_point,
+    _quantile_point,
+    _series_terms,
+    normal_quantile,
+)
 
 mp.mp.dps = 40
 
@@ -140,6 +147,20 @@ def test_quantile_brackets_contain_the_quantile():
     for p in _GRID + [1e-5, 1e-8]:
         a, b = _quantile_point(p)
         assert a <= mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1) <= b, p
+
+
+def test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid():
+    """A subnormal p, whose 1/p overflows, gives a bracket that contains the
+    quantile, or Invalid where no cdf enclosure falls below p; never an
+    exception."""
+    brackets = 0
+    for p in (5e-324, 1e-323, 1.5e-323, 1e-320, 1e-315, 1e-310, 5e-309):
+        q = normal_quantile(Interval(p))
+        if q.valid:
+            true = mp.findroot(lambda t: mp.log(mp.ncdf(t)) - mp.log(p), -38)
+            assert q.lo <= true <= q.hi, p
+            brackets += 1
+    assert brackets >= 5 and normal_quantile(Interval(1e-310)).valid
 
 
 def test_quantile_bracket_in_series_tail():

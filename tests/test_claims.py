@@ -61,7 +61,7 @@ def test_registry_agrees_with_docs_table():
             )
             derived.append({
                 "claim_id": c.claim_id,
-                "kind": c.kind,
+                "kind": f"partition{run.domain.n}",
                 "fn_id": run.fn.fn_id,
                 "run_tag": run.run_tag,
                 "variant": run.fn.variant,

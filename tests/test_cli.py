@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, certificate round trips, CSV outputs."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -260,6 +262,10 @@ def test_failed_side_condition_is_printed_under_its_claim(capsys, monkeypatch, a
     ["oracle-profile", "--n", "2", "--beta", "inf"],
     ["oracle-profile", "--n", "2", "--beta", "0"],
     ["oracle-profile", "--n", "2", "--beta", "-1"],
+    ["oracle-profile", "--n", "3", "--beta", "2000"],
+    ["poincare", "--n", "3", "--p", "2000"],
+    ["poincare", "--n", "1", "--p", "1100"],
+    ["envelope", "--beta", "2000", "--depth", "2"],
     ["poincare", "--n", "2", "--p", "2", "--threshold", "nan"],
     ["verify-all", "--threads", "0"],
     ["verify-all", "--threads", "-3"],
@@ -341,7 +347,7 @@ def _poincare_by_loop(n, p):
         ratio = (lhs_p / rhs_p) ** (1.0 / p)
         if ratio < worst_ratio:
             worst_ratio, worst_mask = ratio, mask
-        if lhs_p < rhs_p - 1e-15:
+        if lhs_p < rhs_p * (1.0 - 2.0**-40):
             violations += 1
     return worst_ratio, worst_mask, violations
 
@@ -357,6 +363,23 @@ def test_poincare_command_matches_the_loop_over_every_mask(capsys, n, p):
     assert capsys.readouterr().out == (
         f"n={n} p={float(p)}: min ||grad f||_p / ||f - Ef||_p = {worst_ratio:.12f} "
         f"at mask {worst_mask}; {violations} subsets below 1\n")
+
+
+def test_poincare_counts_violations_where_the_powers_are_tiny(capsys):
+    """At p = 250 the p-th powers are far below any absolute slack; the
+    count is relative, so the 112 subsets below ratio 1 are all counted."""
+    assert main(["poincare", "--n", "4", "--p", "250"]) == 1
+    assert capsys.readouterr().out.endswith("; 112 subsets below 1\n")
+
+
+def test_poincare_without_a_finite_ratio_fails():
+    """At n = 1, p = 1100 (beyond --p's range) every p-th power underflows
+    to 0, so no ratio is finite: that is a failure, not a pass."""
+    from cubeiso import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 0/0 and an all-NaN min
+        assert cli._cmd_poincare(argparse.Namespace(n=1, p=1100.0, threshold=0.0)) == 1
 
 
 def test_plot_data_failure_series(tmp_path):
