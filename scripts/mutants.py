@@ -133,6 +133,11 @@ MUTANTS = [
     ("bounds: midpoint without its 1/2", "src/cubeiso/bounds.py",
      "    return (x + y) * HALF\n", "    return x + y\n",
      ["tests/test_bounds.py::test_bound_is_true_lower_bound"]),
+    ("bounds: g_QJ1 midpoint rounded to nearest", "src/cubeiso/bounds.py",
+     "    m = _mid(x, y)\n    jm = gauss.j_range(0, m.lo, m.hi)",
+     "    m = Interval(0.5 * (x.lo + y.lo), 0.5 * (x.hi + y.hi))\n"
+     "    jm = gauss.j_range(0, m.lo, m.hi)",
+     ["tests/test_bounds.py::test_derived_coordinates_are_enclosed_on_the_deepest_leaves[g_QJ_1]"]),
     # The oracle's table of h and |A|.
     ("oracle: h table without the last direction", ORACLE,
      "    for i in range(n):\n        h += member", "    for i in range(n - 1):\n        h += member",

@@ -50,6 +50,10 @@ and the BetaConsts of the parameters.  BoundFn accepts only the pairs in
 that table; BOUND_IDS lists its fn_ids in table order.
 
 Conventions:
+  * a coordinate derived from the box (x + h, (x + y)/2, (1/16 + y)/2 and
+    1 - x) is an Interval of the outward-rounded operators; gauss.j_range,
+    q_range, qprime_range, l_range and the g_J1 memos read only its ends,
+    which contain its range on any dyadic tiling, not only where it is exact;
   * J and its derivatives come from gauss.j_range, on every box, also
     where J' changes sign (g_QJ1 and g_P3 take the signed J');
   * Q is concave on [0, 3/4] for the exponents used here, which q_range
@@ -82,6 +86,7 @@ from fractions import Fraction
 
 from . import gauss
 from .funcs import (
+    BC_HALF,
     BETA0_DYADIC,
     L_INCREASING_BELOW,
     TWO_POW_M2BETA0,
@@ -143,7 +148,7 @@ def q_range(a: float, b: float, bc: BetaConsts) -> Interval:
             hi = qa.hi
         else:
             m = 0.5 * (a + b)
-            centered = Q(Interval(m), bc, 0) + qp * Interval(a - m, b - m)
+            centered = Q(Interval(m), bc, 0) + qp * (x - m)
             hi = centered.hi
         return Interval(lo, hi)
     return Q(x, bc, 0)
@@ -322,7 +327,7 @@ def _mean_value(formula, x: Interval, y: Interval, bc: BetaConsts):
 
 def g_JL_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Lower bound for -d^2/dx^2 [J(x) - L_beta(1-x)] = 2/J(x) + L''(1-x) on
-    [1/2, 2047/2048]; 1 - x is exact at dyadic endpoints."""
+    [1/2, 2047/2048]."""
     return TWO / gauss.j_range(0, x.lo, x.hi) + L(ONE - x, bc, 2)
 
 
@@ -387,8 +392,8 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     two remainders share the product c J6 h^e_6 but stay separate terms:
     xi1 and xi2 differ, so 1/720 - 1/23040 is not a coefficient of J6.
     """
-    xh_hi = x.hi + h.hi
-    at_xh = _j1_xh_factors(x.lo + h.lo, xh_hi, bc)
+    xh = x + h
+    at_xh = _j1_xh_factors(xh.lo, xh.hi, bc)
     at_x = _j1_x_factors(x.lo, x.hi, bc)
     if at_xh is None or at_x is None:
         return INVALID
@@ -401,7 +406,7 @@ def g_J1_bound(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out - inv_j * h2
     out = out + c * (d3 * h3 + d5 * h5)
     out = out + d4 * h4
-    rem = c * gauss.j_range(6, x.lo, xh_hi) * h6
+    rem = c * gauss.j_range(6, x.lo, xh.hi) * h6
     out = out + J1_C6_XI1 * rem
     out = out - J1_C6_XI2 * rem
     return out
@@ -471,10 +476,12 @@ def g_LJQ2_bound(y: Interval, beta: Interval, _bc_unused: BetaConsts) -> Interva
     jy = gauss.j_range(0, y.lo, y.hi)
     if not jy.valid:
         return INVALID
+    x = Interval(0.0625)
+    m = _mid(x, y)
     # Uncached: every beta interval has its own BetaConsts, so a q_range
     # memo entry made here would never be read again.
-    qm = q_range.__wrapped__(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
-    return G2(Interval(0.0625), y, lx, jy, qm, bc)
+    qm = q_range.__wrapped__(m.lo, m.hi, bc)
+    return G2(x, y, lx, jy, qm, bc)
 
 
 def _g_QJQ(x, y, bc: BetaConsts):
@@ -489,9 +496,8 @@ def g_QJQ_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
 
 def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     """-beta d/dx of the Q/J cross quantity, near the diagonal."""
-    m_lo = 0.5 * (x.lo + y.lo)
-    m_hi = 0.5 * (x.hi + y.hi)
-    jm = gauss.j_range(0, m_lo, m_hi)
+    m = _mid(x, y)
+    jm = gauss.j_range(0, m.lo, m.hi)
     if not jm.valid:
         return INVALID
     e = bc.inv_beta - ONE
@@ -500,7 +506,7 @@ def g_QJ1_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
         return INVALID
     a_pow = a_iv.pow(e)
     out = (y - x).pow(e)
-    out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
+    out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m.lo, m.hi)
     out = out - bc.c_pow_inv_beta * a_pow * qprime_range(x.lo, x.hi, bc)
     return out
 
@@ -516,11 +522,12 @@ def g_QJ2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
 
 def g_P2_bound(x: Interval, bc: BetaConsts) -> Interval:
     """2^(-2 beta0) (L_{1/2}(x) + J(1-x)) - 2 x (1-x) on [1/64, 1/4]."""
-    jx = gauss.j_range(0, 1.0 - x.hi, 1.0 - x.lo)
+    u = ONE - x
+    jx = gauss.j_range(0, u.lo, u.hi)
     if not jx.valid:
         return INVALID
-    lx = l_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
-    return TWO_POW_M2BETA0 * (lx + jx) - TWO * x * (ONE - x)
+    lx = l_range(x.lo, x.hi, BC_HALF)
+    return TWO_POW_M2BETA0 * (lx + jx) - TWO * x * u
 
 
 P3_B0 = Interval.from_fraction(BETA0_DYADIC)
@@ -530,12 +537,12 @@ P3_E2 = Interval.from_fraction(2 * BETA0_DYADIC)
 
 def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Negated x-derivative of the Poincare comparison on [1/4, 1/2]."""
-    qp = qprime_range(x.lo, x.hi, beta_consts(BetaParams(F(1, 2))))
-    out = -(HALF * qp)
-    out = out + TWO_POW_M2BETA0 * gauss.j_range(1, 1.0 - x.hi, 1.0 - x.lo)
-    out = out + x.pow(P3_E1) * (ONE - x)
+    u = ONE - x
+    out = -(HALF * qprime_range(x.lo, x.hi, BC_HALF))
+    out = out + TWO_POW_M2BETA0 * gauss.j_range(1, u.lo, u.hi)
+    out = out + x.pow(P3_E1) * u
     out = out - x
-    out = out + (ONE - x).pow(P3_E2)
+    out = out + u.pow(P3_E2)
     out = out - TWO * P3_B0 * x
     return out
 
@@ -547,6 +554,7 @@ TAIL_C1 = F(121, 100)
 TAIL_EXPONENT = F(57, 100000)
 TAIL_C2 = F(2, 5)
 TAIL_C3 = F(880)
+TAIL_INTERVALS = tuple(map(Interval.from_fraction, (TAIL_C1, TAIL_EXPONENT, TAIL_C2, TAIL_C3)))
 
 
 def _tail_c2(bc: BetaConsts) -> Interval:
@@ -583,7 +591,7 @@ def g_tail_high_bound(v: Interval, bc: BetaConsts) -> Interval:
 
     2 - 1.21 * 10^(0.00057 v) - 0.4 * 10^(-v/2) - 880 * 10^(-v)
     """
-    c1, e, c2, c3 = map(Interval.from_fraction, (TAIL_C1, TAIL_EXPONENT, TAIL_C2, TAIL_C3))
+    c1, e, c2, c3 = TAIL_INTERVALS
     out = TWO - c1 * _ten_pow(e * v)
     out = out - c2 * _ten_pow(-(v * HALF))
     out = out - c3 * _ten_pow(-v)

@@ -114,14 +114,10 @@ class BetaConsts:
         self.q1_c1 = Interval(4.0) * self.alpha0
         self.q1_c2 = Interval(8.0) * self.alpha1
         self.q2_c1 = Interval(16.0) * self.alpha1
-        if c.lo == 1.0 and c.hi == 1.0:
-            self.c_pow_inv_beta = ONE
-            self.c_pow_1m1b = ONE
-            self.c_pow_1m2b = ONE
-        else:
-            self.c_pow_inv_beta = c.pow(self.inv_beta)
-            self.c_pow_1m1b = c.pow(self._k_minus_inv_beta[1])
-            self.c_pow_1m2b = c.pow(ONE - TWO * self.inv_beta)
+        # c = 1 needs no case: log gives [0, 0], so every power is [1, 1]
+        self.c_pow_inv_beta = c.pow(self.inv_beta)
+        self.c_pow_1m1b = c.pow(self._k_minus_inv_beta[1])
+        self.c_pow_1m2b = c.pow(self.one_minus_2ib)
 
     def k_minus_inv_beta(self, k: int) -> Interval:
         return self._k_minus_inv_beta[k]
@@ -134,6 +130,9 @@ def beta_consts(params: BetaParams) -> BetaConsts:
         Interval.from_fraction(params.c),
         beta_exact=params.beta,
     )
+
+
+BC_HALF = beta_consts(BetaParams(BETA_HALF))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +286,13 @@ class ScalarCheck:
 def _f_LJQ_half(y: Interval, order: int) -> Interval:
     """The first (order 1) or second (order 2) y-derivative of
     f(y) = y + (sqrt2 - 1) J(y) - 2 Q_{1/2}(y/2)."""
-    bc = beta_consts(BetaParams(BETA_HALF))
     half_y = y * HALF
     if order == 1:
         jp = gauss.j_range(1, y.lo, y.hi)
-        return ONE + (SQRT2 - ONE) * jp - Q(half_y, bc, 1)
+        return ONE + (SQRT2 - ONE) * jp - Q(half_y, BC_HALF, 1)
     # f'' = -2 (sqrt2 - 1) / J - (1/2) Q''(y/2)
     j = gauss.j_range(0, y.lo, y.hi)
-    return -(TWO * (SQRT2 - ONE) / j) - HALF * Q(half_y, bc, 2)
+    return -(TWO * (SQRT2 - ONE) / j) - HALF * Q(half_y, BC_HALF, 2)
 
 
 def _f_Q_drop(y: Interval, bc: BetaConsts, order: int) -> Interval:
@@ -321,17 +319,15 @@ def _f_Q_drop(y: Interval, bc: BetaConsts, order: int) -> Interval:
 
 def _g_LJ(x: Interval, y: Interval) -> Interval:
     """G2 at beta = 1/2 with B = (L_{1/2}, J, J) at (x, y, (x+y)/2)."""
-    bc = beta_consts(BetaParams(BETA_HALF))
     mid = (x + y) * HALF
-    return G2(x, y, L(x, bc, 0), gauss.j_range(0, y.lo, y.hi),
-              gauss.j_range(0, mid.lo, mid.hi), bc)
+    return G2(x, y, L(x, BC_HALF, 0), gauss.j_range(0, y.lo, y.hi),
+              gauss.j_range(0, mid.lo, mid.hi), BC_HALF)
 
 
 def _dxx_g_LJ(x: Interval, y: Interval) -> Interval:
     """L''_{1/2}(x) + 1/J((x+y)/2)."""
-    bc = beta_consts(BetaParams(BETA_HALF))
     mid = (x + y) * HALF
-    return L(x, bc, 2) + ONE / gauss.j_range(0, mid.lo, mid.hi)
+    return L(x, BC_HALF, 2) + ONE / gauss.j_range(0, mid.lo, mid.hi)
 
 
 def _p_cubic(x: Interval, beta: Fraction) -> Interval:
@@ -371,7 +367,6 @@ def scalar_checks() -> list[ScalarCheck]:
     """All one-shot interval evaluations, with their thresholds and sides."""
     from . import bounds  # local import; bounds depends on this module
 
-    bc_half = beta_consts(BetaParams(BETA_HALF))
     bc_beta0 = beta_consts(BetaParams(BETA0_DYADIC))
     q = Interval(0.25)
     half = Interval(0.5)
@@ -388,19 +383,19 @@ def scalar_checks() -> list[ScalarCheck]:
         "first derivative of the L/J/Q edge function at 9/16")
     add("g_LJQ_13b", _f_LJQ_half(Interval(15 / 16), 1), F(-1, 10), "below",
         "first derivative of the L/J/Q edge function at 15/16")
-    add("Q_fb1_half", _f_Q_drop(q, bc_half, 2), F(16, 5), "above",
+    add("Q_fb1_half", _f_Q_drop(q, BC_HALF, 2), F(16, 5), "above",
         "f0'' at 1/4 for beta = 1/2")
     add("Q_fb1_beta0", _f_Q_drop(q, bc_beta0, 2), F(16, 5), "above",
         "f0'' at 1/4 for the dyadic beta0")
-    add("Q_fb2_half", _f_Q_drop(half, bc_half, 1), F(-3, 5), "below",
+    add("Q_fb2_half", _f_Q_drop(half, BC_HALF, 1), F(-3, 5), "below",
         "f0' at 1/2 for beta = 1/2")
     add("Q_fb2_beta0", _f_Q_drop(half, bc_beta0, 1), F(-3, 5), "below",
         "f0' at 1/2 for the dyadic beta0")
     ljq3 = (TWO * Interval(0.75) - ONE + (SQRT2 - ONE) * gauss.j_range(0, 0.75, 0.75)
-            + L(q, bc_half, 0) - ONE)
+            + L(q, BC_HALF, 0) - ONE)
     add("LJQ_II_3", ljq3, F(1, 100), "above",
         "anti-diagonal L/J/Q edge value at y = 3/4")
-    add("g_LJ_1", L(q, bc_half, 2), F(-27, 10), "below",
+    add("g_LJ_1", L(q, BC_HALF, 2), F(-27, 10), "below",
         "L'' at 1/4 for beta = 1/2")
     add("g_LJ_2", _dxx_g_LJ(q, ONE), F(-7, 10), "below",
         "second x-derivative of the L/J bound at (1/4, 1)")
@@ -417,7 +412,7 @@ def scalar_checks() -> list[ScalarCheck]:
     add("L4_factor_at_half", _quartic_factor_f(half, ONE), F(-3, 5), "below",
         "fourth-derivative factor of L at 1/2, beta = 1")
     add("LQ_prime_quarter",
-        L(q, bc_half, 1) - Q(q, bc_half, 1), F(-3, 25), "below",
+        L(q, BC_HALF, 1) - Q(q, BC_HALF, 1), F(-3, 25), "below",
         "L' - Q' at 1/4 for beta = 1/2")
     beta_log32 = Interval.from_fraction(F(3, 2)).log() / LOG2
     bc_log32 = BetaConsts(beta_log32, ONE)
@@ -425,17 +420,17 @@ def scalar_checks() -> list[ScalarCheck]:
         L(half, bc_log32, 2) - Q(half, bc_log32, 2), F(13, 10), "above",
         "L'' - Q'' at 1/2 for beta = log2(3/2)")
     add("LQ_dd_quarter",
-        L(q, bc_half, 2) - Q(q, bc_half, 2), F(1, 2), "above",
+        L(q, BC_HALF, 2) - Q(q, BC_HALF, 2), F(1, 2), "above",
         "L'' - Q'' at 1/4 for beta = 1/2")
     s = Interval.from_fraction(F(1, 2048))
     add("JL_gap_endpoint",
         gauss.j_point(2047 / 2048) - L(s, bc_beta0, 0), F(1, 10000), "above",
         "gap between J and the reflected L at 2047/2048")
     add("g_Q_1_y14a",
-        bounds.g_Q1_bound(q, Interval(0.25, 0.375), bc_half), F(1, 100), "above",
+        bounds.g_Q1_bound(q, Interval(0.25, 0.375), BC_HALF), F(1, 100), "above",
         "near-diagonal Q bound at h = 1/4, y in [1/4, 3/8]")
     add("g_Q_1_y14b",
-        bounds.g_Q1_bound(q, Interval(0.375, 0.5), bc_half), F(1, 1000), "above",
+        bounds.g_Q1_bound(q, Interval(0.375, 0.5), BC_HALF), F(1, 1000), "above",
         "near-diagonal Q bound at h = 1/4, y in [3/8, 1/2]")
     return out
 

@@ -156,6 +156,11 @@ class Certificate:
 BoundEvaluator = Callable[[tuple[tuple[float, float], ...]], Interval]
 
 
+def accepted(val: Interval) -> bool:
+    """Whether a box's bound proves it positive: the prover's and the checker's test."""
+    return val.valid and val.lo > 0.0
+
+
 def partition(
     evaluate: BoundEvaluator,
     domain: DyadicRect,
@@ -176,7 +181,7 @@ def partition(
         if stats is not None:
             stats.evaluations += 1
         val = evaluate(box.float_box())
-        if val.valid and val.lo > 0.0:
+        if accepted(val):
             rects.append(box)
             margin = min(margin, val.lo)
             return None
@@ -384,7 +389,7 @@ def verify_certificate(
     min_bound = math.inf
     for i, r in enumerate(cert.rects):
         val = evaluate(r.float_box())
-        if not val.valid or not val.lo > 0.0:
+        if not accepted(val):
             pos_problems.append(f"rect {i} not provably positive: {val!r}")
         else:
             min_bound = min(min_bound, val.lo)

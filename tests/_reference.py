@@ -598,9 +598,8 @@ _qprime_range = bounds.qprime_range.__wrapped__
 
 
 def g_J1_bound_per_box(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
-    xh_lo = x.lo + h.lo
-    xh_hi = x.hi + h.hi
-    j_xh = gauss.j_range(0, xh_lo, xh_hi)
+    xh = x + h
+    j_xh = gauss.j_range(0, xh.lo, xh.hi)
     j_x = gauss.j_range(0, x.lo, x.hi)
     if not (j_xh.valid and j_x.valid):
         return INVALID
@@ -614,7 +613,7 @@ def g_J1_bound_per_box(x: Interval, h: Interval, bc: BetaConsts) -> Interval:
     out = out + c * (Interval(0.125) * gauss.j_range(3, x.lo, x.hi) * h.pow(e(3))
                      + Interval(2.0**-7) * gauss.j_range(5, x.lo, x.hi) * h.pow(e(5)))
     out = out + bounds.J1_C4 * c * gauss.j_range(4, x.lo, x.hi) * h.pow(e(4))
-    rem = c * gauss.j_range(6, x.lo, xh_hi) * h.pow(e(6))
+    rem = c * gauss.j_range(6, x.lo, xh.hi) * h.pow(e(6))
     out = out + bounds.J1_C6_XI1 * rem
     out = out - bounds.J1_C6_XI2 * rem
     return out
@@ -626,14 +625,14 @@ def g_LJQ2_bound_per_box(y: Interval, beta: Interval, _bc_unused: BetaConsts) ->
     if not jy.valid:
         return INVALID
     lx = L_interval(Interval(0.0625), bc, 0)
-    qm = _q_range(0.03125 + 0.5 * y.lo, 0.03125 + 0.5 * y.hi, bc)
+    m = (Interval(0.0625) + y) * HALF
+    qm = _q_range(m.lo, m.hi, bc)
     return y - Interval(0.0625) + jy * bc.two_pow_beta_m1 + (lx - qm * TWO)
 
 
 def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
-    m_lo = 0.5 * (x.lo + y.lo)
-    m_hi = 0.5 * (x.hi + y.hi)
-    jm = gauss.j_range(0, m_lo, m_hi)
+    m = (x + y) * HALF
+    jm = gauss.j_range(0, m.lo, m.hi)
     if not jm.valid:
         return INVALID
     e = bc.inv_beta - ONE
@@ -642,6 +641,6 @@ def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
         return INVALID
     a_pow = a_iv.pow(e)
     out = (y - x).pow(e)
-    out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m_lo, m_hi)
+    out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m.lo, m.hi)
     out = out - bc.c_pow_inv_beta * a_pow * _qprime_range(x.lo, x.hi, bc)
     return out

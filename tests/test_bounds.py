@@ -4,7 +4,8 @@ For random boxes inside each claim domain and random points inside each box,
 the high-precision point value of the target function must dominate the
 box lower bound.  For shrinking boxes around a fixed interior point the
 bound must approach the point value.  g_J1 must prove its claim without
-reading J' at the midpoints x + h/2.
+reading J' at the midpoints x + h/2.  On the deepest dyadic leaves, J must
+be enclosed over a range that contains each derived coordinate's range.
 """
 
 import math
@@ -19,7 +20,7 @@ from cubeiso import bounds, gauss
 from cubeiso.bounds import BOUND_IDS, BoundFn, eval_bound_fn
 from cubeiso.claims import claim_by_id
 from cubeiso.funcs import BETA0_DYADIC, BETA1, C0, BetaParams
-from cubeiso.partition import partition
+from cubeiso.partition import Dyadic, DyadicRect, partition
 
 HALF = BetaParams(F(1, 2))
 BETA0 = BetaParams(BETA0_DYADIC)
@@ -195,6 +196,67 @@ def test_g_J1_at_beta0_reads_jprime_at_few_points():
     _, failure, _ = partition(run.evaluate, run.domain)
     assert failure is None
     assert gauss.jprime_point.cache_info().currsize <= 1000
+
+
+# Leaves of the registered domains' dyadic trees that DyadicRect.children()
+# cannot halve (a child would need a numerator of 2^53), on which a derived
+# coordinate rounded to nearest is not outward: 1 - x has zero width (g_P_2,
+# g_P_3), x + h rounds down (g_J_1) and (x + y)/2 rounds inward (g_QJ_1).
+# Each maps the exact box sides to the exact range of every coordinate
+# gauss.j_range sees, by derivative order.
+DEEP_LEAVES = {
+    "g_P_2": ("1:6 4503599627370511:58",
+              lambda x: {0: [(1 - x[1], 1 - x[0])]}),
+    "g_P_3": ("9007199254740991:54 1:1",
+              lambda x: {1: [(1 - x[1], 1 - x[0])]}),
+    "g_J_1": ("1:1 4503599627370497:53 0:0 3:54",
+              lambda x, h: {0: [x, (x[0] + h[0], x[1] + h[1])], 3: [x], 4: [x], 5: [x],
+                            6: [(x[0], x[1] + h[1])]}),
+    "g_QJ_1": ("2012212929385313:52 1006106464692657:51 663630780048683:50 5309046240389465:53",
+               lambda x, y: {k: [((x[0] + y[0]) / 2, (x[1] + y[1]) / 2)] for k in (0, 1)}),
+}
+
+
+def _exact_sides(rect):
+    return [(F(a.num, 2**a.exp), F(b.num, 2**b.exp)) for a, b in zip(rect.lo, rect.hi)]
+
+
+@pytest.mark.parametrize("claim_id", sorted(DEEP_LEAVES))
+def test_derived_coordinates_are_enclosed_on_the_deepest_leaves(claim_id, monkeypatch):
+    """Every [a, b] that gauss.j_range receives contains the exact range
+    of a coordinate at its order, and every coordinate's range is
+    contained in some [a, b] at its order."""
+    tokens, coordinates = DEEP_LEAVES[claim_id]
+    ends = [Dyadic(*map(int, t.split(":"))) for t in tokens.split()]
+    leaf = DyadicRect(tuple(ends[0::2]), tuple(ends[1::2]))
+    with pytest.raises(ValueError):  # no child is representable
+        list(leaf.children())
+    sides = _exact_sides(leaf)
+    expected = coordinates(*sides)
+    calls = []
+    j_range = gauss.j_range
+
+    def recording(k, a, b):
+        calls.append((k, F(a), F(b)))
+        return j_range(k, a, b)
+
+    monkeypatch.setattr(gauss, "j_range", recording)
+    for run in claim_by_id(claim_id).runs:
+        for memo in (bounds._j1_x_factors, bounds._j1_h_factors, bounds._j1_xh_factors):
+            memo.cache_clear()
+        box = run.domain
+        while box != leaf:  # the leaf is a node of the domain's tree
+            box = next(c for c in box.children() if all(
+                lo <= x and y <= hi for (lo, hi), (x, y) in zip(_exact_sides(c), sides)))
+        calls.clear()
+        run.evaluate(leaf.float_box())
+        assert {k for k, _, _ in calls} == set(expected), run.run_tag
+        for k, a, b in calls:
+            assert any(a <= lo and hi <= b for lo, hi in expected[k]), (run.run_tag, k, a, b)
+        for k, ranges in expected.items():
+            for lo, hi in ranges:
+                assert any(a <= lo and hi <= b for kk, a, b in calls if kk == k), \
+                    (run.run_tag, k, lo, hi)
 
 
 def test_g_J2_root_box_requires_subdivision():

@@ -161,6 +161,22 @@ def test_uncreatable_emit_dir_exits_1_before_any_unit(tmp_path, capsys, monkeypa
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["oracle-profile", "--n", "2", "--beta", "1"],
+    ["envelope", "--beta", "1", "--depth", "2"],
+    ["plot-data", "--figure", "failure"],
+], ids=" ".join)
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys, argv, kind):
+    """An --out file that cannot be written ends the command with one
+    error line, as main catches OSError for every command."""
+    out = tmp_path / "missing" / "x.csv" if kind == "missing-directory" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def g_q2_bytes(tmp_path_factory):
     """A g_Q_2 certificate as `certify` emits it, as text and as JSON."""
@@ -266,6 +282,7 @@ def test_failed_side_condition_is_printed_under_its_claim(capsys, monkeypatch, a
     ["poincare", "--n", "3", "--p", "2000"],
     ["poincare", "--n", "1", "--p", "1100"],
     ["envelope", "--beta", "2000", "--depth", "2"],
+    ["envelope", "--beta", "2", "--depth", "2"],
     ["poincare", "--n", "2", "--p", "2", "--threshold", "nan"],
     ["verify-all", "--threads", "0"],
     ["verify-all", "--threads", "-3"],

@@ -9,6 +9,7 @@ import pytest
 import _reference as ref
 from conftest import scale
 from cubeiso.funcs import (
+    BC_HALF,
     BETA0_DYADIC,
     BETA1,
     TWO_POW_M2BETA0,
@@ -26,7 +27,6 @@ from cubeiso.funcs import (
 from cubeiso.interval import HALF, Interval
 
 
-BC_HALF = beta_consts(BetaParams(F(1, 2)))
 BC_BETA0 = beta_consts(BetaParams(BETA0_DYADIC))
 
 
@@ -116,9 +116,8 @@ def test_L_Q_ordering_on_grid():
 
 
 def test_alpha_constants():
-    bc = beta_consts(BetaParams(F(1, 2)))
-    assert bc.alpha0.lo > 0.0  # 2^2.5 - 5 > 0
-    assert bc.alpha1.lo > 0.0  # beta < log2(3/2)
+    assert BC_HALF.alpha0.lo > 0.0  # 2^2.5 - 5 > 0
+    assert BC_HALF.alpha1.lo > 0.0  # beta < log2(3/2)
     assert beta_consts(BetaParams(F(1))).alpha1.hi < 0.0  # 3 - 4 < 0
 
 
