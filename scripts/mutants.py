@@ -145,6 +145,10 @@ MUTANTS = [
     ("oracle: set sizes counted on the boundary only", ORACLE,
      "member.sum(axis=0, dtype=np.int8)", "(h > 0).sum(axis=0, dtype=np.int8)",
      [O + "test_tables_match_the_definitional_loop"]),
+    # The envelope policy scan by offset.
+    ("envelope scan: the last tied offset binds", ORACLE,
+     "np.less(c1, cur, out=less)", "np.less_equal(c1, cur, out=less)",
+     [O + "test_envelope_scan_matches_the_per_point_reference"]),
     # The poincare command's verdict.
     ("poincare: violations counted with an absolute slack", CLI,
      "lhs_p < rhs_p * (1.0 - 2.0**-40)", "lhs_p < rhs_p - 1e-15",
@@ -160,6 +164,11 @@ MUTANTS = [
     ("tiling: gaps not reported", PARTITION,
      'problems.append(f"gap: no rect covers {show(box)}")', "pass",
      [P + "test_verify_roundtrip_and_tampering"]),
+    ("tiling: the walk never stops", PARTITION,
+     """        if len(problems) >= MAX_TILING_PROBLEMS:
+            problems.append(f"tiling check stopped after {len(problems)} problems")
+            break
+""", "", [P + "test_many_deep_rects_stop_the_walk"]),
     ("tiling: no containment check at the root", PARTITION,
      "inside = [all(a <= x and y <= b for (a, b), (x, y) in zip(root, r)) for r in boxes]",
      "inside = [True for r in boxes]",

@@ -34,6 +34,7 @@ ORACLE_COMMANDS = [
     *(["poincare", "--n", str(n), "--p", p] for n in range(1, 5) for p in ("1.00113", "2")),
     *(["poincare", "--n", str(n), "--p", "8"] for n in range(2, 5)),  # the listed p with violations
     ["envelope", "--beta", "1", "--depth", "6"],
+    ["envelope", "--beta", "0.75", "--depth", "8"],  # a general-beta pow at the refined size 8,193
 ]
 
 

@@ -11,6 +11,11 @@ average 2^-n sum f(x), and the beta-moment is E h_A^beta with 0^beta := 0.
 Exhaustive sweeps (all 2^(2^n) subsets, n <= 4) are vectorized with numpy
 over one table of h and |A| per n; boundary_counts is the definitional loop
 for one subset, n <= 5.
+
+envelope_approx solves the two-point cap system on a grid of size points
+by Howard policy iteration.  Each policy scan makes one contiguous numpy
+pass per offset r = 1 .. (size-1)/2, size^2/4 cap evaluations in all, and
+where offsets tie it takes the least binding r.
 """
 
 from __future__ import annotations
@@ -169,25 +174,43 @@ def _envelope_scan(b_vals: np.ndarray, beta: float,
         min over r of (1/2) max( ((2rh)^(1/b) + B[m+r]^(1/b))^b + B[m-r],
                                  2rh + (2^b - 1) B[m+r] + B[m-r] )
 
-    together with the binding offset r and which functional form binds."""
+    together with the least binding offset r and whether the first form
+    binds there (c1 >= c2, so a tie goes to the first form).
+
+    The scan makes one pass per offset r = 1 .. (size-1)/2 over the points
+    m in [r, size-1-r] it reaches, where B[m+r] and B[m-r] are the slices
+    b[2r:] and b[:size-2r]: size^2/4 cap evaluations in all.  B[m-r] is
+    added after the max, which rounds alike, as round-to-nearest is
+    monotone; a strict < in increasing r keeps the least binding r, as an
+    argmin over r would.  B must be finite and >= 0, as the policy solve
+    keeps it: with a NaN, the running minimum would not be argmin's.
+    """
     size = b_vals.size
-    inv_b = 1.0 / beta
     two_b_m1 = 2.0 ** beta - 1.0
-    bp = b_vals ** inv_b
-    caps = np.empty(size)
-    caps[0] = caps[-1] = 0.0
+    bp = b_vals ** (1.0 / beta)
+    tb = two_b_m1 * b_vals
+    best = np.full(size, np.inf)
     r_best = np.zeros(size, dtype=np.int64)
+    buf1, buf2, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    for r in range(1, (size - 1) // 2 + 1):
+        n = size - 2 * r
+        c1, c2, less, cur = buf1[:n], buf2[:n], below[:n], best[r:size - r]
+        np.add(bp[2 * r:], dxp_all[r - 1], out=c1)
+        c1 **= beta
+        np.add(tb[2 * r:], dx_all[r - 1], out=c2)
+        np.maximum(c1, c2, out=c1)
+        c1 += b_vals[:n]
+        np.less(c1, cur, out=less)
+        np.minimum(cur, c1, out=cur)
+        np.copyto(r_best[r:size - r], r, where=less)
+    caps = 0.5 * best
+    caps[0] = caps[-1] = 0.0
+    m = np.arange(1, size - 1)
+    r = r_best[m]
+    f1, f2 = _cap_forms(dxp_all[r - 1], dx_all[r - 1], b_vals[m - r], b_vals[m + r], bp[m + r],
+                        beta, two_b_m1)
     form1 = np.zeros(size, dtype=bool)
-    for m in range(1, size - 1):
-        rmax = min(m, size - 1 - m)
-        c1, c2 = _cap_forms(dxp_all[:rmax], dx_all[:rmax], b_vals[m - rmax:m][::-1],
-                            b_vals[m + 1:m + rmax + 1], bp[m + 1:m + rmax + 1],
-                            beta, two_b_m1)
-        both = np.maximum(c1, c2)
-        k = int(np.argmin(both))
-        caps[m] = 0.5 * both[k]
-        r_best[m] = k + 1
-        form1[m] = c1[k] >= c2[k]
+    form1[m] = f1 >= f2
     return caps, r_best, form1
 
 
@@ -200,7 +223,7 @@ def _envelope_policy_solve(beta: float, size: int,
     direct Newton solves of the induced sparse system converges to the
     greatest fixed point; plain relaxation would need O(size^2) sweeps.
     """
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import spsolve
 
     h = 1.0 / (size - 1)
@@ -214,6 +237,7 @@ def _envelope_policy_solve(beta: float, size: int,
     iterations = 0
     residual = math.inf
     interior = np.arange(1, size - 1)
+    ends = np.array([0, size - 1])
     for _ in range(_MAX_OUTER):
         caps, r_best, form1 = _envelope_scan(b_vals, beta, dx_all, dxp_all)
         iterations += 1
@@ -241,23 +265,16 @@ def _envelope_policy_solve(beta: float, size: int,
             res = b_vals[interior] - cap_vals
             if float(np.max(np.abs(res))) < 0.1 * tol:
                 break
-            rows = np.concatenate([interior, interior, interior])
-            cols = np.concatenate([interior, xs, ys])
-            vals = np.concatenate([
-                np.ones(interior.size),
-                np.full(interior.size, -0.5),
-                -dcap_dy,
-            ])
-            keep = (cols > 0) & (cols < size - 1)
-            mat = csr_matrix(
-                (vals[keep], (rows[keep], cols[keep])),
-                shape=(size, size),
-            )
-            # pin the endpoints
-            mat = mat + csr_matrix(([1.0, 1.0], ([0, size - 1], [0, size - 1])), shape=(size, size))
+            # the pinned endpoints' rows hold their diagonal 1 only; zeros stay
+            # out of the sparsity pattern, which sets SuperLU's column ordering
+            rows = np.concatenate([ends, interior, interior, interior])
+            cols = np.concatenate([ends, interior, xs, ys])
+            vals = np.concatenate([np.ones(size), np.full(interior.size, -0.5), -dcap_dy])
+            keep = ((rows == cols) | ((cols > 0) & (cols < size - 1))) & (vals != 0.0)
+            mat = csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
             full_res = np.zeros(size)
             full_res[interior] = res
-            delta = spsolve(mat.tocsc(), full_res)
+            delta = spsolve(mat, full_res)
             step = 1.0
             for _damp in range(30):
                 trial = b_vals - step * delta

@@ -34,6 +34,7 @@ from .interval import Interval
 F = Fraction
 
 MAX_DEPTH_DEFAULT = 12
+MAX_TILING_PROBLEMS = 50  # the tiling walk stops once it has found this many
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,9 @@ def _check_tiling(domain: DyadicRect, rects: list[DyadicRect]) -> list[str]:
     overlaps them.  Any other box is halved in every coordinate; a rect that
     straddles a midpoint, or lies in a box whose midpoint is off the grid,
     is reported, and every other rect goes to the child that holds it.
+    Once it holds MAX_TILING_PROBLEMS problems, the walk stops and one line
+    says so: a hostile file of deep rects would make a gap message per
+    empty sibling on each of their paths.
     """
     e = max(d.exp for r in (domain, *rects) for d in r.lo + r.hi)
 
@@ -356,6 +360,9 @@ def _check_tiling(domain: DyadicRect, rects: list[DyadicRect]) -> list[str]:
     # a loop, not recursion: a box can be up to 1060 halvings below the domain
     stack = [(root, [i for i, ok in enumerate(inside) if ok])]
     while stack:
+        if len(problems) >= MAX_TILING_PROBLEMS:
+            problems.append(f"tiling check stopped after {len(problems)} problems")
+            break
         box, idx = stack.pop()
         whole = [i for i in idx if boxes[i] == box]
         if not idx:

@@ -25,7 +25,9 @@ must reproduce exactly.  g_J1_bound_per_box,
 g_LJQ2_bound_per_box and g_QJ1_bound_per_box are three bounds as they were
 before their one-axis factors were memoized: every factor evaluated per box,
 with the q_range and qprime_range memos bypassed.  The memoized bounds must
-return their bits.
+return their bits.  envelope_scan_per_point is the oracle's envelope policy
+scan as one argmin over the offsets r of each grid point, whose caps, binding
+offsets and forms the scan by offset must return bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 from cubeiso import bounds, gauss
 from cubeiso.funcs import BetaConsts, L as L_interval
@@ -49,6 +52,7 @@ from cubeiso.interval import (
     ZERO,
     Interval,
 )
+from cubeiso.partition import MAX_TILING_PROBLEMS
 
 mp.mp.dps = 40
 
@@ -547,7 +551,8 @@ def check_dyadic_tree_fractions(domain, rects) -> list[str]:
     """The walk down the dyadic tree with a Fraction per endpoint.  A box is
     halved into the children whose sides are its half sides, unless its
     midpoint is not a multiple of the finest step 2**-e in the file; each
-    rect goes to the first child that contains it."""
+    rect goes to the first child that contains it.  Like the certificate
+    check, the walk stops with one line once it holds MAX_TILING_PROBLEMS."""
     step = Fraction(1, 1 << max(d.exp for r in (domain, *rects) for d in r.lo + r.hi))
 
     def sides(r):
@@ -565,6 +570,9 @@ def check_dyadic_tree_fractions(domain, rects) -> list[str]:
                 if not contains(root, r)]
     stack = [(root, [i for i, r in enumerate(boxes) if contains(root, r)])]
     while stack:
+        if len(problems) >= MAX_TILING_PROBLEMS:
+            problems.append(f"tiling check stopped after {len(problems)} problems")
+            break
         box, idx = stack.pop()
         equal = [i for i in idx if boxes[i] == box]
         if not idx:
@@ -644,3 +652,30 @@ def g_QJ1_bound_per_box(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
     out = out + bc.c_pow_inv_beta * a_pow * gauss.j_range(1, m.lo, m.hi)
     out = out - bc.c_pow_inv_beta * a_pow * _qprime_range(x.lo, x.hi, bc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The envelope policy scan, one grid point at a time
+# ---------------------------------------------------------------------------
+
+def envelope_scan_per_point(b_vals, beta: float, dx_all, dxp_all):
+    """oracle._envelope_scan by its definition: for each interior m, the caps
+    of every offset r <= min(m, size-1-m) as arrays, then an argmin over r."""
+    size = b_vals.size
+    two_b_m1 = 2.0 ** beta - 1.0
+    bp = b_vals ** (1.0 / beta)
+    caps = np.zeros(size)
+    r_best = np.zeros(size, dtype=np.int64)
+    form1 = np.zeros(size, dtype=bool)
+    for m in range(1, size - 1):
+        rmax = min(m, size - 1 - m)
+        bx = b_vals[m - rmax:m][::-1]
+        by = b_vals[m + 1:m + rmax + 1]
+        c1 = (dxp_all[:rmax] + bp[m + 1:m + rmax + 1]) ** beta + bx
+        c2 = dx_all[:rmax] + two_b_m1 * by + bx
+        both = np.maximum(c1, c2)
+        k = int(np.argmin(both))
+        caps[m] = 0.5 * both[k]
+        r_best[m] = k + 1
+        form1[m] = c1[k] >= c2[k]
+    return caps, r_best, form1

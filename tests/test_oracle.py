@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import _reference as ref
 from conftest import scale
 from cubeiso import oracle
 from cubeiso.funcs import BETA0_DYADIC, BetaParams, b, beta_consts
@@ -149,6 +150,28 @@ def test_envelope_dominates_certified_bound():
     for k in range(65):
         x = Interval(k / 64)
         assert envh.values[k] >= 0.997 * b(x, bch).lo - 1e-6
+
+
+@pytest.mark.parametrize("beta", [0.5, float(BETA0_DYADIC), 0.75, 1.0],
+                         ids=["half", "beta0", "three_quarters", "one"])
+@pytest.mark.parametrize("size", [3, 5, 65, 257])
+def test_envelope_scan_matches_the_per_point_reference(beta, size):
+    """The scan by offset returns the caps, least binding offsets and forms
+    of one argmin per grid point bit for bit, on random B, on B with zeros
+    and on dyadic B with repeated values, which ties offsets.  At beta = 1
+    the two forms coincide, so every form is a tie, won by the first."""
+    rng = np.random.default_rng(size)
+    dx_all = 2.0 / (size - 1) * np.arange(1, size, dtype=np.float64)
+    dxp_all = dx_all ** (1.0 / beta)
+    for b_vals in (rng.random(size), rng.random(size) * (rng.random(size) < 0.5),
+                   rng.integers(0, 4, size) / 8.0):
+        b_vals[0] = b_vals[-1] = 0.0
+        got = oracle._envelope_scan(b_vals, beta, dx_all, dxp_all)
+        want = ref.envelope_scan_per_point(b_vals, beta, dx_all, dxp_all)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    if beta == 1.0:
+        assert got[2][1:-1].all()
 
 
 def test_envelope_depth_cap():

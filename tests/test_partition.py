@@ -1,6 +1,7 @@
 """Dyadic geometry, the partition engine, and certificate round trips."""
 
 import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ import _reference as ref
 from cubeiso import claims
 from cubeiso.interval import Interval
 from cubeiso.partition import (
+    MAX_TILING_PROBLEMS,
     Certificate,
     CertificateParseError,
     Dyadic,
@@ -339,16 +341,34 @@ def test_rect_outside_domain_is_reported_and_kept_out_of_the_walk():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_tiny_rect_is_rejected_without_recursion(n):
-    """One 2^-1000-wide rect in the unit box: the walk goes 1000 boxes deep
-    and reports the 2^n - 1 empty children of each box on the way."""
+    """One 2^-1000-wide rect in the unit box: the walk goes 1000 boxes deep,
+    then reports the 2^n - 1 empty children of each box on the way back up
+    until it holds MAX_TILING_PROBLEMS of them."""
     dom = DyadicRect.build(*[(F(0), F(1))] * n)
     tiny = DyadicRect.build(*[(F(0), F(1, 2**1000))] * n)
     t0 = time.perf_counter()
     problems = _check_tiling(dom, [tiny])
     assert time.perf_counter() - t0 < 5.0
-    assert len(problems) == 1000 * (2**n - 1)
-    assert all(p.startswith("gap: ") for p in problems)
-    assert problems[-1] == "gap: no rect covers " + " ".join(["1:1 1:0"] * n)
+    assert problems[0] == "gap: no rect covers " + " ".join(["0:0 1:1000"] * (n - 1) + ["1:1000 1:999"])
+    assert all(p.startswith("gap: ") for p in problems[:-1])
+    assert problems[MAX_TILING_PROBLEMS:] == [
+        f"tiling check stopped after {MAX_TILING_PROBLEMS} problems"]
+
+
+def test_many_deep_rects_stop_the_walk():
+    """200 rects of side 2^-1000 near the origin of the unit square, whose
+    paths split about 52 halvings above them: a full walk reports 31,382
+    empty siblings, but the walk stops after MAX_TILING_PROBLEMS."""
+    rng = random.Random(19)
+    dom = DyadicRect.build((F(0), F(1)), (F(0), F(1)))
+    corners = {(rng.randrange(2**52), rng.randrange(2**52)) for _ in range(200)}
+    rects = [DyadicRect.build(*[(F(k, 2**1000), F(k + 1, 2**1000)) for k in corner])
+             for corner in corners]
+    t0 = time.perf_counter()
+    problems = _check_tiling(dom, rects)
+    assert time.perf_counter() - t0 < 5.0
+    assert 0 < len(problems) <= MAX_TILING_PROBLEMS + 1
+    assert problems[-1] == f"tiling check stopped after {MAX_TILING_PROBLEMS} problems"
 
 
 def test_verify_roundtrip_and_tampering(sample_cert):
