@@ -149,6 +149,12 @@ MUTANTS = [
     ("envelope scan: the last tied offset binds", ORACLE,
      "np.less(c1, cur, out=less)", "np.less_equal(c1, cur, out=less)",
      [O + "test_envelope_scan_matches_the_per_point_reference"]),
+    ("envelope scan: a higher chunk wins a tie in the merge", ORACLE,
+     "less = np.less(chunk_best, best)", "less = np.less_equal(chunk_best, best)",
+     [O + "test_envelope_scan_matches_the_per_point_reference"]),
+    ("envelope scan: the first chunk skips its last offset", ORACLE,
+     "cuts[0], cuts[1])", "cuts[0], cuts[1] - 1)",
+     [O + "test_envelope_scan_matches_the_per_point_reference"]),
     # The poincare command's verdict.
     ("poincare: violations counted with an absolute slack", CLI,
      "lhs_p < rhs_p * (1.0 - 2.0**-40)", "lhs_p < rhs_p - 1e-15",

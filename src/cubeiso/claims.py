@@ -246,8 +246,9 @@ def run_claim(
 
 
 def worker_count(threads: Optional[int], units: int) -> int:
-    """Worker processes for run_all: threads if given, else the CPUs this
-    process may run on; never more than units and never fewer than 1."""
+    """Worker processes for run_all, and offset chunks for the oracle's
+    envelope scan: threads if given, else the CPUs this process may run on;
+    never more than units and never fewer than 1."""
     if threads is None:
         try:
             threads = len(os.sched_getaffinity(0))

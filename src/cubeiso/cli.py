@@ -32,6 +32,8 @@ from .interval import Interval
 
 F = Fraction
 
+ENVELOPES_DEPTH = 6  # the grid of plot-data's envelopes figure
+
 
 def _cmd_verify_all(args) -> int:
     reports = claims_mod.run_all(
@@ -126,6 +128,8 @@ def _cmd_oracle_profile(args) -> int:
 def _cmd_envelope(args) -> int:
     from . import oracle
 
+    if args.refine is not None and args.depth + args.refine > oracle.MAX_INTERNAL_DEPTH:
+        args.usage_error(f"--depth plus --refine exceeds {oracle.MAX_INTERNAL_DEPTH}")
     env = oracle.envelope_approx(args.beta, args.depth, refine=args.refine)
     rows = [("x", "value")]
     grid = env.grid()
@@ -201,10 +205,10 @@ def _cmd_plot_data(args) -> int:
             ))
     elif args.figure == "envelopes":
         betas = [0.5 + 0.01 * i for i in range(51)]
-        grids = [oracle.envelope_approx(b, 6, refine=args.refine) for b in betas]
+        grids = [oracle.envelope_approx(b, ENVELOPES_DEPTH, refine=args.refine) for b in betas]
         header = ["x"] + [f"beta_{b:.2f}" for b in betas]
         rows = [tuple(header)]
-        for k, x in enumerate(_grid(6)):
+        for k, x in enumerate(_grid(ENVELOPES_DEPTH)):
             rows.append(tuple([repr(x)] + [repr(float(g.values[k])) for g in grids]))
     else:  # pragma: no cover - argparse restricts choices
         return 2
@@ -255,8 +259,17 @@ def _exponent(text: str) -> float:
     return _ranged(float, 0.0, MAX_EXPONENT, low_open=True)(text)
 
 
+def _envelopes_refine(text: str) -> int:
+    """--refine of plot-data, which refines the depth-6 envelopes figure up
+    to oracle.MAX_INTERNAL_DEPTH."""
+    from .oracle import MAX_INTERNAL_DEPTH
+
+    return _ranged(int, 0, MAX_INTERNAL_DEPTH - ENVELOPES_DEPTH)(text)
+
+
 _cube_dimension.__name__ = "int"
 _exponent.__name__ = "float"
+_envelopes_refine.__name__ = "int"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     # the solver's all-ones start lies above the envelope only for beta <= 1
     p.add_argument("--beta", type=_ranged(float, 0.0, 1.0, low_open=True), required=True)
     p.add_argument("--depth", type=_ranged(int, 0, 10), required=True)  # envelope_approx's cap
-    p.add_argument("--refine", type=_ranged(int, 0), default=None)
+    p.add_argument("--refine", type=_ranged(int, 0), default=None,
+                   help="levels of internal refinement; --depth plus --refine is at "
+                        "most 13 (default: min(5, 13 - depth))")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_envelope)
+    p.set_defaults(func=_cmd_envelope, usage_error=p.error)
 
     p = sub.add_parser("poincare", help="exhaustive Poincare comparison")
     p.add_argument("--n", type=_cube_dimension, required=True)
@@ -311,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="CSV series behind the figures")
     p.add_argument("--figure", choices=["bounds", "failure", "envelopes"], required=True)
-    p.add_argument("--refine", type=_ranged(int, 0), default=0)
+    p.add_argument("--refine", type=_envelopes_refine, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_plot_data)
     return parser

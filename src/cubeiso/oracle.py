@@ -12,10 +12,18 @@ Exhaustive sweeps (all 2^(2^n) subsets, n <= 4) are vectorized with numpy
 over one table of h and |A| per n; boundary_counts is the definitional loop
 for one subset, n <= 5.
 
-envelope_approx solves the two-point cap system on a grid of size points
-by Howard policy iteration.  Each policy scan makes one contiguous numpy
-pass per offset r = 1 .. (size-1)/2, size^2/4 cap evaluations in all, and
-where offsets tie it takes the least binding r.
+envelope_approx solves the two-point cap system on a grid of size points,
+at most 2^MAX_INTERNAL_DEPTH + 1, by Howard policy iteration.  Each policy
+scan makes one contiguous numpy pass per offset r = 1 .. (size-1)/2,
+size^2/4 cap evaluations in all, and where offsets tie it takes the least
+binding r.  From _SPLIT_MIN_SIZE points on, the offsets are cut into one
+range per CPU this process may run on (claims.worker_count, the rule of
+verify-all), and a fork-context pool that lives for one solve scans all but
+the first range, which the calling process scans.  The ranges' minima are
+merged in order with a strict <, so the caps, offsets and forms are those
+of the serial scan bit for bit, whatever the number of ranges.  Without
+the fork start method the scans stay serial.  Like verify-all's pool, the
+fork is safe only while the calling process has no other threads.
 """
 
 from __future__ import annotations
@@ -157,7 +165,20 @@ class EnvelopeGrid:
         return np.linspace(0.0, 1.0, (1 << self.depth) + 1)
 
 
+MAX_INTERNAL_DEPTH = 13  # of the solver's grid: 8,193 points, a scan of 16.8M cap evaluations
 _MAX_OUTER = 80  # policy scans at most; beta = 1/2 takes 28 at depth 13, 36 at 11
+# The fixed cost of one offset's pass, in cap evaluations: on a 2-CPU
+# x86-64 machine a pass took about 3.8 ns per evaluation plus 5.5-11.5 us
+# for its eight numpy calls, 1,500-3,000 evaluations' worth.  With 2,500
+# the two chunks of a 2-way split took 0.98-1.20 times each other's time at
+# 4,097 and 8,193 points; with 0, the high-offset chunk took up to 1.9 times.
+_OFFSET_COST = 2500
+# The least grid size whose scans are split across processes.  On the same
+# machine, starting a 1-worker pool and running the first scan took 20-45 ms;
+# a scan then took 11 ms serial and 10-13 ms split at 2,049 points, 30-40 ms
+# and 20-25 ms at 4,097 (37 and 38 ms in the 2 of 6 probes whose second CPU
+# was busy) and 105 ms and 60 ms at 8,193.  A solve makes 2 to 36 scans.
+_SPLIT_MIN_SIZE = 4097
 
 
 def _cap_forms(dxp, dx, bx, by, byp, beta: float, two_b_m1: float):
@@ -167,32 +188,26 @@ def _cap_forms(dxp, dx, bx, by, byp, beta: float, two_b_m1: float):
     return (dxp + byp) ** beta + bx, dx + two_b_m1 * by + bx
 
 
-def _envelope_scan(b_vals: np.ndarray, beta: float,
-                   dx_all: np.ndarray, dxp_all: np.ndarray):
-    """For every interior grid index m, the smallest admissible cap
+def _scan_offsets(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all: np.ndarray,
+                  r_lo: int, r_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the least cap at every grid index over the offsets r_lo <= r <
+    r_hi, inf where none reaches, and the least offset attaining it (0
+    where none reaches).
 
-        min over r of (1/2) max( ((2rh)^(1/b) + B[m+r]^(1/b))^b + B[m-r],
-                                 2rh + (2^b - 1) B[m+r] + B[m-r] )
-
-    together with the least binding offset r and whether the first form
-    binds there (c1 >= c2, so a tie goes to the first form).
-
-    The scan makes one pass per offset r = 1 .. (size-1)/2 over the points
-    m in [r, size-1-r] it reaches, where B[m+r] and B[m-r] are the slices
-    b[2r:] and b[:size-2r]: size^2/4 cap evaluations in all.  B[m-r] is
-    added after the max, which rounds alike, as round-to-nearest is
+    One pass per offset r over the points m in [r, size-1-r] it reaches,
+    where B[m+r] and B[m-r] are the slices b[2r:] and b[:size-2r].  B[m-r]
+    is added after the max, which rounds alike, as round-to-nearest is
     monotone; a strict < in increasing r keeps the least binding r, as an
     argmin over r would.  B must be finite and >= 0, as the policy solve
     keeps it: with a NaN, the running minimum would not be argmin's.
     """
     size = b_vals.size
-    two_b_m1 = 2.0 ** beta - 1.0
     bp = b_vals ** (1.0 / beta)
-    tb = two_b_m1 * b_vals
+    tb = (2.0 ** beta - 1.0) * b_vals
     best = np.full(size, np.inf)
     r_best = np.zeros(size, dtype=np.int64)
     buf1, buf2, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    for r in range(1, (size - 1) // 2 + 1):
+    for r in range(r_lo, r_hi):
         n = size - 2 * r
         c1, c2, less, cur = buf1[:n], buf2[:n], below[:n], best[r:size - r]
         np.add(bp[2 * r:], dxp_all[r - 1], out=c1)
@@ -203,12 +218,76 @@ def _envelope_scan(b_vals: np.ndarray, beta: float,
         np.less(c1, cur, out=less)
         np.minimum(cur, c1, out=cur)
         np.copyto(r_best[r:size - r], r, where=less)
+    return best, r_best
+
+
+# A scan worker's (beta, dx_all, dxp_all), set once when the worker starts.
+_worker_invariants: Optional[tuple[float, np.ndarray, np.ndarray]] = None
+
+
+def _init_scan_worker(beta: float, dx_all: np.ndarray, dxp_all: np.ndarray) -> None:
+    global _worker_invariants
+    _worker_invariants = (beta, dx_all, dxp_all)
+
+
+def _scan_offsets_in_worker(b_vals: np.ndarray, r_lo: int, r_hi: int):
+    return _scan_offsets(b_vals, *_worker_invariants, r_lo, r_hi)
+
+
+def _chunk_cuts(size: int, chunks: int) -> list[int]:
+    """Cut the offsets 1 .. (size-1)/2 into chunks of about equal time: the
+    first offset of each chunk, then one past the last offset.
+
+    Offset r costs size - 2r cap evaluations plus _OFFSET_COST for its
+    fixed number of numpy calls; chunk j ends at the last offset whose
+    running cost is at most j/chunks of the whole.  More chunks than
+    offsets leave some chunks empty."""
+    offsets = np.arange(1, (size - 1) // 2 + 1)
+    done = np.cumsum(np.concatenate(([0], size - 2 * offsets + _OFFSET_COST)))
+    return [1, *(int(np.searchsorted(chunks * done, j * done[-1], side="right"))
+                 for j in range(1, chunks)), offsets.size + 1]
+
+
+def _envelope_scan(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all: np.ndarray,
+                   chunks: int, pool=None):
+    """For every interior grid index m, the smallest admissible cap
+
+        min over r of (1/2) max( ((2rh)^(1/b) + B[m+r]^(1/b))^b + B[m-r],
+                                 2rh + (2^b - 1) B[m+r] + B[m-r] )
+
+    together with the least binding offset r and whether the first form
+    binds there (c1 >= c2, so a tie goes to the first form).
+
+    The offsets r = 1 .. (size-1)/2 are cut into contiguous chunks of about
+    equal time (_chunk_cuts), size^2/4 cap evaluations in all.  The calling
+    process scans chunk 0; with a pool, whose workers started with
+    _init_scan_worker, the other chunks go to the workers, and without one
+    they run here in turn.  The policy solve passes one chunk per CPU
+    (claims.worker_count) and a fork-context pool from _SPLIT_MIN_SIZE
+    points on, and one chunk and no pool below.  The chunk minima are merged in chunk order with
+    a strict <, so a point keeps the lower chunk's value on a tie.  The
+    result is bit-identical for every chunk count: each cap is computed by
+    the same operations, a minimum is exact, and ties go to the least r.
+    """
+    size = b_vals.size
+    cuts = _chunk_cuts(size, chunks)
+    rest = list(zip(cuts[1:-1], cuts[2:]))
+    if pool is not None:
+        futures = [pool.submit(_scan_offsets_in_worker, b_vals, lo, hi) for lo, hi in rest]
+    best, r_best = _scan_offsets(b_vals, beta, dx_all, dxp_all, cuts[0], cuts[1])
+    for i, (lo, hi) in enumerate(rest):
+        chunk_best, chunk_r = (futures[i].result() if pool is not None
+                               else _scan_offsets(b_vals, beta, dx_all, dxp_all, lo, hi))
+        less = np.less(chunk_best, best)
+        np.copyto(best, chunk_best, where=less)
+        np.copyto(r_best, chunk_r, where=less)
     caps = 0.5 * best
     caps[0] = caps[-1] = 0.0
     m = np.arange(1, size - 1)
     r = r_best[m]
-    f1, f2 = _cap_forms(dxp_all[r - 1], dx_all[r - 1], b_vals[m - r], b_vals[m + r], bp[m + r],
-                        beta, two_b_m1)
+    by = b_vals[m + r]
+    f1, f2 = _cap_forms(dxp_all[r - 1], dx_all[r - 1], b_vals[m - r], by, by ** (1.0 / beta),
+                        beta, 2.0 ** beta - 1.0)
     form1 = np.zeros(size, dtype=bool)
     form1[m] = f1 >= f2
     return caps, r_best, form1
@@ -222,7 +301,15 @@ def _envelope_policy_solve(beta: float, size: int,
     starting from the all-ones upper bound, alternating policy scans with
     direct Newton solves of the induced sparse system converges to the
     greatest fixed point; plain relaxation would need O(size^2) sweeps.
+
+    From _SPLIT_MIN_SIZE points on, one pool of chunks - 1 workers serves
+    every scan of the solve and is shut down when the solve returns or
+    raises.  The workers receive beta, dx_all and dxp_all once, and then B
+    per scan; they run only _scan_offsets, so pools never nest.
     """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import spsolve
 
@@ -238,59 +325,73 @@ def _envelope_policy_solve(beta: float, size: int,
     residual = math.inf
     interior = np.arange(1, size - 1)
     ends = np.array([0, size - 1])
-    for _ in range(_MAX_OUTER):
-        caps, r_best, form1 = _envelope_scan(b_vals, beta, dx_all, dxp_all)
-        iterations += 1
-        residual = float(np.max(np.abs(b_vals[interior] - caps[interior])))
-        if residual < tol:
-            break
-        b_vals = np.minimum(b_vals, caps)
-        # Newton on the fixed-policy system  B[m] = cap_{r,form}(B)
-        xs = interior - r_best[interior]
-        ys = interior + r_best[interior]
-        dxp = dxp_all[r_best[interior] - 1]
-        dxl = dx_all[r_best[interior] - 1]
-        for _newton in range(40):
-            by = b_vals[ys]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                byp = by ** inv_b
-                c1, c2 = _cap_forms(dxp, dxl, b_vals[xs], by, byp, beta, two_b_m1)
-                cap_vals = np.where(form1[interior], 0.5 * c1, 0.5 * c2)
-                dcap_dy = np.where(
-                    form1[interior],
-                    0.5 * (dxp + byp) ** (beta - 1.0) * by ** (inv_b - 1.0),
-                    0.5 * two_b_m1,
-                )
-            dcap_dy = np.nan_to_num(dcap_dy, nan=0.0, posinf=0.0)
-            res = b_vals[interior] - cap_vals
-            if float(np.max(np.abs(res))) < 0.1 * tol:
+    chunks = 1
+    if size >= _SPLIT_MIN_SIZE and "fork" in multiprocessing.get_all_start_methods():
+        from .claims import worker_count
+
+        chunks = worker_count(None, (size - 1) // 2)
+    pool = None
+    if chunks > 1:
+        pool = ProcessPoolExecutor(chunks - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_scan_worker,
+                                   initargs=(beta, dx_all, dxp_all))
+    try:
+        for _ in range(_MAX_OUTER):
+            caps, r_best, form1 = _envelope_scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
+            iterations += 1
+            residual = float(np.max(np.abs(b_vals[interior] - caps[interior])))
+            if residual < tol:
                 break
-            # the pinned endpoints' rows hold their diagonal 1 only; zeros stay
-            # out of the sparsity pattern, which sets SuperLU's column ordering
-            rows = np.concatenate([ends, interior, interior, interior])
-            cols = np.concatenate([ends, interior, xs, ys])
-            vals = np.concatenate([np.ones(size), np.full(interior.size, -0.5), -dcap_dy])
-            keep = ((rows == cols) | ((cols > 0) & (cols < size - 1))) & (vals != 0.0)
-            mat = csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
-            full_res = np.zeros(size)
-            full_res[interior] = res
-            delta = spsolve(mat, full_res)
-            step = 1.0
-            for _damp in range(30):
-                trial = b_vals - step * delta
-                trial[0] = trial[-1] = 0.0
-                tb = np.maximum(trial, 0.0)
-                by2 = tb[ys]
+            b_vals = np.minimum(b_vals, caps)
+            # Newton on the fixed-policy system  B[m] = cap_{r,form}(B)
+            xs = interior - r_best[interior]
+            ys = interior + r_best[interior]
+            dxp = dxp_all[r_best[interior] - 1]
+            dxl = dx_all[r_best[interior] - 1]
+            for _newton in range(40):
+                by = b_vals[ys]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    c1, c2 = _cap_forms(dxp, dxl, tb[xs], by2, by2 ** inv_b, beta, two_b_m1)
-                    cap2 = np.where(form1[interior], 0.5 * c1, 0.5 * c2)
-                new_res = tb[interior] - cap2
-                if float(np.max(np.abs(new_res))) <= float(np.max(np.abs(res))):
-                    b_vals = tb
+                    byp = by ** inv_b
+                    c1, c2 = _cap_forms(dxp, dxl, b_vals[xs], by, byp, beta, two_b_m1)
+                    cap_vals = np.where(form1[interior], 0.5 * c1, 0.5 * c2)
+                    dcap_dy = np.where(
+                        form1[interior],
+                        0.5 * (dxp + byp) ** (beta - 1.0) * by ** (inv_b - 1.0),
+                        0.5 * two_b_m1,
+                    )
+                dcap_dy = np.nan_to_num(dcap_dy, nan=0.0, posinf=0.0)
+                res = b_vals[interior] - cap_vals
+                if float(np.max(np.abs(res))) < 0.1 * tol:
                     break
-                step *= 0.5
-            else:
-                break  # damping failed; rescan the policy
+                # the pinned endpoints' rows hold their diagonal 1 only; zeros stay
+                # out of the sparsity pattern, which sets SuperLU's column ordering
+                rows = np.concatenate([ends, interior, interior, interior])
+                cols = np.concatenate([ends, interior, xs, ys])
+                vals = np.concatenate([np.ones(size), np.full(interior.size, -0.5), -dcap_dy])
+                keep = ((rows == cols) | ((cols > 0) & (cols < size - 1))) & (vals != 0.0)
+                mat = csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
+                full_res = np.zeros(size)
+                full_res[interior] = res
+                delta = spsolve(mat, full_res)
+                step = 1.0
+                for _damp in range(30):
+                    trial = b_vals - step * delta
+                    trial[0] = trial[-1] = 0.0
+                    tb = np.maximum(trial, 0.0)
+                    by2 = tb[ys]
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        c1, c2 = _cap_forms(dxp, dxl, tb[xs], by2, by2 ** inv_b, beta, two_b_m1)
+                        cap2 = np.where(form1[interior], 0.5 * c1, 0.5 * c2)
+                    new_res = tb[interior] - cap2
+                    if float(np.max(np.abs(new_res))) <= float(np.max(np.abs(res))):
+                        b_vals = tb
+                        break
+                    step *= 0.5
+                else:
+                    break  # damping failed; rescan the policy
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return b_vals, iterations, residual
 
 
@@ -311,13 +412,16 @@ def envelope_approx(
     O(h)-sized boundary-layer excess near 0 and 1 (the caps touching the
     pinned endpoints are first-order accurate only), so the system is solved
     on an internally refined grid and restricted; refine=None picks the
-    refinement bringing the internal grid to depth 13 (at most 5 levels).
+    refinement bringing the internal grid to depth MAX_INTERNAL_DEPTH = 13
+    (at most 5 levels), and depth + refine may not exceed it.
     """
     if depth > 10:
         raise ValueError("envelope depth capped at 10")
     if refine is None:
-        refine = max(0, min(13 - depth, 5))
+        refine = max(0, min(MAX_INTERNAL_DEPTH - depth, 5))
     internal_depth = depth + refine
+    if internal_depth > MAX_INTERNAL_DEPTH:
+        raise ValueError(f"depth + refine = {internal_depth} exceeds {MAX_INTERNAL_DEPTH}")
     size = (1 << internal_depth) + 1
     values, iterations, residual = _envelope_policy_solve(beta, size, tol)
     step = 1 << refine

@@ -270,6 +270,12 @@ def test_failed_side_condition_is_printed_under_its_claim(capsys, monkeypatch, a
     ["envelope", "--beta", "1", "--depth", "-1"],
     ["envelope", "--beta", "1", "--depth", "2", "--refine", "-1"],
     ["plot-data", "--figure", "envelopes", "--refine", "-1"],
+    ["envelope", "--beta", "1", "--depth", "6", "--refine", "60"],
+    ["envelope", "--beta", "1", "--depth", "10", "--refine", "4"],
+    ["envelope", "--beta", "1", "--depth", "0", "--refine", "14"],
+    ["envelope", "--beta", "1", "--depth", "2", "--refine", str(10**30)],
+    ["plot-data", "--figure", "envelopes", "--refine", "60"],
+    ["plot-data", "--figure", "envelopes", "--refine", "8"],
     ["envelope", "--beta", "0", "--depth", "2"],
     ["poincare", "--n", "2", "--p", "0"],
     ["envelope", "--beta", "inf", "--depth", "2"],

@@ -1,6 +1,8 @@
 """Hamming-cube oracle: boundary counts, Hart, profiles, envelope, Poincare."""
 
 import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction as F
 
@@ -152,21 +154,24 @@ def test_envelope_dominates_certified_bound():
         assert envh.values[k] >= 0.997 * b(x, bch).lo - 1e-6
 
 
+@pytest.mark.parametrize("chunks", [1, 2, 3, 4])
 @pytest.mark.parametrize("beta", [0.5, float(BETA0_DYADIC), 0.75, 1.0],
                          ids=["half", "beta0", "three_quarters", "one"])
 @pytest.mark.parametrize("size", [3, 5, 65, 257])
-def test_envelope_scan_matches_the_per_point_reference(beta, size):
+def test_envelope_scan_matches_the_per_point_reference(beta, size, chunks):
     """The scan by offset returns the caps, least binding offsets and forms
     of one argmin per grid point bit for bit, on random B, on B with zeros
-    and on dyadic B with repeated values, which ties offsets.  At beta = 1
-    the two forms coincide, so every form is a tie, won by the first."""
+    and on dyadic B with repeated values, which ties offsets, whatever the
+    number of offset chunks; sizes 3 and 5 have fewer offsets than chunks.
+    At beta = 1 the two forms coincide, so every form is a tie, won by the
+    first."""
     rng = np.random.default_rng(size)
     dx_all = 2.0 / (size - 1) * np.arange(1, size, dtype=np.float64)
     dxp_all = dx_all ** (1.0 / beta)
     for b_vals in (rng.random(size), rng.random(size) * (rng.random(size) < 0.5),
                    rng.integers(0, 4, size) / 8.0):
         b_vals[0] = b_vals[-1] = 0.0
-        got = oracle._envelope_scan(b_vals, beta, dx_all, dxp_all)
+        got = oracle._envelope_scan(b_vals, beta, dx_all, dxp_all, chunks)
         want = ref.envelope_scan_per_point(b_vals, beta, dx_all, dxp_all)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -174,9 +179,73 @@ def test_envelope_scan_matches_the_per_point_reference(beta, size):
         assert got[2][1:-1].all()
 
 
+def test_chunk_cuts_cover_every_offset_once():
+    for size in (2, 3, 5, 65, 257, 4097, 8193):
+        for chunks in (1, 2, 3, 4, 7):
+            cuts = oracle._chunk_cuts(size, chunks)
+            assert len(cuts) == chunks + 1 and cuts[0] == 1 and cuts[-1] == (size - 1) // 2 + 1
+            assert cuts == sorted(cuts)
+
+
+# depth 5 refined onto the least grid whose scans are split
+SPLIT_REFINE = (oracle._SPLIT_MIN_SIZE - 1).bit_length() - 1 - 5
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def scan_pools(monkeypatch):
+    """The pool argument of every policy scan."""
+    scan, pools = oracle._envelope_scan, []
+
+    def recording_scan(b_vals, beta, dx_all, dxp_all, chunks, pool):
+        pools.append(pool)
+        return scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
+
+    monkeypatch.setattr(oracle, "_envelope_scan", recording_scan)
+    return pools
+
+
+def test_pooled_envelope_equals_the_serial_one(monkeypatch, scan_pools):
+    """At the split threshold, a solve whose scans are split across a pool
+    of 2 workers returns the serial solve's bits, and leaves no process
+    behind.  beta = 1 converges in 2 scans."""
+    _cpus(monkeypatch, 1)
+    serial = oracle.envelope_approx(1.0, 5, refine=SPLIT_REFINE)
+    assert scan_pools and not any(scan_pools)
+    scan_pools.clear()
+    _cpus(monkeypatch, 3)
+    pooled = oracle.envelope_approx(1.0, 5, refine=SPLIT_REFINE)
+    assert scan_pools and all(scan_pools)
+    assert multiprocessing.active_children() == []
+    assert pooled.values.tobytes() == serial.values.tobytes()
+    assert (pooled.iterations, pooled.residual) == (serial.iterations, serial.residual)
+
+
+def test_failed_pooled_solve_leaves_no_process(monkeypatch):
+    scan, pools = oracle._envelope_scan, []
+
+    def scan_then_fail(b_vals, beta, dx_all, dxp_all, chunks, pool):
+        pools.append(pool)
+        scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
+        raise RuntimeError("solve broke")
+
+    monkeypatch.setattr(oracle, "_envelope_scan", scan_then_fail)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="solve broke"):
+        oracle.envelope_approx(0.5, 5, refine=SPLIT_REFINE)
+    assert len(pools) == 1 and pools[0] is not None
+    assert multiprocessing.active_children() == []
+
+
 def test_envelope_depth_cap():
     with pytest.raises(ValueError):
         oracle.envelope_approx(0.5, 11)
+    for depth, refine in ((0, 14), (6, 8), (10, 4), (8, 10**9)):
+        with pytest.raises(ValueError, match="exceeds 13"):
+            oracle.envelope_approx(0.5, depth, refine=refine)
 
 
 def test_poincare_halfcube_equality():
