@@ -11,9 +11,12 @@ Outward rounding is realized by post-hoc next-representable stepping rather
 than FPU rounding-mode control, so the module is pure Python and
 thread-safe.  Additions and subtractions recover the exact rounding error of
 each end with one 2Sum step (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
-26, 2005) and only widen when the float result is inexact; an infinite or
-overflowed sum has a NaN error, which steps its end, so a true +-inf stays
-and an overflow becomes +-MAX, as directed rounding gives.  This is the one
+26, 2005) and only widen when the float result is inexact.  A NaN error
+comes from an infinite or overflowed sum, which steps its end, so a true
++-inf stays and an overflow becomes +-MAX, as directed rounding gives; or
+from a finite sum whose error term overflowed (MAX + -4.7e307 rounds up,
+and the float sum minus -4.7e307 exceeds MAX), which is compared with the
+exact sum as fractions.  This is the one
 directed sum in the module: the cdf series and width use it too.  Products,
 quotients and integer powers share one rule: take the float result at each
 corner, take the min and max, and step an end one float outward only when a
@@ -91,6 +94,20 @@ def _up(x: float) -> float:
 
 def _down(x: float) -> float:
     return _nextafter(x, -_INF)
+
+
+def _sum_down(s: float, x: float, y: float) -> float:
+    """x + y rounded down from its float sum s, where s's 2Sum error is NaN."""
+    if math.isfinite(s) and Fraction(s) <= Fraction(x) + Fraction(y):
+        return s
+    return _nextafter(s, -_INF)
+
+
+def _sum_up(s: float, x: float, y: float) -> float:
+    """x + y rounded up from its float sum s, where s's 2Sum error is NaN."""
+    if math.isfinite(s) and Fraction(s) >= Fraction(x) + Fraction(y):
+        return s
+    return _nextafter(s, _INF)
 
 
 def _mul_exact(a: float, b: float, p: float) -> bool:
@@ -242,14 +259,14 @@ class Interval:
         lo = a + c
         hi = b + d
         # 2Sum: elo and ehi are the exact rounding errors of lo and hi.  A NaN
-        # error, from an infinite or overflowed sum, steps its end.
+        # error takes the exact test of _sum_down or _sum_up.
         v = lo - a
         w = hi - b
         elo = (a - (lo - v)) + (c - v)
         ehi = (b - (hi - w)) + (d - w)
         out = _new(Interval)
-        out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
-        out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
+        out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF) if elo == elo else _sum_down(lo, a, c)
+        out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF) if ehi == ehi else _sum_up(hi, b, d)
         return out
 
     __radd__ = __add__
@@ -266,8 +283,8 @@ class Interval:
         elo = (a - (lo - v)) + (-d - v)
         ehi = (b - (hi - w)) + (-c - w)
         out = _new(Interval)
-        out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF)
-        out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF)
+        out.lo = lo if elo >= 0.0 else _nextafter(lo, -_INF) if elo == elo else _sum_down(lo, a, -d)
+        out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF) if ehi == ehi else _sum_up(hi, b, -c)
         return out
 
     def __rsub__(self, other) -> "Interval":
