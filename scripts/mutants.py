@@ -93,6 +93,14 @@ MUTANTS = [
      "elo = (a - (lo - v)) + (c - v)", "elo = -((a - (lo - v)) + (c - v))", [FIXED, ADD]),
     ("sub: 2Sum error sign flipped", INTERVAL,
      "ehi = (b - (hi - w)) + (-c - w)", "ehi = -((b - (hi - w)) + (-c - w))", [FIXED, ADD]),
+    ("sum_up: a NaN 2Sum error always steps the end", INTERVAL,
+     """    if math.isfinite(s) and Fraction(s) >= Fraction(x) + Fraction(y):
+        return s
+    return _nextafter(s, _INF)""", "    return _nextafter(s, _INF)", [ADD]),
+    ("sum_down: a NaN 2Sum error always steps the end", INTERVAL,
+     """    if math.isfinite(s) and Fraction(s) <= Fraction(x) + Fraction(y):
+        return s
+    return _nextafter(s, -_INF)""", "    return _nextafter(s, -_INF)", [ADD]),
     ("mul_exact: a result rounded onto the least normal float exact", INTERVAL,
      "(a in _POW2 or b in _POW2) and abs(p) > _MIN_NORMAL",
      "(a in _POW2 or b in _POW2) and abs(p) >= _MIN_NORMAL", [LEAST_NORMAL]),
@@ -149,11 +157,15 @@ MUTANTS = [
     ("envelope scan: the last tied offset binds", ORACLE,
      "np.less(c1, cur, out=less)", "np.less_equal(c1, cur, out=less)",
      [O + "test_envelope_scan_matches_the_per_point_reference"]),
-    ("envelope scan: a higher chunk wins a tie in the merge", ORACLE,
-     "less = np.less(chunk_best, best)", "less = np.less_equal(chunk_best, best)",
+    ("envelope scan: the merge keeps the lower chunk's offset on a tie", ORACLE,
+     "less = (chunk_best < best) | ((chunk_best == best) & (chunk_r < r_best))",
+     "less = chunk_best < best",
      [O + "test_envelope_scan_matches_the_per_point_reference"]),
-    ("envelope scan: the first chunk skips its last offset", ORACLE,
-     "cuts[0], cuts[1])", "cuts[0], cuts[1] - 1)",
+    ("envelope scan: a chunk starts one offset late", ORACLE,
+     "1 + j, chunks)", "2 + j, chunks)",
+     [O + "test_envelope_scan_matches_the_per_point_reference"]),
+    ("envelope scan: a chunk strides one offset too far", ORACLE,
+     "1 + j, chunks)", "1 + j, chunks + 1)",
      [O + "test_envelope_scan_matches_the_per_point_reference"]),
     # The poincare command's verdict.
     ("poincare: violations counted with an absolute slack", CLI,

@@ -536,7 +536,14 @@ P3_E2 = Interval.from_fraction(2 * BETA0_DYADIC)
 
 
 def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
-    """Negated x-derivative of the Poincare comparison on [1/4, 1/2]."""
+    """Negated x-derivative of the Poincare comparison on [1/4, 1/2].
+
+    One bound for every beta in [1/2, beta0], not for bc's beta alone: its
+    constants sit at the ends of that range (x^(2 beta0 - 1), u^(2 beta0),
+    2 beta0 x, (1/2) Q'_{1/2}), and tests/test_bounds.py checks it against
+    the target at beta sampled across the range.  The beta of a g_P_3
+    certificate therefore names the registered run, not the only beta the
+    bound holds for; reading beta from bc would lose that uniformity."""
     u = ONE - x
     out = -(HALF * qprime_range(x.lo, x.hi, BC_HALF))
     out = out + TWO_POW_M2BETA0 * gauss.j_range(1, u.lo, u.hi)

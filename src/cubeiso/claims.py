@@ -8,9 +8,9 @@ margin was met is reported but not enforced (margins depend on the tightness
 of the underlying enclosures).
 
 The work splits into 19 independent (claim, run) units.  run_all proves
-them on a fork-context process pool with one worker per CPU this process may
-run on, at most one per unit; with one worker it runs them in-process and
-builds no pool.  The longest unit, g_J_1 at beta0, is the critical path:
+them on a fork_pool with one worker per CPU this process may run on, at most
+one per unit; with one worker, or without the fork start method, it runs
+them in-process.  The longest unit, g_J_1 at beta0, is the critical path:
 more workers cannot take verify-all below it.  Reports are folded in
 registry order, and certificate bytes depend only on the claim and its
 parameters, never on the worker count or timing.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -257,6 +258,30 @@ def worker_count(threads: Optional[int], units: int) -> int:
     return max(1, min(threads, units))
 
 
+@contextmanager
+def fork_pool(workers: int):
+    """A fork-context pool of workers processes for the with block, or None
+    when workers < 1 or the fork start method is missing: the caller then
+    runs the work in-process.  Leaving the block, also by an exception,
+    shuts the pool down and cancels its pending work, so no worker outlives
+    it.  Fork rather than spawn, so that the workers inherit the imported
+    modules and what the caller computed before the block; forking is safe
+    only while the calling process has no other threads.  The imports stay
+    in here, so that importing this module does not pay for them.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_all(
     max_depth: Optional[int] = None,
     emit_dir: Optional[str] = None,
@@ -265,29 +290,21 @@ def run_all(
     """Run the whole registry on worker_count(threads, units) processes;
     reports come back in registry order.
 
-    A fork-context pool starts all its workers up front, hence the cap at
-    the unit count.  One worker runs everything in-process with no pool.
-    Fork rather than spawn, so that workers inherit the imported modules and
-    the warmed profile constants instead of rebuilding them; forking is safe
-    only while the calling process has no other threads, so a caller that
-    runs threads of its own should pass threads=1.
+    The workers are a fork_pool, hence the cap at the unit count.  One
+    worker is this process: it runs everything in-process with no pool, as
+    does a platform without the fork start method.  A caller that runs
+    threads of its own should pass threads=1.
     """
     claims = registry()
     _make_emit_dir(emit_dir)
     workers = worker_count(threads, sum(len(c.runs) for c in claims))
-    if workers == 1:
-        return [run_claim(c, max_depth, emit_dir) for c in claims]
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
     gauss.profile_constants()  # computed once here, inherited by every worker
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-    try:
+    with fork_pool(workers if workers > 1 else 0) as pool:
+        if pool is None:
+            return [run_claim(c, max_depth, emit_dir) for c in claims]
         futures = [[pool.submit(_run_unit, *args) for args in _unit_args(c, max_depth, emit_dir)]
                    for c in claims]
         return [_fold(c, [f.result() for f in fs]) for c, fs in zip(claims, futures)]
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _find_run(cert: Certificate) -> ClaimRun:

@@ -16,14 +16,14 @@ envelope_approx solves the two-point cap system on a grid of size points,
 at most 2^MAX_INTERNAL_DEPTH + 1, by Howard policy iteration.  Each policy
 scan makes one contiguous numpy pass per offset r = 1 .. (size-1)/2,
 size^2/4 cap evaluations in all, and where offsets tie it takes the least
-binding r.  From _SPLIT_MIN_SIZE points on, the offsets are cut into one
-range per CPU this process may run on (claims.worker_count, the rule of
-verify-all), and a fork-context pool that lives for one solve scans all but
-the first range, which the calling process scans.  The ranges' minima are
-merged in order with a strict <, so the caps, offsets and forms are those
-of the serial scan bit for bit, whatever the number of ranges.  Without
-the fork start method the scans stay serial.  Like verify-all's pool, the
-fork is safe only while the calling process has no other threads.
+binding r.  From _SPLIT_MIN_SIZE points on, the offsets are dealt into one
+interleaved chunk per CPU this process may run on (claims.worker_count, the
+rule of verify-all): chunk j of k takes r = 1+j, 1+j+k, ...  The calling
+process scans chunk 0 and a claims.fork_pool that lives for one solve scans
+the others.  The chunks' minima are merged with ties going to the least r,
+so the caps, offsets and forms are those of the serial scan bit for bit,
+whatever the number of chunks.  Without the fork start method the scans
+stay serial.
 """
 
 from __future__ import annotations
@@ -167,17 +167,12 @@ class EnvelopeGrid:
 
 MAX_INTERNAL_DEPTH = 13  # of the solver's grid: 8,193 points, a scan of 16.8M cap evaluations
 _MAX_OUTER = 80  # policy scans at most; beta = 1/2 takes 28 at depth 13, 36 at 11
-# The fixed cost of one offset's pass, in cap evaluations: on a 2-CPU
-# x86-64 machine a pass took about 3.8 ns per evaluation plus 5.5-11.5 us
-# for its eight numpy calls, 1,500-3,000 evaluations' worth.  With 2,500
-# the two chunks of a 2-way split took 0.98-1.20 times each other's time at
-# 4,097 and 8,193 points; with 0, the high-offset chunk took up to 1.9 times.
-_OFFSET_COST = 2500
-# The least grid size whose scans are split across processes.  On the same
-# machine, starting a 1-worker pool and running the first scan took 20-45 ms;
-# a scan then took 11 ms serial and 10-13 ms split at 2,049 points, 30-40 ms
-# and 20-25 ms at 4,097 (37 and 38 ms in the 2 of 6 probes whose second CPU
-# was busy) and 105 ms and 60 ms at 8,193.  A solve makes 2 to 36 scans.
+# The least grid size whose scans are split across processes.  On a 2-CPU
+# x86-64 machine, starting a 1-worker pool and running the first scan took
+# 20-45 ms; a scan then took 11 ms serial and 10-13 ms split at 2,049
+# points, 30-40 ms and 20-25 ms at 4,097 (37 and 38 ms in the 2 of 6 probes
+# whose second CPU was busy) and 105 ms and 60 ms at 8,193.  A solve makes
+# 2 to 36 scans.
 _SPLIT_MIN_SIZE = 4097
 
 
@@ -189,10 +184,10 @@ def _cap_forms(dxp, dx, bx, by, byp, beta: float, two_b_m1: float):
 
 
 def _scan_offsets(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all: np.ndarray,
-                  r_lo: int, r_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Twice the least cap at every grid index over the offsets r_lo <= r <
-    r_hi, inf where none reaches, and the least offset attaining it (0
-    where none reaches).
+                  r_lo: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the least cap at every grid index over the offsets r = r_lo,
+    r_lo + step, ... up to (size-1)/2, inf where none reaches, and the
+    least offset attaining it (0 where none reaches).
 
     One pass per offset r over the points m in [r, size-1-r] it reaches,
     where B[m+r] and B[m-r] are the slices b[2r:] and b[:size-2r].  B[m-r]
@@ -207,7 +202,7 @@ def _scan_offsets(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all: 
     best = np.full(size, np.inf)
     r_best = np.zeros(size, dtype=np.int64)
     buf1, buf2, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    for r in range(r_lo, r_hi):
+    for r in range(r_lo, (size - 1) // 2 + 1, step):
         n = size - 2 * r
         c1, c2, less, cur = buf1[:n], buf2[:n], below[:n], best[r:size - r]
         np.add(bp[2 * r:], dxp_all[r - 1], out=c1)
@@ -221,33 +216,6 @@ def _scan_offsets(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all: 
     return best, r_best
 
 
-# A scan worker's (beta, dx_all, dxp_all), set once when the worker starts.
-_worker_invariants: Optional[tuple[float, np.ndarray, np.ndarray]] = None
-
-
-def _init_scan_worker(beta: float, dx_all: np.ndarray, dxp_all: np.ndarray) -> None:
-    global _worker_invariants
-    _worker_invariants = (beta, dx_all, dxp_all)
-
-
-def _scan_offsets_in_worker(b_vals: np.ndarray, r_lo: int, r_hi: int):
-    return _scan_offsets(b_vals, *_worker_invariants, r_lo, r_hi)
-
-
-def _chunk_cuts(size: int, chunks: int) -> list[int]:
-    """Cut the offsets 1 .. (size-1)/2 into chunks of about equal time: the
-    first offset of each chunk, then one past the last offset.
-
-    Offset r costs size - 2r cap evaluations plus _OFFSET_COST for its
-    fixed number of numpy calls; chunk j ends at the last offset whose
-    running cost is at most j/chunks of the whole.  More chunks than
-    offsets leave some chunks empty."""
-    offsets = np.arange(1, (size - 1) // 2 + 1)
-    done = np.cumsum(np.concatenate(([0], size - 2 * offsets + _OFFSET_COST)))
-    return [1, *(int(np.searchsorted(chunks * done, j * done[-1], side="right"))
-                 for j in range(1, chunks)), offsets.size + 1]
-
-
 def _envelope_scan(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all: np.ndarray,
                    chunks: int, pool=None):
     """For every interior grid index m, the smallest admissible cap
@@ -258,27 +226,26 @@ def _envelope_scan(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all:
     together with the least binding offset r and whether the first form
     binds there (c1 >= c2, so a tie goes to the first form).
 
-    The offsets r = 1 .. (size-1)/2 are cut into contiguous chunks of about
-    equal time (_chunk_cuts), size^2/4 cap evaluations in all.  The calling
-    process scans chunk 0; with a pool, whose workers started with
-    _init_scan_worker, the other chunks go to the workers, and without one
-    they run here in turn.  The policy solve passes one chunk per CPU
-    (claims.worker_count) and a fork-context pool from _SPLIT_MIN_SIZE
-    points on, and one chunk and no pool below.  The chunk minima are merged in chunk order with
-    a strict <, so a point keeps the lower chunk's value on a tie.  The
-    result is bit-identical for every chunk count: each cap is computed by
-    the same operations, a minimum is exact, and ties go to the least r.
+    The offsets r = 1 .. (size-1)/2, size^2/4 cap evaluations in all, are
+    dealt into interleaved chunks: chunk j of chunks takes r = 1+j,
+    1+j+chunks, ..., so that every chunk does about the same work.  The
+    calling process scans chunk 0; with a pool the other chunks go to its
+    workers, and without one they run here in turn.  The policy solve
+    passes one chunk per CPU (claims.worker_count) and a claims.fork_pool
+    from _SPLIT_MIN_SIZE points on, and one chunk and no pool below.  A
+    chunk's minimum replaces the running one where it is less, or equal
+    with a lesser r, since a lower chunk need not hold the lower offsets.
+    The result is bit-identical for every chunk count: each cap is computed
+    by the same operations, a minimum is exact, and ties go to the least r.
     """
     size = b_vals.size
-    cuts = _chunk_cuts(size, chunks)
-    rest = list(zip(cuts[1:-1], cuts[2:]))
+    scans = [(b_vals, beta, dx_all, dxp_all, 1 + j, chunks) for j in range(chunks)]
     if pool is not None:
-        futures = [pool.submit(_scan_offsets_in_worker, b_vals, lo, hi) for lo, hi in rest]
-    best, r_best = _scan_offsets(b_vals, beta, dx_all, dxp_all, cuts[0], cuts[1])
-    for i, (lo, hi) in enumerate(rest):
-        chunk_best, chunk_r = (futures[i].result() if pool is not None
-                               else _scan_offsets(b_vals, beta, dx_all, dxp_all, lo, hi))
-        less = np.less(chunk_best, best)
+        futures = [pool.submit(_scan_offsets, *args) for args in scans[1:]]
+    best, r_best = _scan_offsets(*scans[0])
+    for i, args in enumerate(scans[1:]):
+        chunk_best, chunk_r = futures[i].result() if pool is not None else _scan_offsets(*args)
+        less = (chunk_best < best) | ((chunk_best == best) & (chunk_r < r_best))
         np.copyto(best, chunk_best, where=less)
         np.copyto(r_best, chunk_r, where=less)
     caps = 0.5 * best
@@ -302,16 +269,15 @@ def _envelope_policy_solve(beta: float, size: int,
     direct Newton solves of the induced sparse system converges to the
     greatest fixed point; plain relaxation would need O(size^2) sweeps.
 
-    From _SPLIT_MIN_SIZE points on, one pool of chunks - 1 workers serves
-    every scan of the solve and is shut down when the solve returns or
-    raises.  The workers receive beta, dx_all and dxp_all once, and then B
-    per scan; they run only _scan_offsets, so pools never nest.
+    From _SPLIT_MIN_SIZE points on, one claims.fork_pool of chunks - 1
+    workers serves every scan of the solve and is shut down when the solve
+    returns or raises.  Each submit sends B, beta, dx_all and dxp_all; the
+    workers run only _scan_offsets, so pools never nest.
     """
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import spsolve
+
+    from .claims import fork_pool, worker_count
 
     h = 1.0 / (size - 1)
     inv_b = 1.0 / beta
@@ -325,17 +291,10 @@ def _envelope_policy_solve(beta: float, size: int,
     residual = math.inf
     interior = np.arange(1, size - 1)
     ends = np.array([0, size - 1])
-    chunks = 1
-    if size >= _SPLIT_MIN_SIZE and "fork" in multiprocessing.get_all_start_methods():
-        from .claims import worker_count
-
-        chunks = worker_count(None, (size - 1) // 2)
-    pool = None
-    if chunks > 1:
-        pool = ProcessPoolExecutor(chunks - 1, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_scan_worker,
-                                   initargs=(beta, dx_all, dxp_all))
-    try:
+    chunks = worker_count(None, (size - 1) // 2) if size >= _SPLIT_MIN_SIZE else 1
+    with fork_pool(chunks - 1) as pool:
+        if pool is None:
+            chunks = 1
         for _ in range(_MAX_OUTER):
             caps, r_best, form1 = _envelope_scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
             iterations += 1
@@ -389,9 +348,6 @@ def _envelope_policy_solve(beta: float, size: int,
                     step *= 0.5
                 else:
                     break  # damping failed; rescan the policy
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return b_vals, iterations, residual
 
 

@@ -186,6 +186,18 @@ def test_one_worker_builds_no_pool(monkeypatch, pool_requests, threads):
     assert pool_requests == []
 
 
+def test_without_fork_the_registry_runs_in_process(monkeypatch, pool_requests):
+    """Where the fork start method is missing, several workers fall back to
+    proving the registry in-process, in registry order, as the envelope
+    scan falls back to one process."""
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(claims, "run_claim", lambda claim, max_depth, emit_dir: claim.claim_id)
+    assert claims.run_all(threads=2) == [c.claim_id for c in claims.registry()]
+    assert pool_requests == []
+
+
 def test_worker_count_is_capped_at_the_units(pool_requests):
     """A fork-context pool starts all its workers up front."""
     with pytest.raises(_PoolBuilt):

@@ -240,9 +240,12 @@ def test_mul_matches_four_product_rule(x, y):
 @given(_mul_operands(), _mul_operands())
 @example(Interval(-4.67125136329806e307, -4.671251363298059e307), Interval(-sys.float_info.max, 0.0))
 @example(Interval(-4.67125136329806e307, -4.671251363298059e307), Interval(0.0, sys.float_info.max))
+@example(Interval(4.671251363298059e307, 4.67125136329806e307), Interval(-sys.float_info.max, 0.0))
+@example(Interval(4.671251363298059e307, 4.67125136329806e307), Interval(0.0, sys.float_info.max))
 def test_add_sub_match_directed_sums(x, y):
     """On the examples -4.671251363298059e307 + MAX is a finite float sum
-    rounded up whose 2Sum error term overflows: the sum is still tight."""
+    rounded up whose 2Sum error term overflows, and its negation one
+    rounded down: the sum is still tight."""
     assert _same_ends(x + y, ref.add_directed(x, y))
     assert _same_ends(x - y, ref.sub_directed(x, y))
 
