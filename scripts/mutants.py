@@ -121,9 +121,15 @@ MUTANTS = [
      ["tests/test_cdf_series.py::test_series_error_terms_exact",
       "tests/test_cdf_series.py::test_series_error_terms_at_edges"]),
     ("quantile: a bracket accepted uncertified", INTERVAL,
-     "if _cdf_point(a).hi < p and _cdf_point(b).lo > p:",
-     "if _cdf_point(a).lo < p and _cdf_point(b).hi > p:",
+     "if _cdf_point(a).hi < lo and _cdf_point(b).lo > hi:",
+     "if _cdf_point(a).lo < lo and _cdf_point(b).hi > hi:",
      ["tests/test_cdf_series.py::test_quantile_brackets_contain_the_quantile"]),
+    ("quantile: the low end of an interval bracket accepted uncertified", INTERVAL,
+     "_cdf_point(a).hi < lo and", "_cdf_point(a).lo < lo and",
+     ["tests/test_cdf_series.py::test_interval_quantile_brackets_hold_both_end_quantiles"]),
+    ("quantile: the mirror of p above 1/2 not negated", INTERVAL,
+     "return Interval(-b, -a)", "return Interval(a, b)",
+     ["tests/test_cdf_series.py::test_interval_quantile_brackets_hold_both_end_quantiles"]),
     ("quantile: the seed takes 1/q of a subnormal q", INTERVAL,
      "        q = max(q, _MIN_NORMAL)  # 1/q is finite\n", "",
      ["tests/test_cdf_series.py::test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid"]),
@@ -176,9 +182,18 @@ MUTANTS = [
      [C + "test_poincare_without_a_finite_ratio_fails"]),
     # The certificate parser and the tiling check.
     ("parser: a rect of another dimension accepted", PARTITION,
-     "_rect(r, is_integer, (2 * dom.n,))", "_rect(r, is_integer)",
+     "size = (2 * dom.n,)", "size = (2, 4)",
      [P + "test_both_formats_share_one_token_rule[rect_of_other_dimension-text]",
       P + "test_both_formats_share_one_token_rule[rect_of_other_dimension-json]"]),
+    ("tiling: the equality index holds only the first rect", PARTITION,
+     "    for i in idx:\n        equal.setdefault", "    for i in idx[:1]:\n        equal.setdefault",
+     [P + "test_verify_roundtrip_and_tampering"]),
+    ("tiling: the equality index names the last of equal rects", PARTITION,
+     "equal.setdefault(boxes[i], i)", "equal[boxes[i]] = i",
+     [P + "test_tiling_check_matches_rational_reference"]),
+    ("tiling: two child boxes routed in swapped order", PARTITION,
+     "(((a, m), (m, b)) for", "(((m, b), (a, m)) for",
+     [P + "test_verify_roundtrip_and_tampering"]),
     ("tiling: gaps not reported", PARTITION,
      'problems.append(f"gap: no rect covers {show(box)}")', "pass",
      [P + "test_verify_roundtrip_and_tampering"]),

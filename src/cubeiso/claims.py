@@ -18,6 +18,7 @@ parameters, never on the worker count or timing.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -73,6 +74,7 @@ class RunReport:
     rect_count: int
     evaluations: int
     failure_box: Optional[DyadicRect] = None
+    failure_bound: Optional[Interval] = None  # the bound's interval on failure_box
     certificate_path: Optional[str] = None
     seconds: float = 0.0
 
@@ -105,8 +107,10 @@ _HALF_C0 = BetaParams(F(1, 2), C0)
 _BETA1P = BetaParams(BETA1)
 
 
-def registry() -> list[Claim]:
-    """All thirteen partitioned claims, in canonical order."""
+@functools.cache
+def registry() -> tuple[Claim, ...]:
+    """All thirteen partitioned claims, in canonical order, built once per
+    process."""
     tail_params = _BETA0
     tail = Claim(
         claim_id="g_tail",
@@ -124,7 +128,7 @@ def registry() -> list[Claim]:
         ),
         reference_margin=None,
     )
-    return [
+    return (
         _claim("g_JL", "g_JL", [(F(1, 2), F(2047, 2048))], [_BETA0], F(2, 25)),
         _claim("g_J_1", "g_J1", [(F(1, 2), F(5, 8)), (F(0), F(3, 16))],
                [_BETA0, _HALF_C0], F(1, 10**7)),
@@ -147,7 +151,7 @@ def registry() -> list[Claim]:
         _claim("g_P_2", "g_P2", [(F(1, 64), F(1, 4))], [_BETA0], F(1, 10**4)),
         _claim("g_P_3", "g_P3", [(F(1, 4), F(1, 2))], [_BETA0], F(1, 1000)),
         tail,
-    ]
+    )
 
 
 def claim_by_id(claim_id: str) -> Claim:
@@ -171,6 +175,7 @@ def _run_unit(claim_id: str, run: ClaimRun, depth: int, emit_dir: Optional[str])
         rect_count=len(rects) if rects is not None else 0,
         evaluations=stats.evaluations,
         failure_box=failure.deepest_box if failure else None,
+        failure_bound=failure.bound if failure else None,
     )
     if failure is None and emit_dir is not None:
         cert = Certificate(

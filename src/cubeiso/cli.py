@@ -79,7 +79,8 @@ def _cmd_verify(args) -> int:
         status = "ok" if rr.ok else "FAIL"
         print(f"  run {rr.run_tag}: {status} rects={rr.rect_count} margin={rr.margin:.3e}")
         if rr.failure_box is not None:
-            print(f"    deepest unprovable box: {' '.join(rr.failure_box.tokens())}")
+            print(f"    deepest unprovable box: {' '.join(rr.failure_box.tokens())}"
+                  f", bound {rr.failure_bound!r}")
         if rr.certificate_path:
             print(f"    certificate: {rr.certificate_path}")
     return 0 if report.ok else 1

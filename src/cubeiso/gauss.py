@@ -42,7 +42,11 @@ on one side, the peak J^(k)(x0) being the identity at J' = 0 and J(x0).
 J, J' and J^(k) at float points and the profile constants are memoized here
 with functools.cache, the mechanism the interval module uses for the
 quantile brackets beneath I, J and J'; the partition engine re-visits
-corners heavily.
+corners heavily.  At a float x, u = (1 - x)/w0 is about 1e-12 wide, and J
+and J' there share the one unbisected bracket that normal_quantile gives a
+non-point argument: for u >= 1/2, I takes it at 1 - u and normal_quantile
+mirrors the u of J' to the same key.  Its bisection to QUANTILE_TOL is for
+point arguments only.
 """
 
 from __future__ import annotations
@@ -94,10 +98,15 @@ def _profile_point(t: float) -> Interval:
 
 
 def gauss_profile(x: Interval) -> Interval:
-    """Enclosure of I over x, exploiting symmetry and monotonicity."""
+    """Enclosure of I over x, exploiting symmetry and monotonicity.  A
+    non-point x inside (0, 1) on one side of 1/2 is I = phi(PhiInv(s)) at
+    one quantile bracket of s = x or 1 - x (exact there), the bracket that
+    J' takes at the same x."""
     if not x.valid or x.lo < 0.0 or x.hi > 1.0:
         return INVALID
     a, b = x.lo, x.hi
+    if 0.0 < a < b < 1.0 and (b <= 0.5 or a >= 0.5):
+        return normal_pdf(normal_quantile(x if b <= 0.5 else Interval(1.0 - b, 1.0 - a)))
     if b <= 0.5:
         return Interval(_profile_point(a).lo, _profile_point(b).hi)
     if a >= 0.5:

@@ -56,8 +56,14 @@ coefficients; argument rounding of t*t, through |P'| <= 1/6; and truncation,
 by the first omitted term.  Only the final assembly of the cdf uses interval
 operations.
 
-The certified quantile bisection is memoized per p, so repeated quantile
-points cost one bisection per process.
+The quantile of a point p is a certified bisection, memoized per p, whose
+width tolerance holds for point p only.  The quantile of a non-point p is one
+certified bracket, memoized per (p.lo, p.hi): an end below Phi^-1(p.lo) and
+one above Phi^-1(p.hi), each seeded on its own and both widened until the cdf
+enclosures decide them.  Phi^-1 is increasing, so that bracket encloses the
+quantile over all of p (Moore, Kearfott & Cloud, ch. 6); a p at or above
+1/2 is mirrored to 1 - p, which is exact there, so p and 1 - p share one
+bracket.
 
 Endpoints may be -inf (lower) or +inf (upper) to express one-sided bounds.
 Comparison against scalars is a partial order: ``strictly_greater(a, t)``
@@ -688,8 +694,8 @@ QUANTILE_TOL = 2.0**-46
 
 
 class QuantileError(ValueError):
-    """Raised when bisection cannot certify a bracket; normal_quantile turns
-    it into Invalid."""
+    """Raised when no bracket can be certified; normal_quantile turns it
+    into Invalid."""
 
 
 def _quantile_seed(p: float) -> float:
@@ -714,24 +720,39 @@ def _quantile_seed(p: float) -> float:
     return t
 
 
+def _bracket(lo: float, hi: float) -> tuple[float, float]:
+    """Certified bracket [a, b] with Phi(a) < lo and Phi(b) > hi, so that
+    it holds Phi^-1 of every p in [lo, hi]: each end seeded by
+    _quantile_seed and stepped outward by a distance that grows 8-fold until
+    the cdf enclosures decide both."""
+    ta = _quantile_seed(lo)
+    tb = ta if hi == lo else _quantile_seed(hi)
+    delta = max(4e-16 * max(1.0, abs(ta), abs(tb)), 2e-16)
+    for _ in range(64):
+        a = ta - delta
+        b = tb + delta
+        if _cdf_point(a).hi < lo and _cdf_point(b).lo > hi:
+            return a, b
+        delta *= 8.0
+    raise QuantileError(f"cannot bracket quantile over p in [{lo!r}, {hi!r}]")
+
+
+# The bracket of a non-point p, unbisected: the p of J and J' is about 1e-12
+# wide, so bisecting each end to QUANTILE_TOL (2^-46, relative) would narrow
+# the bracket by less than the spread of the quantile over p itself.
+# Memoized per (lo, hi), so that I, J and J' at one corner share it.
+_quantile_bracket = functools.cache(_bracket)
+
+
 @functools.cache
 def _quantile_point(p: float) -> tuple[float, float]:
-    """Certified bracket [a, b] with Phi(a) < p < Phi(b), of relative width
-    <= QUANTILE_TOL where double precision reaches it.
+    """Certified bracket [a, b] with Phi(a) < p < Phi(b) at a point p, of
+    relative width <= QUANTILE_TOL where double precision reaches it.
 
-    A pure function of p, memoized so that I, J and J' at the same
-    point share one bisection.  Each worker process has its own memo.
+    A pure function of p, memoized per p; each worker process has its own
+    memo.
     """
-    t = _quantile_seed(p)
-    delta = max(4e-16 * max(1.0, abs(t)), 2e-16)
-    for _ in range(64):
-        a = t - delta
-        b = t + delta
-        if _cdf_point(a).hi < p and _cdf_point(b).lo > p:
-            break
-        delta *= 8.0
-    else:
-        raise QuantileError(f"cannot bracket quantile at p={p!r}")
+    a, b = _bracket(p, p)
     # certified bisection down to the requested width
     while b - a > QUANTILE_TOL * max(1.0, abs(a), abs(b)):
         m = 0.5 * (a + b)
@@ -750,17 +771,21 @@ def _quantile_point(p: float) -> tuple[float, float]:
 def normal_quantile(p: Interval) -> Interval:
     """Certified enclosure of Phi^{-1}(p) for p strictly inside (0, 1).
 
-    The bracket is refined by certified bisection on the cdf enclosure until
-    its relative width is <= QUANTILE_TOL.  Near the tails double precision
-    cannot always reach that width; the sound best-effort bracket is
-    returned then.
+    At a point p the bracket is refined by certified bisection on the cdf
+    enclosure until its relative width is <= QUANTILE_TOL; near the tails
+    double precision cannot always reach that width, and the sound
+    best-effort bracket is returned then.  The tolerance holds for point p
+    only: a non-point p gets one unbisected _quantile_bracket, taken at
+    [1 - p.hi, 1 - p.lo] and negated when p.lo >= 1/2.
     """
     if not p.valid or p.lo <= 0.0 or p.hi >= 1.0:
         return INVALID
     try:
-        alo, bhi = _quantile_point(p.lo)
-        if p.hi != p.lo:
-            bhi = _quantile_point(p.hi)[1]
+        if p.lo == p.hi:
+            return Interval(*_quantile_point(p.lo))
+        if p.lo >= 0.5:  # 1 - p is exact on [1/2, 1]
+            a, b = _quantile_bracket(1.0 - p.hi, 1.0 - p.lo)
+            return Interval(-b, -a)
+        return Interval(*_quantile_bracket(p.lo, p.hi))
     except QuantileError:
         return INVALID
-    return Interval(alo, bhi)

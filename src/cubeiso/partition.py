@@ -41,15 +41,17 @@ MAX_TILING_PROBLEMS = 50  # the tiling walk stops once it has found this many
 # Dyadic rationals and rectangles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Dyadic:
-    """num / 2**exp in lowest terms with exp >= 0 and |num| < 2**53."""
+    """num / 2**exp in lowest terms with exp >= 0 and |num| < 2**53.
 
-    num: int
-    exp: int
+    Equal and hashed by value, and not to be changed once built.  A
+    __slots__ class rather than a frozen dataclass, so that the parser,
+    which builds four per rect, skips the dataclass's object.__setattr__
+    stores."""
 
-    def __post_init__(self):
-        num, exp = self.num, self.exp
+    __slots__ = ("num", "exp")
+
+    def __init__(self, num: int, exp: int):
         if exp < 0:
             raise ValueError("negative exponent")
         if num == 0:
@@ -58,10 +60,21 @@ class Dyadic:
             shift = min(exp, (num & -num).bit_length() - 1)  # trailing zeros of num
             num >>= shift
             exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-        if abs(self.num) >= 2**53 or self.exp > 1060:
-            raise ValueError(f"dyadic {self.num}/2^{self.exp} not exactly representable")
+        if abs(num) >= 2**53 or exp > 1060:
+            raise ValueError(f"dyadic {num}/2^{exp} not exactly representable")
+        self.num = num
+        self.exp = exp
+
+    def __eq__(self, other):
+        if type(other) is not Dyadic:
+            return NotImplemented
+        return self.num == other.num and self.exp == other.exp
+
+    def __hash__(self):
+        return hash((self.num, self.exp))
+
+    def __repr__(self) -> str:
+        return f"Dyadic(num={self.num}, exp={self.exp})"
 
     @staticmethod
     def from_fraction(fr: Fraction | int) -> "Dyadic":
@@ -85,20 +98,32 @@ def dyadic_mid(a: Dyadic, b: Dyadic) -> Dyadic:
     return Dyadic((a.num << (e - a.exp)) + (b.num << (e - b.exp)), e + 1)
 
 
-@dataclass(frozen=True)
 class DyadicRect:
-    """Axis-aligned box with dyadic corners, n = 1 or 2 dimensions."""
+    """Axis-aligned box with dyadic corners, n = 1 or 2 dimensions; equal
+    and hashed by value, a __slots__ class like Dyadic."""
 
-    lo: tuple[Dyadic, ...]
-    hi: tuple[Dyadic, ...]
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
+    def __init__(self, lo: tuple[Dyadic, ...], hi: tuple[Dyadic, ...]):
+        if len(lo) != len(hi) or len(lo) not in (1, 2):
             raise ValueError("rectangles must be 1- or 2-dimensional")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             # every Dyadic is exactly a double, so the float order is exact
-            if not a.to_float() < b.to_float():
+            if not math.ldexp(a.num, -a.exp) < math.ldexp(b.num, -b.exp):
                 raise ValueError(f"degenerate side [{a}, {b}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if type(other) is not DyadicRect:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"DyadicRect(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def build(*sides: tuple[Fraction | int, Fraction | int]) -> "DyadicRect":
@@ -143,6 +168,7 @@ class PartitionStats:
 class Failure:
     deepest_box: DyadicRect
     depth: int
+    bound: Interval  # the bound's interval on deepest_box, not provably positive
 
 
 @dataclass
@@ -172,7 +198,7 @@ def partition(
 
     Returns (rects, failure, margin): on success failure is None and margin
     is the smallest accepted lower bound; on failure rects is None and the
-    failing deepest box is reported.
+    failing deepest box is reported with its bound interval.
     """
     rects: list[DyadicRect] = []
     margin = math.inf
@@ -187,7 +213,7 @@ def partition(
             margin = min(margin, val.lo)
             return None
         if depth >= max_depth:
-            return Failure(deepest_box=box, depth=depth)
+            return Failure(deepest_box=box, depth=depth, bound=val)
         for child in box.children():
             fail = recurse(child, depth + 1)
             if fail is not None:
@@ -258,8 +284,13 @@ def _rect(pairs, is_integer: Callable, sizes=(2, 4)) -> DyadicRect:
     """A rect from [numerator, exponent] pairs, the low corner first."""
     if type(pairs) is not list or len(pairs) not in sizes:
         raise ValueError(f"expected {' or '.join(map(str, sizes))} dyadics")
-    ds = [Dyadic(*_pair(p, is_integer)) for p in pairs]
-    return DyadicRect(tuple(ds[:len(ds) // 2]), tuple(ds[len(ds) // 2:]))
+    ds = []
+    for p in pairs:
+        if type(p) is not list or len(p) != 2 or not (is_integer(p[0]) and is_integer(p[1])):
+            raise ValueError("expected a pair of integers")
+        ds.append(Dyadic(int(p[0]), int(p[1])))
+    k = len(ds) // 2
+    return DyadicRect(tuple(ds[:k]), tuple(ds[k:]))
 
 
 def _parsed(fieldname: str, offset: int, build: Callable):
@@ -269,23 +300,31 @@ def _parsed(fieldname: str, offset: int, build: Callable):
         raise CertificateParseError(f"malformed {fieldname}: {exc}", offset, fieldname) from None
 
 
-def _certificate(fmt: str, claim, beta, c, domain, rects) -> Certificate:
+def _certificate(fmt: str, claim, beta, c, domain, rects: list, offset: Callable) -> Certificate:
     """A certificate from the fields of either format, read with that
     format's integer rule: beta and c as [numerator, denominator] pairs, the
-    domain as in _rect, and the rects as (byte offset, pairs) items, each
-    rect in the domain's dimension."""
+    domain as in _rect, and the rects as a list of such pairs, each rect in
+    the domain's dimension.  offset(i) is the byte offset of rect i, asked
+    for only when rect i is malformed."""
     is_integer = _IS_INTEGER[fmt]
     if type(claim) is not str:
         raise CertificateParseError("malformed claim: not a string", 0, "claim")
     dom = _parsed("domain", 0, lambda: _rect(domain, is_integer))
-    return Certificate(
+    cert = Certificate(
         claim_id=claim,
         beta=_parsed("beta", 0, lambda: F(*_pair(beta, is_integer))),
         c=_parsed("c", 0, lambda: F(*_pair(c, is_integer))),
         domain=dom,
-        rects=[_parsed(f"rect {i}", offset, lambda: _rect(r, is_integer, (2 * dom.n,)))
-               for i, (offset, r) in enumerate(rects)],
+        rects=[],
     )
+    size = (2 * dom.n,)
+    try:
+        for r in rects:
+            cert.rects.append(_rect(r, is_integer, size))
+    except ValueError as exc:
+        i = len(cert.rects)
+        raise CertificateParseError(f"malformed rect {i}: {exc}", offset(i), f"rect {i}") from None
+    return cert
 
 
 def load(data: bytes) -> Certificate:
@@ -301,7 +340,7 @@ def load(data: bytes) -> Certificate:
                 raise ValueError("rects is not a list")
         except (ValueError, KeyError, RecursionError) as exc:
             raise CertificateParseError(f"malformed JSON certificate: {exc}", 0, "json") from None
-        return _certificate("json", claim, beta, c, domain, ((0, r) for r in payload["rects"]))
+        return _certificate("json", claim, beta, c, domain, payload["rects"], lambda i: 0)
     lines = data.decode("utf-8").splitlines(keepends=True)
     head = lines[0].split() if lines else []
     if head[0:7:2] != ["claim", "beta", "c", "domain"]:
@@ -310,11 +349,14 @@ def load(data: bytes) -> Certificate:
     def corners(tokens):
         return [t.split(":") for t in tokens[0::2] + tokens[1::2]]
 
-    # the byte offset where each line ends is where the next line starts
-    ends = itertools.accumulate(len(line.encode("utf-8")) for line in lines)
-    rects = ((end, corners(line.split())) for end, line in zip(ends, lines[1:]) if line.strip())
+    def offset(i):
+        # the byte offset where each line ends is where the next line starts
+        ends = itertools.accumulate(len(line.encode("utf-8")) for line in lines)
+        return [end for end, line in zip(ends, lines[1:]) if line.strip()][i]
+
+    rects = [corners(tokens) for tokens in map(str.split, lines[1:]) if tokens]
     return _certificate("text", head[1], head[3].split("/"), head[5].split("/"),
-                        corners(head[7:]), rects)
+                        corners(head[7:]), rects, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +399,43 @@ def _check_tiling(domain: DyadicRect, rects: list[DyadicRect]) -> list[str]:
     root, boxes = grid(domain), [grid(r) for r in rects]
     inside = [all(a <= x and y <= b for (a, b), (x, y) in zip(root, r)) for r in boxes]
     problems = [f"rect {i} not inside domain" for i, ok in enumerate(inside) if not ok]
+    idx = [i for i, ok in enumerate(inside) if ok]
+    # the least rect equal to each box; every rect equal to a box the walk
+    # reaches is routed there, so the index stands for a scan of idx
+    equal = {}
+    for i in idx:
+        equal.setdefault(boxes[i], i)
     # a loop, not recursion: a box can be up to 1060 halvings below the domain
-    stack = [(root, [i for i, ok in enumerate(inside) if ok])]
+    stack = [(root, idx)]
     while stack:
         if len(problems) >= MAX_TILING_PROBLEMS:
             problems.append(f"tiling check stopped after {len(problems)} problems")
             break
         box, idx = stack.pop()
-        whole = [i for i in idx if boxes[i] == box]
         if not idx:
             problems.append(f"gap: no rect covers {show(box)}")
-        elif whole:
-            problems += [f"rects {whole[0]} and {i} overlap in {show(box)}"
-                         for i in idx if i != whole[0]]
+        elif box in equal:
+            first = equal[box]
+            problems += [f"rects {first} and {i} overlap in {show(box)}" for i in idx if i != first]
         elif any((a + b) % 2 for a, b in box):
             problems += [f"rect {i} lies in {show(box)}, whose midpoint is off the grid"
                          for i in idx]
         else:
             mid = [(a + b) // 2 for a, b in box]
-            halves = {side: [] for side in itertools.product((False, True), repeat=len(box))}
+            # child k holds the rects whose low ends are >= mid in the
+            # dimensions of k's bits, dimension 1 the highest bit
+            halves = [[] for _ in range(1 << len(box))]
             for i in idx:
-                if any(x < m < y for (x, y), m in zip(boxes[i], mid)):
-                    problems.append(f"rect {i} straddles the midpoint of {show(box)}")
+                k = 0
+                for (x, y), m in zip(boxes[i], mid):
+                    if x < m < y:
+                        problems.append(f"rect {i} straddles the midpoint of {show(box)}")
+                        break
+                    k += k + (x >= m)
                 else:
-                    halves[tuple(x >= m for (x, _), m in zip(boxes[i], mid))].append(i)
-            stack += [(tuple((m, b) if s else (a, m) for s, (a, b), m in zip(side, box, mid)), sub)
-                      for side, sub in reversed(halves.items())]
+                    halves[k].append(i)
+            children = itertools.product(*(((a, m), (m, b)) for (a, b), m in zip(box, mid)))
+            stack += reversed(list(zip(children, halves)))
     return problems
 
 

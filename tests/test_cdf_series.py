@@ -146,7 +146,27 @@ def test_quantile_brackets_contain_the_quantile():
     check only widths."""
     for p in _GRID + [1e-5, 1e-8]:
         a, b = _quantile_point(p)
-        assert a <= mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1) <= b, p
+        assert a <= _mp_quantile(p) <= b, p
+
+
+def _mp_quantile(p):
+    if p < 1e-10:  # far in the tail, where 2p - 1 loses p at this precision
+        return mp.findroot(lambda t: mp.log(mp.ncdf(t)) - mp.log(p), -mp.sqrt(-2 * mp.log(p)))
+    return mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1)
+
+
+def test_interval_quantile_brackets_hold_both_end_quantiles():
+    """normal_quantile of a non-point p is one bracket that holds the
+    quantiles of both ends, by mpmath: p on the grid and in both tails, out
+    to where the float seed is off by far more than its first step, from 1
+    ulp wide to 1e-12 p wide, the width of the u of J and J'.  Each end is
+    certified by the cdf enclosure, for p above 1/2 at the mirrored 1 - p."""
+    for p in _GRID + [1e-5, 1e-8, 1.0 - 1e-5, 1.0 - 1e-8, 1e-20, 1e-100]:
+        for hi in (math.nextafter(p, 1.0), p * (1 + 1e-15), p * (1 + 1e-12)):
+            q = normal_quantile(Interval(p, hi))
+            assert q.valid and q.lo <= _mp_quantile(p) and _mp_quantile(hi) <= q.hi, (p, hi)
+            lo, up, a, b = (p, hi, q.lo, q.hi) if p < 0.5 else (1 - hi, 1 - p, -q.hi, -q.lo)
+            assert _cdf_point(a).hi < lo and _cdf_point(b).lo > up, (p, hi)
 
 
 def test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid():

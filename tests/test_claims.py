@@ -17,6 +17,7 @@ DOCS_TABLE = os.path.join(os.path.dirname(__file__), "..", "docs", "claims_table
 
 def test_registry_shape():
     reg = claims.registry()
+    assert type(reg) is tuple and claims.registry() is reg  # built once per process
     assert len(reg) == 13
     ids = [c.claim_id for c in reg]
     assert ids == [

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cubeiso import claims
 from cubeiso.cli import main
-from cubeiso.partition import Certificate, emit_json, emit_text
+from cubeiso.partition import Certificate, Dyadic, DyadicRect, emit_json, emit_text
 
 
 def test_verify_single_claim(tmp_path, capsys):
@@ -240,6 +240,25 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     code = main(["verify", "--claim", "g_J_1", "--max-depth", "1"])
     assert code == 1
     assert "deepest unprovable box" in capsys.readouterr().out
+
+
+def test_verify_failure_prints_the_bound_of_the_deepest_box(capsys):
+    """At --max-depth 3 g_J_1 fails; each run names its deepest unprovable
+    box and the bound's interval there, which is not provably positive."""
+    assert main(["verify", "--claim", "g_J_1", "--max-depth", "3"]) == 1
+    lines = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()
+             if "deepest unprovable box" in line]
+    runs = claims.claim_by_id("g_J_1").runs
+    assert len(lines) == len(runs)
+    for line, run in zip(lines, runs):
+        tokens, bound = line.split(", bound ")
+        ends = [Dyadic(*map(int, t.split(":"))) for t in tokens.split()]
+        box = DyadicRect(tuple(ends[0::2]), tuple(ends[1::2]))
+        val = run.evaluate(box.float_box())
+        assert bound == repr(val) and not (val.valid and val.lo > 0.0)
+        for d in range(box.n):  # a box of depth 3
+            side = F(box.hi[d].to_float()) - F(box.lo[d].to_float())
+            assert side == (F(run.domain.hi[d].to_float()) - F(run.domain.lo[d].to_float())) / 8
 
 
 @pytest.mark.parametrize("argv", [

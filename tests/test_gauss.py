@@ -7,7 +7,7 @@ import mpmath as mp
 
 import _reference as ref
 from conftest import scale
-from cubeiso import gauss
+from cubeiso import gauss, interval
 from cubeiso.interval import Interval, TWO
 
 
@@ -67,6 +67,33 @@ def test_j_against_reference(rng):
             jp = gauss.jprime_point(x)
             truep = ref.Jp(x)
             assert jp.valid and mp.mpf(jp.lo) <= truep <= mp.mpf(jp.hi)
+
+
+def test_j_and_jprime_contain_reference_at_fixed_corners(constants):
+    """J and J' at x = 1/2, on either side of x0 and near 1, where J' is
+    far in the Gaussian tail."""
+    for x in (0.5, constants.x0.lo - 2.0**-20, constants.x0.hi + 2.0**-20, 1.0 - 2.0**-20):
+        j, jp = gauss.j_point(x), gauss.jprime_point(x)
+        assert j.valid and mp.mpf(j.lo) <= ref.J(x) <= mp.mpf(j.hi), x
+        assert jp.valid and mp.mpf(jp.lo) <= ref.Jp(x) <= mp.mpf(jp.hi), x
+
+
+def test_cold_j_corner_takes_one_quantile_bracket(rng, constants, monkeypatch):
+    """J and J' at a cold corner share one unbisected quantile bracket: at
+    most 3 cdf enclosures per corner on average, on [1/2, 13/16]."""
+    calls = []
+    cdf_point = interval._cdf_point
+
+    def counted(t):
+        calls.append(t)
+        return cdf_point(t)
+
+    monkeypatch.setattr(interval, "_cdf_point", counted)
+    xs = [rng.uniform(0.5, 0.8125) for _ in range(300)]  # fresh points: every memo misses
+    for x in xs:
+        gauss.j_point(x)
+        gauss.jprime_point(x)
+    assert len(calls) <= 3 * len(xs)
 
 
 def test_j_outside_domain_invalid():
