@@ -15,12 +15,17 @@ of a declared certificate change can be read off the output.
 
 Then each checkout runs the oracle commands of ORACLE_COMMANDS once, and
 their stdout (the CSV where a command writes one) and exit codes are
-compared.  The exit code is 1 on any difference and 0 otherwise.
+compared.  Each output that differs is printed, and when both sides read as
+CSV rows of the same shape, so are the number of differing cells and the
+largest absolute and relative change among the numeric ones.  The exit code
+is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -93,6 +98,29 @@ def summary_changes(parent: bytes | None, change: bytes | None) -> list[str]:
     return out
 
 
+def cell_changes(parent: bytes, change: bytes) -> list[str]:
+    """The differing cells of two outputs read as CSV: their number and the
+    largest absolute and relative change among the cells that are numbers
+    on both sides, relative to the parent's value (inf where it is 0)."""
+    p, c = (list(csv.reader(io.StringIO(d.decode("utf-8", "replace")))) for d in (parent, change))
+    if len(p) != len(c) or any(len(a) != len(b) for a, b in zip(p, c)):
+        return ["rows or columns differ"]
+    cells = [(x, y) for a, b in zip(p, c) for x, y in zip(a, b) if x != y]
+    changes = []
+    for x, y in cells:
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            continue
+        d = abs(fy - fx)
+        changes.append((d, d / abs(fx) if fx else float("inf")))
+    if not changes:
+        return [f"{len(cells)} cells differ, none of them numbers on both sides"]
+    largest_abs, largest_rel = (max(col) for col in zip(*changes))
+    return [f"{len(cells)} cells differ ({len(changes)} numeric): largest absolute change "
+            f"{largest_abs:.3g}, largest relative change {largest_rel:.3g}"]
+
+
 def difference(name: str, parent: bytes | None, change: bytes | None) -> list[str]:
     """What differs in the file name, beyond its bytes."""
     if name == "summary.json":
@@ -128,9 +156,14 @@ def main() -> int:
         print(f"{label}: {len(names) - len(differ)} of {len(names)} files identical, "
               f"exit codes {codes['parent']} and {codes['change']}")
     outputs = zip(oracle_outputs(args.parent), oracle_outputs(args.change))
-    differ = [" ".join(argv) for argv, (p, c) in zip(ORACLE_COMMANDS, outputs) if p != c]
-    for command in differ:
+    differ = [(" ".join(argv), p, c) for argv, (p, c) in zip(ORACLE_COMMANDS, outputs) if p != c]
+    for command, (p_code, p_out), (c_code, c_out) in differ:
         print(f"oracle: {command} differs")
+        if p_code != c_code:
+            print(f"oracle:   exit code {p_code} at the parent, {c_code} with the change")
+        if p_out != c_out:
+            for line in cell_changes(p_out, c_out):
+                print(f"oracle:   {line}")
     same = same and not differ
     print(f"oracle: {len(ORACLE_COMMANDS) - len(differ)} of {len(ORACLE_COMMANDS)} "
           f"outputs identical")

@@ -46,7 +46,8 @@ without it.
 
 Dispatch.  eval_bound_fn looks a BoundFn's (fn_id, variant) up in one
 table, _BOUNDS, and calls the bound with one Interval per side of the box
-and the BetaConsts of the parameters.  BoundFn accepts only the pairs in
+and the BetaConsts of the parameters, a lookup in beta_consts' memo on a
+hash that BetaParams takes once.  BoundFn accepts only the pairs in
 that table; BOUND_IDS lists its fn_ids in table order.
 
 Conventions:

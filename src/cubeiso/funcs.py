@@ -60,7 +60,11 @@ TWO_POW_M2BETA0 = TWO.pow(Interval.from_fraction(-2 * BETA0_DYADIC))  # 2^(-2 be
 
 @dataclass(frozen=True)
 class BetaParams:
-    """An exact exponent beta in [1/2, 1] and scaling constant c."""
+    """An exact exponent beta in [1/2, 1] and scaling constant c.
+
+    The hash is taken once, in __post_init__: eval_bound_fn looks up
+    beta_consts(params) on every box, and hashing two Fractions each time
+    costs more than the lookup."""
 
     beta: Fraction
     c: Fraction = F(1)
@@ -70,6 +74,10 @@ class BetaParams:
             raise ValueError(f"beta={self.beta} outside [1/2, 1]")
         if not (0 < self.c <= 1):
             raise ValueError(f"c={self.c} outside (0, 1]")
+        object.__setattr__(self, "_hash", hash((self.beta, self.c)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tag(self) -> str:
         b = self.beta

@@ -18,30 +18,25 @@ from a finite sum whose error term overflowed (MAX + -4.7e307 rounds up,
 and the float sum minus -4.7e307 exceeds MAX), which is compared with the
 exact sum as fractions.  This is the one
 directed sum in the module: the cdf series and width use it too.  Products,
-quotients and integer powers share one rule: take the float result at each
-corner, take the min and max, and step an end one float outward only when a
-corner result equal to it is not provably exact.  Exact are a zero or
-infinite factor or dividend, a product of small integers, and scaling by a
-power of two (a lookup in _POW2) to a result above the least normal float,
-which a product or quotient just below it rounds up to; an overflowed
-result never is.  Rounding is monotone, so for finite and infinite
-endpoints alike this gives the ends that rounding every corner outward
-gives, and nextafter(+-inf, -+inf) = +-MAX makes a lower end that
-overflowed to +inf the largest float, as directed rounding does.  When each
-factor, or the dividend, has both ends nonzero and of one sign, the signs
-name the corners that give the ends (Moore, Kearfott & Cloud, Introduction
-to Interval Analysis, SIAM 2009), and only those two are computed and
-tested for exactness.  No other corner can round onto an exact one.  An exact
-result is normal or infinite, and a step at +-inf changes nothing.  For
-0 < a, 0 < c < d and ac exact with 2^E <= ac, the spacing above c exceeds
-c 2^-53, so ad - ac = a(d - c) > ac 2^-53 >= 2^(E-53), half the spacing
-above ac, and ad rounds above it; the spacing below d is at least d 2^-53,
-which keeps the other corners and the quotients off an exact end alike.
-Operands with a zero or a straddling end, and quotients by an infinite
-divisor, take all four corners.  An integer power applies the rule at each
-step of its repeated multiplication of the end magnitudes.  A product of
-nonnegative factors and an even power keep a lower end of at least 0, where
-stepping an underflowed 0.0 down would give -2^-1074.  Library
+quotients and integer powers share one rule (Moore, Kearfott & Cloud,
+Introduction to Interval Analysis, SIAM 2009, ch. 2): take the float result
+at each corner, take the min and max, and step each end one float outward.
+The one exact corner is a zero factor or dividend, whose result is 0 (0 *
+inf included), so an end at 0 stays when every corner that gives 0 has a
+zero operand.  A float result is the nearest float to the exact one, so the
+stepped end lies beyond it and at most one float beyond the outward-rounded
+exact end (Rump, Zimmermann, Boldo & Melquiond, "Computing predecessor and
+successor in rounding to nearest", BIT 49, 2009).  A step at +-inf changes
+nothing, so an infinite factor or dividend keeps its infinite end, and
+nextafter(+-inf, -+inf) = +-MAX makes an end that overflowed the largest
+float, as directed rounding does.  When each factor, or the dividend, has
+both ends nonzero and of one sign, the signs name the corners that give the
+ends (Moore, Kearfott & Cloud), and only those two are computed.  Operands
+with a zero or a straddling end, and quotients by an infinite divisor, take
+all four corners.  An integer power applies the rule at each step of its
+repeated multiplication of the end magnitudes.  A product of nonnegative
+factors and an even power keep a lower end of at least 0, where stepping an
+underflowed 0.0 down would give -2^-1074.  Library
 transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
 by 2 ulp on each side; this assumption is exercised empirically by the
 randomized containment suite against a high-precision oracle.
@@ -84,9 +79,6 @@ _MIN_NORMAL = sys.float_info.min
 _nextafter = math.nextafter
 _new = object.__new__
 
-# +-2^k for every power of two a double holds, the subnormal ones included
-_POW2 = frozenset(s * math.ldexp(1.0, k) for k in range(-1074, 1024) for s in (1.0, -1.0))
-
 ScalarLike = Union[int, float, Fraction]
 
 
@@ -116,59 +108,31 @@ def _sum_up(s: float, x: float, y: float) -> float:
     return _nextafter(s, _INF)
 
 
-def _mul_exact(a: float, b: float, p: float) -> bool:
-    """True only if the float product p == a*b is provably exact.  A product
-    with an infinite factor is exact; an overflowed finite one is not."""
-    if a == 0.0 or b == 0.0:
-        return True
-    # both small integers: product fits in 53 bits
-    if a.is_integer() and b.is_integer() and abs(a) < 67108864.0 and abs(b) < 67108864.0:
-        return True
-    if math.isinf(p):  # an infinite factor, or overflow
-        return math.isinf(a) or math.isinf(b)
-    # scaling by a power of two is exact unless the result underflows; a
-    # result that rounds up onto the least normal float may have
-    return (a in _POW2 or b in _POW2) and abs(p) > _MIN_NORMAL
-
-
-def _div_exact(a: float, b: float, q: float) -> bool:
-    """True only if the float quotient q == a/b is provably exact.  An
-    infinite dividend gives an exact quotient; an infinite divisor, an
-    overflow or an underflow does not."""
-    if a == 0.0 or math.isinf(a):
-        return True
-    return _MIN_NORMAL < abs(q) < _INF and b in _POW2
-
-
 def _hull(a: float, b: float, c: float, d: float,
-          ac: float, ad: float, bc: float, bd: float, exact) -> "Interval":
+          ac: float, ad: float, bc: float, bd: float) -> "Interval":
     """The outward-rounded hull of the float corner results ac = a op c, ad,
-    bc and bd of an operation op.  An end moves one float outward only when
-    a corner result equal to it is not exact(x, y, r).  Rounding is
-    monotone, so these are the ends that rounding every corner outward
-    gives.  nextafter(+-inf, -+inf) is +-MAX, so a lower end that
-    overflowed to +inf becomes MAX, and an upper end at -inf becomes -MAX."""
+    bc and bd of a product or a quotient.  A corner with a zero operand is
+    exact (a divisor end is never 0 here) and gives 0, so a nonzero end
+    always moves one float outward, and an end at 0 moves when a corner of
+    nonzero operands gave 0 too: it underflowed."""
     lo = min(ac, ad, bc, bd)
     hi = max(ac, ad, bc, bd)
-    if ((ac == lo and not exact(a, c, ac)) or (ad == lo and not exact(a, d, ad))
-            or (bc == lo and not exact(b, c, bc)) or (bd == lo and not exact(b, d, bd))):
-        lo = _down(lo)
-    if ((ac == hi and not exact(a, c, ac)) or (ad == hi and not exact(a, d, ad))
-            or (bc == hi and not exact(b, c, bc)) or (bd == hi and not exact(b, d, bd))):
-        hi = _up(hi)
+    under = ((ac == 0.0 and a != 0.0 and c != 0.0) or (ad == 0.0 and a != 0.0 and d != 0.0)
+             or (bc == 0.0 and b != 0.0 and c != 0.0) or (bd == 0.0 and b != 0.0 and d != 0.0))
     out = _new(Interval)
-    out.lo = lo
-    out.hi = hi
+    out.lo = lo if lo == 0.0 and not under else _nextafter(lo, -_INF)
+    out.hi = hi if hi == 0.0 and not under else _nextafter(hi, _INF)
     return out
 
 
 def _pow_mag(v: float, n: int, toward: float) -> float:
-    """v**n for v >= 0 by repeated multiplication, each product not provably
-    exact moved one float toward -inf or +inf."""
+    """v**n for v >= 0 by repeated multiplication, each product moved one
+    float toward -inf or +inf unless a factor is 0: the base, or a power
+    below 2^-1074 that an earlier step moved down to 0."""
     r = v
     for _ in range(n - 1):
         p = r * v
-        r = p if _mul_exact(r, v, p) else _nextafter(p, toward)
+        r = p if r == 0.0 else _nextafter(p, toward)
     return r
 
 
@@ -307,7 +271,7 @@ class Interval:
             other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         # Factors of one sign each: p*q is the lowest corner, r*s the highest.
-        # An infinite end lies in one of them and makes it exact.
+        # Both ends step; an infinite end lies in one of them and stays.
         corners = None
         if 0.0 < a:
             if 0.0 < c:
@@ -321,15 +285,12 @@ class Interval:
                 corners = b, d, a, c
         if corners is not None:
             p, q, r, s = corners
-            lo = p * q
-            hi = r * s
-            if not _mul_exact(p, q, lo):
-                lo = _nextafter(lo, -_INF)
-                if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
-                    lo = 0.0
+            lo = _nextafter(p * q, -_INF)
+            if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
+                lo = 0.0
             out = _new(Interval)
             out.lo = lo
-            out.hi = hi if _mul_exact(r, s, hi) else _nextafter(hi, _INF)
+            out.hi = _nextafter(r * s, _INF)
             return out
         if a != a or c != c:
             return INVALID
@@ -337,7 +298,7 @@ class Interval:
         if ac != ac or ad != ad or bc != bc or bd != bd:
             # 0 * inf: the factor 0 is exact, so the product is 0
             ac, ad, bc, bd = (0.0 if p != p else p for p in (ac, ad, bc, bd))
-        out = _hull(a, b, c, d, ac, ad, bc, bd, _mul_exact)
+        out = _hull(a, b, c, d, ac, ad, bc, bd)
         if out.lo < 0.0 <= min(a, c):  # x, y >= 0: an underflowed x*y stops at 0
             out.lo = 0.0
         return out
@@ -349,8 +310,8 @@ class Interval:
             other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         # A dividend of one sign by a finite divisor of one sign: p/q is the
-        # lowest corner, r/s the highest.  An infinite end of the dividend
-        # lies in one of them and makes it exact.
+        # lowest corner, r/s the highest.  Both ends step; an infinite end of
+        # the dividend lies in one of them and stays.
         corners = None
         if 0.0 < c and d < _INF:
             if 0.0 < a:
@@ -364,11 +325,9 @@ class Interval:
                 corners = b, c, a, d
         if corners is not None:
             p, q, r, s = corners
-            lo = p / q
-            hi = r / s
             out = _new(Interval)
-            out.lo = lo if _div_exact(p, q, lo) else _nextafter(lo, -_INF)
-            out.hi = hi if _div_exact(r, s, hi) else _nextafter(hi, _INF)
+            out.lo = _nextafter(p / q, -_INF)
+            out.hi = _nextafter(r / s, _INF)
             return out
         if not (self.valid and other.valid):
             return INVALID
@@ -377,7 +336,7 @@ class Interval:
         ac, ad, bc, bd = a / c, a / d, b / c, b / d
         if ac != ac or ad != ad or bc != bc or bd != bd:  # inf / inf
             return INVALID
-        return _hull(a, b, c, d, ac, ad, bc, bd, _div_exact)
+        return _hull(a, b, c, d, ac, ad, bc, bd)
 
     def __rtruediv__(self, other) -> "Interval":
         return _coerce(other).__truediv__(self)

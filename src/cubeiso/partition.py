@@ -42,14 +42,15 @@ MAX_TILING_PROBLEMS = 50  # the tiling walk stops once it has found this many
 # ---------------------------------------------------------------------------
 
 class Dyadic:
-    """num / 2**exp in lowest terms with exp >= 0 and |num| < 2**53.
+    """num / 2**exp in lowest terms with exp >= 0 and |num| < 2**53, and
+    value, the double ldexp(num, -exp) that equals it exactly.
 
-    Equal and hashed by value, and not to be changed once built.  A
+    Equal and hashed by (num, exp), and not to be changed once built.  A
     __slots__ class rather than a frozen dataclass, so that the parser,
-    which builds four per rect, skips the dataclass's object.__setattr__
-    stores."""
+    which builds up to four per rect, skips the dataclass's
+    object.__setattr__ stores."""
 
-    __slots__ = ("num", "exp")
+    __slots__ = ("num", "exp", "value")
 
     def __init__(self, num: int, exp: int):
         if exp < 0:
@@ -64,6 +65,7 @@ class Dyadic:
             raise ValueError(f"dyadic {num}/2^{exp} not exactly representable")
         self.num = num
         self.exp = exp
+        self.value = math.ldexp(num, -exp)
 
     def __eq__(self, other):
         if type(other) is not Dyadic:
@@ -86,7 +88,7 @@ class Dyadic:
         return Dyadic(fr.numerator, exp)
 
     def to_float(self) -> float:
-        return math.ldexp(self.num, -self.exp)
+        return self.value
 
     def __str__(self) -> str:
         return f"{self.num}:{self.exp}"
@@ -109,7 +111,7 @@ class DyadicRect:
             raise ValueError("rectangles must be 1- or 2-dimensional")
         for a, b in zip(lo, hi):
             # every Dyadic is exactly a double, so the float order is exact
-            if not math.ldexp(a.num, -a.exp) < math.ldexp(b.num, -b.exp):
+            if not a.value < b.value:
                 raise ValueError(f"degenerate side [{a}, {b}]")
         self.lo = lo
         self.hi = hi
@@ -136,7 +138,7 @@ class DyadicRect:
         return len(self.lo)
 
     def float_box(self) -> tuple[tuple[float, float], ...]:
-        return tuple((a.to_float(), b.to_float()) for a, b in zip(self.lo, self.hi))
+        return tuple((a.value, b.value) for a, b in zip(self.lo, self.hi))
 
     def children(self) -> Iterator["DyadicRect"]:
         """2^n congruent children, dimension-1 low half first."""
@@ -280,15 +282,21 @@ def _pair(pair, is_integer: Callable) -> tuple[int, int]:
     return int(pair[0]), int(pair[1])
 
 
-def _rect(pairs, is_integer: Callable, sizes=(2, 4)) -> DyadicRect:
-    """A rect from [numerator, exponent] pairs, the low corner first."""
+def _rect(pairs, is_integer: Callable, dyadics: dict, sizes=(2, 4)) -> DyadicRect:
+    """A rect from [numerator, exponent] pairs, the low corner first.  A pair
+    that passes is_integer is looked up in dyadics, and its Dyadic is added
+    there if it is new, so equal tokens share one Dyadic."""
     if type(pairs) is not list or len(pairs) not in sizes:
         raise ValueError(f"expected {' or '.join(map(str, sizes))} dyadics")
     ds = []
     for p in pairs:
         if type(p) is not list or len(p) != 2 or not (is_integer(p[0]) and is_integer(p[1])):
             raise ValueError("expected a pair of integers")
-        ds.append(Dyadic(int(p[0]), int(p[1])))
+        key = (p[0], p[1])
+        d = dyadics.get(key)
+        if d is None:
+            d = dyadics[key] = Dyadic(int(p[0]), int(p[1]))
+        ds.append(d)
     k = len(ds) // 2
     return DyadicRect(tuple(ds[:k]), tuple(ds[k:]))
 
@@ -305,11 +313,13 @@ def _certificate(fmt: str, claim, beta, c, domain, rects: list, offset: Callable
     format's integer rule: beta and c as [numerator, denominator] pairs, the
     domain as in _rect, and the rects as a list of such pairs, each rect in
     the domain's dimension.  offset(i) is the byte offset of rect i, asked
-    for only when rect i is malformed."""
+    for only when rect i is malformed.  A grid point is a corner of up to
+    four rects, and all of them share its one Dyadic."""
     is_integer = _IS_INTEGER[fmt]
+    dyadics = {}
     if type(claim) is not str:
         raise CertificateParseError("malformed claim: not a string", 0, "claim")
-    dom = _parsed("domain", 0, lambda: _rect(domain, is_integer))
+    dom = _parsed("domain", 0, lambda: _rect(domain, is_integer, dyadics))
     cert = Certificate(
         claim_id=claim,
         beta=_parsed("beta", 0, lambda: F(*_pair(beta, is_integer))),
@@ -320,7 +330,7 @@ def _certificate(fmt: str, claim, beta, c, domain, rects: list, offset: Callable
     size = (2 * dom.n,)
     try:
         for r in rects:
-            cert.rects.append(_rect(r, is_integer, size))
+            cert.rects.append(_rect(r, is_integer, dyadics, size))
     except ValueError as exc:
         i = len(cert.rects)
         raise CertificateParseError(f"malformed rect {i}: {exc}", offset(i), f"rect {i}") from None

@@ -5,12 +5,13 @@ Gaussian profile goes through mpmath's erfinv/exp, the comparison functions
 are written directly from their defining formulas, and w0 is obtained by
 mpmath root finding.  mul_four_products, div_eight_quotients and
 ipow_directed are frozen copies of the per-operand rounding rule, which
-rounds every endpoint product or quotient outward on its own, exactness
-tests included, plus three rules of their own: a quotient with an inf/inf
-corner is Invalid, and a product of nonnegative factors and an even power
-have a lower end of at least 0.  add_directed and sub_directed round the
-exact Fraction sum of each pair of ends in its direction, with the kernel's
-conventions for inf - inf and overflow.  They take from the kernel only
+rounds every endpoint product or quotient outward on its own, exact only
+with a zero factor or dividend (an infinite factor or dividend keeps its
+infinite result, as a step at +-inf would), plus three rules of their own:
+a quotient with an inf/inf corner is Invalid, and a product of nonnegative
+factors and an even power have a lower end of at least 0.  add_directed
+and sub_directed round the exact Fraction sum of each pair of ends in its
+direction, with the kernel's conventions for inf - inf and overflow.  They take from the kernel only
 the Interval type and its INVALID and ONE values, and Interval's ×, ÷, ipow,
 + and − must give their ends bit for bit (×: up to the sign of a zero
 end).  One exception is
@@ -286,7 +287,6 @@ def target_g_tail_high(v):
 # ---------------------------------------------------------------------------
 
 _MAX = sys.float_info.max
-_MIN_NORMAL = sys.float_info.min
 
 
 def _up(x: float) -> float:
@@ -298,23 +298,8 @@ def _down(x: float) -> float:
 
 
 def _mul_exact(a: float, b: float, p: float) -> bool:
-    """True only if the float product p == a*b is provably exact."""
-    if a == 0.0 or b == 0.0:
-        return True
-    # both small integers: product fits in 53 bits
-    if a.is_integer() and b.is_integer() and abs(a) < 67108864.0 and abs(b) < 67108864.0:
-        return True
-    # scaling by a power of two is exact unless the result leaves the
-    # normal range (overflow is handled by the caller); a result just below
-    # the least normal float rounds up onto it
-    if abs(p) > _MIN_NORMAL:
-        ma, _ = math.frexp(a)
-        if ma == 0.5 or ma == -0.5:
-            return True
-        mb, _ = math.frexp(b)
-        if mb == 0.5 or mb == -0.5:
-            return True
-    return False
+    """True only if the float product p == a*b is provably exact: a zero factor."""
+    return a == 0.0 or b == 0.0
 
 
 def _mul_down(a: float, b: float) -> float:
@@ -344,13 +329,8 @@ def _mul_up(a: float, b: float) -> float:
 
 
 def _div_exact(a: float, b: float, q: float) -> bool:
-    if a == 0.0:
-        return True
-    if abs(q) > _MIN_NORMAL and not math.isinf(q):
-        mb, _ = math.frexp(b)
-        if mb == 0.5 or mb == -0.5:
-            return True
-    return False
+    """True only if the float quotient q == a/b is provably exact: a zero dividend."""
+    return a == 0.0
 
 
 def _div_down(a: float, b: float) -> float:

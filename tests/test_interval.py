@@ -42,9 +42,29 @@ def test_additive_identity_is_exact():
     assert out.lo == -3.25 and out.hi == 7.5
 
 
-def test_small_integer_product_is_exact():
+def test_small_integer_product_steps_both_ends():
+    """A product of small integers is exact in floats, but only a zero
+    factor makes a corner exact: both ends step one float outward."""
     out = Interval(1, 2) * Interval(-3, -1)
-    assert out.lo == -6.0 and out.hi == -1.0
+    assert out.lo == math.nextafter(-6.0, -math.inf) and out.hi == math.nextafter(-1.0, 0.0)
+
+
+def test_only_a_zero_factor_or_dividend_is_exact():
+    """The product rule: a zero factor or dividend gives an exact 0 end, and
+    every other end steps one float outward, also where the float result is
+    exact, as 2 * 3, scaling by a power of two and 1 * x are."""
+    up, down = (lambda v: math.nextafter(v, math.inf)), (lambda v: math.nextafter(v, -math.inf))
+    assert Interval(2.0) * Interval(3.0) == Interval(down(6.0), up(6.0))
+    assert Interval(3.0) * Interval(0.5) == Interval(down(1.5), up(1.5))
+    assert Interval(3.0) / Interval(2.0) == Interval(down(1.5), up(1.5))
+    assert Interval(0.0, 2.0) * Interval(3.0) == Interval(0.0, up(6.0))
+    assert Interval(-2.0, 0.0) * Interval(-3.0, 3.0) == Interval(down(-6.0), up(6.0))
+    assert Interval(0.0, 1.0) * Interval(-3.0, -2.0) == Interval(down(-3.0), 0.0)
+    assert Interval(0.0) * Interval(-math.inf, math.inf) == Interval(0.0)
+    assert Interval(0.0, 2.0) / Interval(4.0) == Interval(0.0, up(0.5))
+    assert Interval(-2.0, 0.0) / Interval(-4.0, -2.0) == Interval(0.0, up(1.0))
+    assert Interval(0.0, 1.0).ipow(2) == Interval(0.0, up(1.0))
+    assert Interval(0.0).ipow(3) == Interval(0.0)
 
 
 def test_division_by_zero_straddle_is_invalid():
@@ -93,7 +113,7 @@ def test_arith_operators_cover_all_kinds():
     a, b = Interval(1, 2), Interval(3, 4)
     assert (a + b).lo == 4.0
     assert (a - b).hi == -1.0
-    assert (a * b).lo == 3.0
+    assert (a * b).lo == math.nextafter(3.0, 0.0)
     assert (a / b).hi <= 2.0 / 3.0 + 1e-15
     assert -a == Interval(-2, -1)
     assert a.min(b) == a
@@ -157,8 +177,10 @@ def test_pow_zero_base_positive_exponent():
 
 
 def test_integer_power_straddle_is_tight():
+    """The even power of a straddle is [0, max end**2], not x*x: the lower
+    end is the exact 0 of a zero base, the upper one float above 4."""
     out = Interval(-1.0, 2.0).ipow(2)
-    assert out.lo == 0.0 and out.hi == 4.0
+    assert out.lo == 0.0 and out.hi == math.nextafter(4.0, math.inf)
 
 
 def test_even_power_that_underflows_stays_nonnegative():
@@ -314,8 +336,9 @@ def test_rationals_beyond_the_float_range_are_one_sided():
     for big in (10**400, F(10**400, 3)):
         assert Interval.from_fraction(big) == Interval(_MAX, math.inf)
         assert Interval.from_fraction(-big) == Interval(-math.inf, -_MAX)
-    assert Interval(1.0) * 10**400 == Interval(_MAX, math.inf)
-    assert Interval(1.0) * -(10**400) == Interval(-math.inf, -_MAX)
+    # 1 * [MAX, inf]: the finite end steps one float down, the infinite one stays
+    assert Interval(1.0) * 10**400 == Interval(math.nextafter(_MAX, 0.0), math.inf)
+    assert Interval(1.0) * -(10**400) == Interval(-math.inf, -math.nextafter(_MAX, 0.0))
     assert Interval(1.0) - 10**400 == Interval(-math.inf, math.nextafter(-_MAX, 0.0))
     assert Interval(0.0) + (2**53 + 1) == Interval(2.0**53, 2.0**53 + 2)  # above 2^53: not a float
 
@@ -326,7 +349,7 @@ def test_mul_rounds_every_tied_extremal_product():
     x, y = Interval(-1e-200, 0.0), Interval(1e-200, 1.0)
     out = x * y
     assert out == ref.mul_four_products(x, y)
-    assert out.lo == -1e-200 and out.hi == math.ulp(0.0)
+    assert out.lo == math.nextafter(-1e-200, -math.inf) and out.hi == math.ulp(0.0)
 
 
 def test_product_of_nonnegative_factors_that_underflows_stays_nonnegative():
@@ -339,7 +362,7 @@ def test_product_of_nonnegative_factors_that_underflows_stays_nonnegative():
                  (Interval(0.0, 1e-200), Interval(1e-200, 1.0))):
         out = x * y
         assert out == ref.mul_four_products(x, y)
-        assert out.lo == 0.0 and out.hi == 1e-200
+        assert out.lo == 0.0 and out.hi == math.nextafter(1e-200, 1.0)
 
 
 def _same_float(u, v):
@@ -369,7 +392,10 @@ def test_div_matches_eight_quotient_rule(x, y):
 
 @settings(max_examples=3000, deadline=None)
 @given(_mul_operands())
+@example(Interval(1.3039564191549774e-81))
 def test_ipow_matches_directed_powers(x):
+    """On the example the lower end of x**4 steps down onto 0, and x**5 is
+    that 0 times x: a zero factor, so exact."""
     for n in range(-3, 6):
         got, want = x.ipow(n), ref.ipow_directed(x, n)
         assert _same_float(got.lo, want.lo) and _same_float(got.hi, want.hi), n

@@ -223,6 +223,56 @@ def test_deeply_nested_json_is_a_parse_error():
         load(b'{"claim":' + b"[" * 100_000 + b"]" * 100_000 + b"}")
 
 
+def test_one_load_shares_one_dyadic_per_corner(sample_cert):
+    """Within one load, equal corners are one Dyadic object; a grid point is
+    the corner of up to four rects."""
+    for fmt in ("text", "json"):
+        cert = load(emit(sample_cert, fmt))
+        by_value = {}
+        for r in (cert.domain, *cert.rects):
+            for d in r.lo + r.hi:
+                assert by_value.setdefault(d, d) is d
+        assert len(by_value) < 4 * len(cert.rects)
+
+
+@pytest.mark.parametrize("exp", [0, 12, 1060])
+def test_float_box_is_the_exact_double_of_each_corner(exp):
+    lo, hi = Dyadic(-(2**52) - 1, exp), Dyadic(2**52 + 3, exp)
+    rect = DyadicRect((lo, Dyadic(1, exp)), (hi, Dyadic(5, exp)))
+    assert rect.float_box() == ((math.ldexp(-(2**52) - 1, -exp), math.ldexp(2**52 + 3, -exp)),
+                                (math.ldexp(1, -exp), math.ldexp(5, -exp)))
+    assert F(lo.to_float()) == F(-(2**52) - 1, 2**exp)
+
+
+_HEAD = b"claim g_Q_2 beta 1/2 c 1/1 domain 1:2 1:1 1:2 1:1\n"
+_RECT = b"[[1,2],[1,2],[3,3],[3,3]]"
+
+
+def _json_rects(*rects):
+    return (b'{"beta":[1,2],"c":[1,1],"claim":"g_Q_2","domain":' + _DOMAIN.encode()
+            + b',"rects":[' + b",".join(rects) + b"]}\n")
+
+
+@pytest.mark.parametrize("data,message", [
+    (_HEAD + b"1:2 3:3 1:2 3:3\n3:3 1:1 1:2 3:3\n1:2 3:3 3:3 1:4000\n",
+     "malformed rect 2: dyadic 1/2^4000 not exactly representable (byte 82, field rect 2)"),
+    (_HEAD + b"1:2 3:3 1:2 3:3\n3:3 3:3 1:2 3:3\n",
+     "malformed rect 1: degenerate side [3:3, 3:3] (byte 66, field rect 1)"),
+    (_json_rects(_RECT, b"[[true,2],[1,2],[3,3],[3,3]]"),
+     "malformed rect 1: expected a pair of integers (byte 0, field rect 1)"),
+    (_json_rects(_RECT, b"[[1,2],[1,2],[3.0,3],[3,3]]"),
+     "malformed rect 1: expected a pair of integers (byte 0, field rect 1)"),
+], ids=["exponent_too_large", "degenerate_side", "json_bool_equal_to_a_token",
+        "json_float_equal_to_a_token"])
+def test_malformed_tokens_beside_shared_corners_keep_their_error(data, message):
+    """Corners shared within a load change no error text or offset: a JSON
+    true or 3.0 equals a pair already read as a dict key, and must still be
+    refused."""
+    with pytest.raises(CertificateParseError) as err:
+        load(data)
+    assert str(err.value) == message
+
+
 def _exact_area(r: DyadicRect) -> F:
     return math.prod(F(b.to_float()) - F(a.to_float()) for a, b in zip(r.lo, r.hi))
 
