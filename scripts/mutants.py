@@ -41,6 +41,8 @@ PARTITION = "src/cubeiso/partition.py"
 ORACLE = "src/cubeiso/oracle.py"
 O = "tests/test_oracle.py::"
 CLI = "src/cubeiso/cli.py"
+CS = "tests/test_cdf_series.py::"
+DEEP = CS + "test_deep_tail_brackets_are_narrow"
 C = "tests/test_cli.py::"
 P = "tests/test_partition.py::"
 
@@ -101,24 +103,30 @@ MUTANTS = [
      "        if True:\n            f = float(fr)\n        else:", [BIG]),
     ("coerce: a large int taken as a float", INTERVAL,
      "(isinstance(x, int) and -(2**53) <= x <= 2**53)", "isinstance(x, int)", [BIG]),
-    # The Gaussian cdf series and the quantile bisection.
+    # The Gaussian cdf series and the quantile bracket.
     ("cdf series: no truncation term", INTERVAL,
      "a_next * _pow_float(x, k) * _SLACK + _TINY)", "_TINY)",
-     ["tests/test_cdf_series.py::test_series_error_terms_exact",
-      "tests/test_cdf_series.py::test_series_error_terms_at_edges"]),
+     [CS + "test_series_error_terms_exact", CS + "test_series_error_terms_at_edges"]),
     ("quantile: a bracket accepted uncertified", INTERVAL,
      "if _cdf_point(a).hi < lo and _cdf_point(b).lo > hi:",
      "if _cdf_point(a).lo < lo and _cdf_point(b).hi > hi:",
-     ["tests/test_cdf_series.py::test_quantile_brackets_contain_the_quantile"]),
+     [CS + "test_quantile_brackets_contain_the_quantile", DEEP]),
     ("quantile: the low end of an interval bracket accepted uncertified", INTERVAL,
      "_cdf_point(a).hi < lo and", "_cdf_point(a).lo < lo and",
-     ["tests/test_cdf_series.py::test_interval_quantile_brackets_hold_both_end_quantiles"]),
+     [CS + "test_interval_quantile_brackets_hold_both_end_quantiles", DEEP]),
     ("quantile: the mirror of p above 1/2 not negated", INTERVAL,
      "return Interval(-b, -a)", "return Interval(a, b)",
-     ["tests/test_cdf_series.py::test_interval_quantile_brackets_hold_both_end_quantiles"]),
+     [CS + "test_interval_quantile_brackets_hold_both_end_quantiles",
+      T + "test_quantile_above_half_is_the_mirrored_bracket"]),
     ("quantile: the seed takes 1/q of a subnormal q", INTERVAL,
      "        q = max(q, _MIN_NORMAL)  # 1/q is finite\n", "",
-     ["tests/test_cdf_series.py::test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid"]),
+     [CS + "test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid"]),
+    ("quantile: the seed drops its erfc branch", INTERVAL,
+     "    deep = p < _ERFC_CUT\n", "    deep = False\n", [DEEP]),
+    ("quantile: a point p above 1/2 not mirrored", INTERVAL,
+     "        if p.lo >= 0.5:  # 1 - p is exact on [1/2, 1]",
+     "        if p.lo >= 0.5 and p.lo < p.hi:",
+     [T + "test_quantile_above_half_is_the_mirrored_bracket"]),
     # The range rule for J and its derivatives.
     ("j_range: straddle upper end without the peak", GAUSS,
      "min(va.lo, vb.lo), _jk_peak(k).hi", "min(va.lo, vb.lo), max(va.hi, vb.hi)", J_RANGE),

@@ -47,8 +47,10 @@ without it.
 Dispatch.  eval_bound_fn looks a BoundFn's (fn_id, variant) up in one
 table, _BOUNDS, and calls the bound with one Interval per side of the box
 and the BetaConsts of the parameters, a lookup in beta_consts' memo on a
-hash that BetaParams takes once.  BoundFn accepts only the pairs in
-that table; BOUND_IDS lists its fn_ids in table order.
+hash that BetaParams takes once; the runs of a shared beta hold funcs' one
+params object for it, so the lookup finds its key by identity.  BoundFn
+accepts only the pairs in that table; BOUND_IDS lists its fn_ids in table
+order.
 
 Conventions:
   * a coordinate derived from the box (x + h, (x + y)/2, (1/16 + y)/2 and
@@ -87,10 +89,10 @@ from fractions import Fraction
 
 from . import gauss
 from .funcs import (
+    BC_BETA0,
     BC_HALF,
     BETA0_DYADIC,
     L_INCREASING_BELOW,
-    TWO_POW_M2BETA0,
     BetaConsts,
     BetaParams,
     G1,
@@ -522,32 +524,33 @@ def g_QJ2_bound(x: Interval, y: Interval, bc: BetaConsts) -> Interval:
 
 
 def g_P2_bound(x: Interval, bc: BetaConsts) -> Interval:
-    """2^(-2 beta0) (L_{1/2}(x) + J(1-x)) - 2 x (1-x) on [1/64, 1/4]."""
+    """2^(-2 beta) (L_{1/2}(x) + J(1-x)) - 2 x (1-x) on [1/64, 1/4]."""
     u = ONE - x
     jx = gauss.j_range(0, u.lo, u.hi)
     if not jx.valid:
         return INVALID
     lx = l_range(x.lo, x.hi, BC_HALF)
-    return TWO_POW_M2BETA0 * (lx + jx) - TWO * x * u
+    return bc.two_pow_m2beta * (lx + jx) - TWO * x * u
 
 
 P3_B0 = Interval.from_fraction(BETA0_DYADIC)
 P3_E1 = Interval.from_fraction(2 * BETA0_DYADIC - 1)
 P3_E2 = Interval.from_fraction(2 * BETA0_DYADIC)
+P3_TWO_POW_M2B0 = BC_BETA0.two_pow_m2beta
 
 
 def g_P3_bound(x: Interval, bc: BetaConsts) -> Interval:
     """Negated x-derivative of the Poincare comparison on [1/4, 1/2].
 
     One bound for every beta in [1/2, beta0], not for bc's beta alone: its
-    constants sit at the ends of that range (x^(2 beta0 - 1), u^(2 beta0),
-    2 beta0 x, (1/2) Q'_{1/2}), and tests/test_bounds.py checks it against
-    the target at beta sampled across the range.  The beta of a g_P_3
+    constants sit at the ends of that range (2^(-2 beta0), x^(2 beta0 - 1),
+    u^(2 beta0), 2 beta0 x, (1/2) Q'_{1/2}), and tests/test_bounds.py checks
+    it against the target at beta sampled across the range.  The beta of a g_P_3
     certificate therefore names the registered run, not the only beta the
     bound holds for; reading beta from bc would lose that uniformity."""
     u = ONE - x
     out = -(HALF * qprime_range(x.lo, x.hi, BC_HALF))
-    out = out + TWO_POW_M2BETA0 * gauss.j_range(1, u.lo, u.hi)
+    out = out + P3_TWO_POW_M2B0 * gauss.j_range(1, u.lo, u.hi)
     out = out + x.pow(P3_E1) * u
     out = out - x
     out = out + u.pow(P3_E2)
@@ -571,14 +574,15 @@ def _tail_c2(bc: BetaConsts) -> Interval:
     return bc.log2_pow_mbeta * (ONE / w0).log().pow(bc.beta)
 
 
-def tail_side_conditions() -> list[tuple[str, bool]]:
+def tail_side_conditions(params: BetaParams) -> list[tuple[str, bool]]:
     """Certified dominations that let the displayed tail polynomial stand in
-    for the exact tail comparison on the high range (u >= 10^(25/8))."""
-    bc0 = beta_consts(BetaParams(BETA0_DYADIC))
+    for the exact tail comparison on the high range (u >= 10^(25/8)), at the
+    params of the g_tail runs."""
+    bc = beta_consts(params)
     return [
-        ("tail_c1_le_1.21", strictly_less(bc0.log2_pow_mbeta, TAIL_C1)),
-        ("tail_exponent", BETA0_DYADIC - F(1, 2) <= TAIL_EXPONENT),
-        ("tail_c2_le_0.4", strictly_less(_tail_c2(bc0), TAIL_C2)),
+        ("tail_c1_le_1.21", strictly_less(bc.log2_pow_mbeta, TAIL_C1)),
+        ("tail_exponent", params.beta - F(1, 2) <= TAIL_EXPONENT),
+        ("tail_c2_le_0.4", strictly_less(_tail_c2(bc), TAIL_C2)),
         ("tail_log_le_880", strictly_less(Interval(381.0) * LOG10 + LOG_4PI, TAIL_C3)),
     ]
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import gauss
 from .bounds import BoundFn, eval_bound_fn, tail_side_conditions
-from .funcs import BETA0_DYADIC, BETA1, C0, BetaParams
+from .funcs import BETA0_PARAMS, BETA1, C0, HALF_PARAMS, BetaParams
 from .interval import Interval
 from .partition import (
     MAX_DEPTH_DEFAULT,
@@ -101,8 +101,6 @@ def _claim(claim_id, fn_id, sides, param_sets, margin) -> Claim:
     )
 
 
-_BETA0 = BetaParams(BETA0_DYADIC)
-_HALFP = BetaParams(F(1, 2))
 _HALF_C0 = BetaParams(F(1, 2), C0)
 _BETA1P = BetaParams(BETA1)
 
@@ -111,7 +109,7 @@ _BETA1P = BetaParams(BETA1)
 def registry() -> tuple[Claim, ...]:
     """All thirteen partitioned claims, in canonical order, built once per
     process."""
-    tail_params = _BETA0
+    tail_params = BETA0_PARAMS
     tail = Claim(
         claim_id="g_tail",
         runs=(
@@ -129,27 +127,27 @@ def registry() -> tuple[Claim, ...]:
         reference_margin=None,
     )
     return (
-        _claim("g_JL", "g_JL", [(F(1, 2), F(2047, 2048))], [_BETA0], F(2, 25)),
+        _claim("g_JL", "g_JL", [(F(1, 2), F(2047, 2048))], [BETA0_PARAMS], F(2, 25)),
         _claim("g_J_1", "g_J1", [(F(1, 2), F(5, 8)), (F(0), F(3, 16))],
-               [_BETA0, _HALF_C0], F(1, 10**7)),
+               [BETA0_PARAMS, _HALF_C0], F(1, 10**7)),
         _claim("g_J_2", "g_J2", [(F(1, 2), F(9, 16)), (F(11, 16), F(1))],
-               [_HALFP], F(1, 10**8)),
+               [HALF_PARAMS], F(1, 10**8)),
         _claim("g_Q_1", "g_Q1", [(F(0), F(1, 4)), (F(1, 4), F(1, 2))],
-               [_BETA0], F(1, 1000)),
+               [BETA0_PARAMS], F(1, 1000)),
         _claim("g_Q_2", "g_Q2", [(F(1, 4), F(1, 2)), (F(1, 4), F(1, 2))],
-               [_HALFP, _BETA0], F(1, 100)),
+               [HALF_PARAMS, BETA0_PARAMS], F(1, 100)),
         _claim("g_LJQ_1", "g_LJQ1", [(F(1, 16), F(1, 4)), (F(1, 2), F(3, 4))],
-               [_BETA0, _HALFP], F(1, 10**7)),
+               [BETA0_PARAMS, HALF_PARAMS], F(1, 10**7)),
         _claim("g_LJQ_2", "g_LJQ2", [(F(1, 2), F(3, 4)), (F(1, 2), F(1))],
-               [_HALFP], F(1, 10**5)),
+               [HALF_PARAMS], F(1, 10**5)),
         _claim("g_QJQ", "g_QJQ", [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))],
-               [_HALFP, _BETA1P], F(1, 10**5)),
+               [HALF_PARAMS, _BETA1P], F(1, 10**5)),
         _claim("g_QJ_1", "g_QJ1", [(F(1, 4), F(1, 2)), (F(1, 2), F(5, 8))],
-               [_BETA0, _HALF_C0], F(1, 10**5)),
+               [BETA0_PARAMS, _HALF_C0], F(1, 10**5)),
         _claim("g_QJ_2", "g_QJ2", [(F(1, 4), F(1, 2)), (F(5, 8), F(1))],
-               [_HALFP], F(1, 10**7)),
-        _claim("g_P_2", "g_P2", [(F(1, 64), F(1, 4))], [_BETA0], F(1, 10**4)),
-        _claim("g_P_3", "g_P3", [(F(1, 4), F(1, 2))], [_BETA0], F(1, 1000)),
+               [HALF_PARAMS], F(1, 10**7)),
+        _claim("g_P_2", "g_P2", [(F(1, 64), F(1, 4))], [BETA0_PARAMS], F(1, 10**4)),
+        _claim("g_P_3", "g_P3", [(F(1, 4), F(1, 2))], [BETA0_PARAMS], F(1, 1000)),
         tail,
     )
 
@@ -222,7 +220,7 @@ def _fold(claim: Claim, runs: list[RunReport]) -> ClaimReport:
         reference_margin_met=None,
     )
     if claim.claim_id == "g_tail":
-        for name, passed in tail_side_conditions():
+        for name, passed in tail_side_conditions(claim.runs[0].fn.params):
             if not passed:
                 report.ok = False
                 report.notes.append(f"side condition failed: {name}")

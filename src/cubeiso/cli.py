@@ -191,7 +191,7 @@ def _cmd_plot_data(args) -> int:
                 repr(float(env.values[k])),
             ))
     elif args.figure == "failure":
-        good = funcs.beta_consts(funcs.BetaParams(funcs.BETA0_DYADIC))
+        good = funcs.BC_BETA0
         bad = funcs.beta_consts(funcs.BetaParams(F(1, 2) + F(36, 65536)))
         half = Interval(0.5)
         rows = [("y", "g_beta_37", "g_beta_36")]

@@ -55,7 +55,6 @@ BETA1 = F(1, 2) + F(31, 1024)
 C0 = F(997, 1000)
 
 TWO_THIRDS = Interval.from_fraction(F(2, 3))
-TWO_POW_M2BETA0 = TWO.pow(Interval.from_fraction(-2 * BETA0_DYADIC))  # 2^(-2 beta0)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class BetaConsts:
     """Derived interval constants for one (beta, c); cached for exact params."""
 
     __slots__ = (
-        "beta", "c", "inv_beta", "one_minus_2ib", "two_pow_beta",
+        "beta", "c", "inv_beta", "one_minus_2ib", "two_pow_beta", "two_pow_m2beta",
         "two_pow_beta_m1", "alpha0", "alpha1", "log2_pow_mbeta",
         "c_pow_inv_beta", "c_pow_1m1b", "c_pow_1m2b", "_k_minus_inv_beta",
         "q_a", "q_b", "q1_c0", "q1_c1", "q1_c2", "q2_c1",
@@ -101,12 +100,14 @@ class BetaConsts:
         if beta_exact is not None:
             self.inv_beta = Interval.from_fraction(1 / beta_exact)
             self.one_minus_2ib = Interval.from_fraction(1 - 2 / beta_exact)
+            self.two_pow_m2beta = TWO.pow(Interval.from_fraction(-2 * beta_exact))
             self._k_minus_inv_beta = tuple(
                 Interval.from_fraction(F(k) - 1 / beta_exact) for k in range(7)
             )
         else:
             self.inv_beta = ONE / beta
             self.one_minus_2ib = ONE - TWO * self.inv_beta
+            self.two_pow_m2beta = TWO.pow(-(TWO * beta))
             self._k_minus_inv_beta = tuple(
                 Interval(float(k)) - self.inv_beta for k in range(7)
             )
@@ -140,7 +141,12 @@ def beta_consts(params: BetaParams) -> BetaConsts:
     )
 
 
-BC_HALF = beta_consts(BetaParams(BETA_HALF))
+# One params object per shared beta: the beta_consts memo is keyed by these,
+# so every lookup finds its key by identity, without BetaParams.__eq__.
+HALF_PARAMS = BetaParams(BETA_HALF)
+BETA0_PARAMS = BetaParams(BETA0_DYADIC)
+BC_HALF = beta_consts(HALF_PARAMS)
+BC_BETA0 = beta_consts(BETA0_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +360,11 @@ def _p_cubic(x: Interval, beta: Fraction) -> Interval:
     return ((a3 * x + a2) * x + a1) * x + a0
 
 
-def _g_P1(x: Interval) -> Interval:
-    """2^(-2 beta0) (sqrt(log2(1/x)) + sqrt(log(w0/x))) - 2."""
+def _g_P1(x: Interval, bc: BetaConsts) -> Interval:
+    """2^(-2 beta) (sqrt(log2(1/x)) + sqrt(log(w0/x))) - 2."""
     w0 = gauss.profile_constants().w0
     lg2 = (-x.log()) / LOG2
-    return TWO_POW_M2BETA0 * (lg2.sqrt() + (w0 / x).log().sqrt()) - TWO
+    return bc.two_pow_m2beta * (lg2.sqrt() + (w0 / x).log().sqrt()) - TWO
 
 
 def _quartic_factor_f(x: Interval, beta: Interval) -> Interval:
@@ -375,7 +381,6 @@ def scalar_checks() -> list[ScalarCheck]:
     """All one-shot interval evaluations, with their thresholds and sides."""
     from . import bounds  # local import; bounds depends on this module
 
-    bc_beta0 = beta_consts(BetaParams(BETA0_DYADIC))
     q = Interval(0.25)
     half = Interval(0.5)
     out: list[ScalarCheck] = []
@@ -393,11 +398,11 @@ def scalar_checks() -> list[ScalarCheck]:
         "first derivative of the L/J/Q edge function at 15/16")
     add("Q_fb1_half", _f_Q_drop(q, BC_HALF, 2), F(16, 5), "above",
         "f0'' at 1/4 for beta = 1/2")
-    add("Q_fb1_beta0", _f_Q_drop(q, bc_beta0, 2), F(16, 5), "above",
+    add("Q_fb1_beta0", _f_Q_drop(q, BC_BETA0, 2), F(16, 5), "above",
         "f0'' at 1/4 for the dyadic beta0")
     add("Q_fb2_half", _f_Q_drop(half, BC_HALF, 1), F(-3, 5), "below",
         "f0' at 1/2 for beta = 1/2")
-    add("Q_fb2_beta0", _f_Q_drop(half, bc_beta0, 1), F(-3, 5), "below",
+    add("Q_fb2_beta0", _f_Q_drop(half, BC_BETA0, 1), F(-3, 5), "below",
         "f0' at 1/2 for the dyadic beta0")
     ljq3 = (TWO * Interval(0.75) - ONE + (SQRT2 - ONE) * gauss.j_range(0, 0.75, 0.75)
             + L(q, BC_HALF, 0) - ONE)
@@ -415,7 +420,7 @@ def scalar_checks() -> list[ScalarCheck]:
         "diagonal cubic factor at 1/4 for beta = 1/2")
     add("p_quarter_beta1", _p_cubic(q, BETA1), F(1, 10000), "above",
         "diagonal cubic factor at 1/4 for beta1")
-    add("g_P_1", _g_P1(Interval(1 / 64)), F(1, 5), "above",
+    add("g_P_1", _g_P1(Interval(1 / 64), BC_BETA0), F(1, 5), "above",
         "small-x Poincare comparison at 1/64")
     add("L4_factor_at_half", _quartic_factor_f(half, ONE), F(-3, 5), "below",
         "fourth-derivative factor of L at 1/2, beta = 1")
@@ -432,7 +437,7 @@ def scalar_checks() -> list[ScalarCheck]:
         "L'' - Q'' at 1/4 for beta = 1/2")
     s = Interval.from_fraction(F(1, 2048))
     add("JL_gap_endpoint",
-        gauss.j_point(2047 / 2048) - L(s, bc_beta0, 0), F(1, 10000), "above",
+        gauss.j_point(2047 / 2048) - L(s, BC_BETA0, 0), F(1, 10000), "above",
         "gap between J and the reflected L at 2047/2048")
     add("g_Q_1_y14a",
         bounds.g_Q1_bound(q, Interval(0.25, 0.375), BC_HALF), F(1, 100), "above",

@@ -43,10 +43,9 @@ J, J' and J^(k) at float points and the profile constants are memoized here
 with functools.cache, the mechanism the interval module uses for the
 quantile brackets beneath I, J and J'; the partition engine re-visits
 corners heavily.  At a float x, u = (1 - x)/w0 is about 1e-12 wide, and J
-and J' there share the one unbisected bracket that normal_quantile gives a
-non-point argument: for u >= 1/2, I takes it at 1 - u and normal_quantile
-mirrors the u of J' to the same key.  Its bisection to QUANTILE_TOL is for
-point arguments only.
+and J' there share the one certified bracket that normal_quantile gives any
+argument, a point or not: for u >= 1/2, I takes it at 1 - u and
+normal_quantile mirrors the u of J' to the same key.
 """
 
 from __future__ import annotations
@@ -86,33 +85,23 @@ class ProfileConstants:
 # Gaussian isoperimetric profile I
 # ---------------------------------------------------------------------------
 
-def _profile_point(t: float) -> Interval:
-    """I at a float point in [0, 1]."""
-    if t == 0.0 or t == 1.0:
-        return Interval(0.0)
-    if t == 0.5:
-        return INV_SQRT_TWO_PI
-    s = 1.0 - t if t > 0.5 else t  # exact for t in [1/2, 1]
-    q = normal_quantile(Interval(s, s))
-    return INVALID if not q.valid else normal_pdf(q)
-
-
 def gauss_profile(x: Interval) -> Interval:
-    """Enclosure of I over x, exploiting symmetry and monotonicity.  A
-    non-point x inside (0, 1) on one side of 1/2 is I = phi(PhiInv(s)) at
-    one quantile bracket of s = x or 1 - x (exact there), the bracket that
-    J' takes at the same x."""
+    """Enclosure of I over x, exploiting symmetry and monotonicity.  An x at
+    or above 1/2 is mirrored to 1 - x (exact there); an x on one side of 1/2
+    then gets I = phi(PhiInv(x)) at one quantile bracket, the bracket that J'
+    takes at the same x, and I(0) = I(1) = 0 exactly.  Across 1/2, I lies
+    between the lesser of its end values and the peak I(1/2)."""
     if not x.valid or x.lo < 0.0 or x.hi > 1.0:
         return INVALID
     a, b = x.lo, x.hi
-    if 0.0 < a < b < 1.0 and (b <= 0.5 or a >= 0.5):
-        return normal_pdf(normal_quantile(x if b <= 0.5 else Interval(1.0 - b, 1.0 - a)))
-    if b <= 0.5:
-        return Interval(_profile_point(a).lo, _profile_point(b).hi)
+    if a < 0.5 < b:
+        lo = min(gauss_profile(Interval(a)).lo, gauss_profile(Interval(b)).lo)
+        return Interval(max(lo, 0.0), INV_SQRT_TWO_PI.hi)
     if a >= 0.5:
-        return Interval(_profile_point(b).lo, _profile_point(a).hi)
-    lo = min(_profile_point(a).lo, _profile_point(b).lo)
-    return Interval(max(lo, 0.0), INV_SQRT_TWO_PI.hi)
+        a, b = 1.0 - b, 1.0 - a  # exact on [1/2, 1]
+    if a > 0.0:
+        return normal_pdf(normal_quantile(Interval(a, b)))
+    return Interval(0.0) if b == 0.0 else Interval(0.0, gauss_profile(Interval(b)).hi)
 
 
 # ---------------------------------------------------------------------------

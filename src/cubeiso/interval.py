@@ -51,14 +51,14 @@ coefficients; argument rounding of t*t, through |P'| <= 1/6; and truncation,
 by the first omitted term.  Only the final assembly of the cdf uses interval
 operations.
 
-The quantile of a point p is a certified bisection, memoized per p, whose
-width tolerance holds for point p only.  The quantile of a non-point p is one
-certified bracket, memoized per (p.lo, p.hi): an end below Phi^-1(p.lo) and
-one above Phi^-1(p.hi), each seeded on its own and both widened until the cdf
-enclosures decide them.  Phi^-1 is increasing, so that bracket encloses the
-quantile over all of p (Moore, Kearfott & Cloud, ch. 6); a p at or above
-1/2 is mirrored to 1 - p, which is exact there, so p and 1 - p share one
-bracket.
+The quantile of p, a point or not, is one certified bracket, memoized per
+(p.lo, p.hi): an end below Phi^-1(p.lo) and one above Phi^-1(p.hi), each
+seeded on its own and both widened until the cdf enclosures decide them.
+Phi^-1 is increasing, so that bracket encloses the quantile over all of p
+(Moore, Kearfott & Cloud, ch. 6); a p at or above 1/2 is mirrored to 1 - p,
+which is exact there, so p and 1 - p share one bracket.  The seed is float
+Newton, never trusted; deep in the tail it runs on erfc, which resolves a p
+that 1 + erf cannot.
 
 Endpoints may be -inf (lower) or +inf (upper) to express one-sided bounds.
 Comparison against scalars is a partial order: ``strictly_greater(a, t)``
@@ -649,12 +649,16 @@ def normal_cdf(t: Interval) -> Interval:
     return Interval(max(lo, 0.0), min(hi, 1.0))
 
 
-QUANTILE_TOL = 2.0**-46
-
-
 class QuantileError(ValueError):
     """Raised when no bracket can be certified; normal_quantile turns it
     into Invalid."""
+
+
+# Below this p the seed's Newton runs on 0.5 erfc(-t/sqrt(2)), because
+# 0.5 (1 + erf(t/sqrt(2))) cannot resolve such p.  It lies below the least p
+# any command reaches, 5.45e-4 (g_JL at x = 2047/2048), so every bracket a
+# command takes keeps the erf seed.
+_ERFC_CUT = 2.0**-20
 
 
 def _quantile_seed(p: float) -> float:
@@ -666,8 +670,12 @@ def _quantile_seed(p: float) -> float:
         t = math.copysign(t, p - 0.5)
     else:
         t = 0.0
+    deep = p < _ERFC_CUT
     for _ in range(80):
-        f = 0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) - p
+        if deep:
+            f = 0.5 * math.erfc(-t / math.sqrt(2.0)) - p
+        else:
+            f = 0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) - p
         d = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
         if d <= 0.0:
             break
@@ -679,11 +687,13 @@ def _quantile_seed(p: float) -> float:
     return t
 
 
+@functools.cache
 def _bracket(lo: float, hi: float) -> tuple[float, float]:
     """Certified bracket [a, b] with Phi(a) < lo and Phi(b) > hi, so that
     it holds Phi^-1 of every p in [lo, hi]: each end seeded by
     _quantile_seed and stepped outward by a distance that grows 8-fold until
-    the cdf enclosures decide both."""
+    the cdf enclosures decide both.  Memoized per (lo, hi), so that I, J and
+    J' at one corner share it; each worker process has its own memo."""
     ta = _quantile_seed(lo)
     tb = ta if hi == lo else _quantile_seed(hi)
     delta = max(4e-16 * max(1.0, abs(ta), abs(tb)), 2e-16)
@@ -696,55 +706,17 @@ def _bracket(lo: float, hi: float) -> tuple[float, float]:
     raise QuantileError(f"cannot bracket quantile over p in [{lo!r}, {hi!r}]")
 
 
-# The bracket of a non-point p, unbisected: the p of J and J' is about 1e-12
-# wide, so bisecting each end to QUANTILE_TOL (2^-46, relative) would narrow
-# the bracket by less than the spread of the quantile over p itself.
-# Memoized per (lo, hi), so that I, J and J' at one corner share it.
-_quantile_bracket = functools.cache(_bracket)
-
-
-@functools.cache
-def _quantile_point(p: float) -> tuple[float, float]:
-    """Certified bracket [a, b] with Phi(a) < p < Phi(b) at a point p, of
-    relative width <= QUANTILE_TOL where double precision reaches it.
-
-    A pure function of p, memoized per p; each worker process has its own
-    memo.
-    """
-    a, b = _bracket(p, p)
-    # certified bisection down to the requested width
-    while b - a > QUANTILE_TOL * max(1.0, abs(a), abs(b)):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = _cdf_point(m)
-        if fm.hi < p:
-            a = m
-        elif fm.lo > p:
-            b = m
-        else:
-            break  # sign undecidable at working precision
-    return a, b
-
-
 def normal_quantile(p: Interval) -> Interval:
-    """Certified enclosure of Phi^{-1}(p) for p strictly inside (0, 1).
-
-    At a point p the bracket is refined by certified bisection on the cdf
-    enclosure until its relative width is <= QUANTILE_TOL; near the tails
-    double precision cannot always reach that width, and the sound
-    best-effort bracket is returned then.  The tolerance holds for point p
-    only: a non-point p gets one unbisected _quantile_bracket, taken at
-    [1 - p.hi, 1 - p.lo] and negated when p.lo >= 1/2.
-    """
+    """Certified enclosure of Phi^{-1}(p) for p strictly inside (0, 1): the
+    _bracket of [p.lo, p.hi], or for p.lo >= 1/2 that of [1 - p.hi, 1 - p.lo]
+    negated.  A point p is the interval [p, p]: its bracket is as wide as the
+    cdf enclosures need to decide it, not refined further."""
     if not p.valid or p.lo <= 0.0 or p.hi >= 1.0:
         return INVALID
     try:
-        if p.lo == p.hi:
-            return Interval(*_quantile_point(p.lo))
         if p.lo >= 0.5:  # 1 - p is exact on [1/2, 1]
-            a, b = _quantile_bracket(1.0 - p.hi, 1.0 - p.lo)
+            a, b = _bracket(1.0 - p.hi, 1.0 - p.lo)
             return Interval(-b, -a)
-        return Interval(*_quantile_bracket(p.lo, p.hi))
+        return Interval(*_bracket(p.lo, p.hi))
     except QuantileError:
         return INVALID

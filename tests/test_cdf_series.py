@@ -16,12 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from cubeiso import interval
 from cubeiso.interval import (
-    QUANTILE_TOL,
     Interval,
     _cdf_point,
-    _quantile_point,
     _series_terms,
     normal_quantile,
 )
@@ -117,36 +114,14 @@ def test_series_no_wider_than_interval_reference(rng):
         assert got.hi - got.lo <= want.hi - want.lo
 
 
-def _reference_cdf_point(t):
-    if t != 0.0 and abs(t) <= 4.5:
-        return ref.cdf_series_interval(t)
-    return _cdf_point(t)
-
-
 _GRID = [1e-3 + k * (1.0 - 2e-3) / 200 for k in range(201)]
 
 
-def test_quantile_brackets_reach_tolerance_where_reference_does(monkeypatch):
-    def reached(a, b):
-        return b - a <= QUANTILE_TOL * max(1.0, abs(a), abs(b))
-
-    got = {p: _quantile_point(p) for p in _GRID}
-    # the same bisection, run on the interval-per-term series
-    monkeypatch.setattr(interval, "_cdf_point", _reference_cdf_point)
-    for p in _GRID:
-        a, b = got[p]
-        ra, rb = _quantile_point.__wrapped__(p)
-        assert b - a <= rb - ra
-        assert reached(a, b) or not reached(ra, rb)
-    assert sum(reached(*got[p]) for p in _GRID) > 150
-
-
 def test_quantile_brackets_contain_the_quantile():
-    """Each bracket contains the quantile, by mpmath; the two tests above
-    check only widths."""
+    """Each point bracket contains the quantile, by mpmath."""
     for p in _GRID + [1e-5, 1e-8]:
-        a, b = _quantile_point(p)
-        assert a <= _mp_quantile(p) <= b, p
+        q = normal_quantile(Interval(p))
+        assert q.lo <= _mp_quantile(p) <= q.hi, p
 
 
 def _mp_quantile(p):
@@ -184,6 +159,22 @@ def test_quantile_of_a_subnormal_p_is_a_bracket_or_invalid():
 
 
 def test_quantile_bracket_in_series_tail():
-    # t = -4.26: the series enclosure is tight enough to bisect below 1e-7
-    a, b = _quantile_point(1e-5)
-    assert b - a <= 1e-7
+    # t = -4.26: the series enclosure is tight enough to bracket within 1e-7
+    assert normal_quantile(Interval(1e-5)).width <= 1e-7
+
+
+# p deep in the tail, where 1 + erf(t/sqrt(2)) no longer resolves p, and a
+# width bound for its bracket: five times the width that bisecting the point
+# bracket on the same cdf enclosures reaches.
+_DEEP_WIDTH = {1e-14: 2e-6, 1e-16: 2.2e-6, 1e-20: 2.8e-7, 1e-100: 8e-11, 1e-300: 2.3e-12}
+
+
+def test_deep_tail_brackets_are_narrow():
+    """Points and intervals p [1, 1 + 1e-12] deep in the tail get brackets
+    that hold their quantiles, by mpmath, within _DEEP_WIDTH and 1e-6."""
+    for p, width in _DEEP_WIDTH.items():
+        hi = p * (1 + 1e-12)
+        for lo_p, hi_p in ((p, p), (p, hi)):
+            q = normal_quantile(Interval(lo_p, hi_p))
+            assert q.lo <= _mp_quantile(lo_p) and _mp_quantile(hi_p) <= q.hi, (p, hi_p)
+            assert q.width <= min(width, 1e-6), (p, hi_p, q.width)

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -122,8 +124,32 @@ def test_negative_control_perturbation(claim_id):
 def test_tail_side_conditions_hold():
     from cubeiso.bounds import tail_side_conditions
 
-    for name, passed in tail_side_conditions():
+    for name, passed in tail_side_conditions(claims.claim_by_id("g_tail").runs[0].fn.params):
         assert passed, name
+
+
+_EQ_CALLS = """
+from cubeiso import claims
+from cubeiso.funcs import BetaParams
+calls = []
+eq = BetaParams.__eq__
+BetaParams.__eq__ = lambda self, other: calls.append(other) or eq(self, other)
+for claim in claims.registry():
+    for run in claim.runs:
+        run.evaluate(run.domain.float_box())
+        run.evaluate(run.domain.float_box())
+print(len(calls))
+"""
+
+
+def test_runs_find_their_beta_consts_by_identity():
+    """Every run of a shared beta holds the params object that keys its
+    beta_consts memo, so a fresh process, as each command is, evaluates one
+    box of every registered run twice without a BetaParams.__eq__ call."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    out = subprocess.run([sys.executable, "-c", _EQ_CALLS], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_run_report_fields():

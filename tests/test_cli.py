@@ -269,7 +269,7 @@ def test_failed_side_condition_is_printed_under_its_claim(capsys, monkeypatch, a
     """A failing g_tail side condition fails the claim with its reason on
     stdout; g_tail alone stands in for verify-all's registry."""
     monkeypatch.setattr(claims, "tail_side_conditions",
-                        lambda: [("tail_exponent", True), ("tail_c2_le_0.4", False)])
+                        lambda params: [("tail_exponent", True), ("tail_c2_le_0.4", False)])
     monkeypatch.setattr(claims, "run_all", lambda **kw: [claims.run_claim("g_tail")])
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -9,10 +9,10 @@ import pytest
 import _reference as ref
 from conftest import scale
 from cubeiso.funcs import (
+    BC_BETA0,
     BC_HALF,
     BETA0_DYADIC,
     BETA1,
-    TWO_POW_M2BETA0,
     BetaParams,
     L,
     Q,
@@ -25,9 +25,6 @@ from cubeiso.funcs import (
     run_scalar_checks,
 )
 from cubeiso.interval import HALF, Interval
-
-
-BC_BETA0 = beta_consts(BetaParams(BETA0_DYADIC))
 
 
 def test_beta_consts_is_one_object_per_parameter_set():
@@ -122,10 +119,11 @@ def test_alpha_constants():
 
 
 def test_two_pow_m2beta0_encloses_reference():
-    """The one 2^(-2 beta0) constant that g_P1, g_P2 and g_P3 share."""
+    """The 2^(-2 beta0) that g_P1, g_P2 and g_P3 read from BC_BETA0."""
+    got = BC_BETA0.two_pow_m2beta
     true = mp.power(2, -2 * mp.mpf(BETA0_DYADIC.numerator) / BETA0_DYADIC.denominator)
-    assert mp.mpf(TWO_POW_M2BETA0.lo) <= true <= mp.mpf(TWO_POW_M2BETA0.hi)
-    assert TWO_POW_M2BETA0.width <= 1e-15
+    assert mp.mpf(got.lo) <= true <= mp.mpf(got.hi)
+    assert got.width <= 1e-15
 
 
 def test_b_continuity_at_breakpoints():

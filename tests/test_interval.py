@@ -15,7 +15,7 @@ from cubeiso.interval import (
     INVALID,
     SQRT2,
     Interval,
-    _quantile_point,
+    _bracket,
     normal_cdf,
     normal_pdf,
     normal_quantile,
@@ -469,11 +469,21 @@ def test_quantile_domain():
     assert not normal_quantile(INVALID).valid
 
 
-def test_quantile_memo_matches_fresh_bisection():
+def test_quantile_above_half_is_the_mirrored_bracket():
+    """A point p > 1/2 gets the bracket of 1 - p (exact there), negated."""
+    for p in (0.5 + 2.0**-30, 0.7, 0.975, 0.99999, 1.0 - 1e-12):
+        q, m = normal_quantile(Interval(p)), normal_quantile(Interval(1.0 - p))
+        assert (q.lo, q.hi) == (-m.hi, -m.lo), p
+
+
+def test_quantile_memo_matches_fresh_bracket():
     for p in (0.3, 1e-5, 0.5 + 2.0**-30, 0.99999):
-        fresh = _quantile_point.__wrapped__(p)
-        assert _quantile_point(p) == fresh
-        assert _quantile_point(p) == fresh  # served from the memo
+        s = p if p < 0.5 else 1.0 - p
+        fresh = _bracket.__wrapped__(s, s)
+        q = normal_quantile(Interval(p))
+        assert (q.lo, q.hi) == (fresh if p < 0.5 else (-fresh[1], -fresh[0]))
+        assert _bracket(s, s) == fresh
+        assert _bracket(s, s) is _bracket(s, s)  # served from the memo
     # the J and J' point memos beside it
     for point in (gauss.j_point, gauss.jprime_point):
         for x in (0.2, 0.5, 0.55 + 2.0**-30, 0.999):
