@@ -63,6 +63,12 @@ MUTANTS = [
      [IPOW]),
     ("ipow: odd lower end stepped up", INTERVAL,
      "else _pow_mag(lo, n, -_INF)", "else _pow_mag(lo, n, _INF)", [IPOW]),
+    ("ipow: odd upper end stepped down", INTERVAL,
+     "else _pow_mag(hi, n, _INF)", "else _pow_mag(hi, n, -_INF)",
+     [T + "test_ipow_contains_exact_powers"]),
+    ("ipow: a negative power that underflowed onto 0 left Invalid", INTERVAL,
+     "            return (ONE / self).ipow(-n)  # |x|**-n underflowed onto 0",
+     "            return out", [T + "test_ipow_contains_exact_powers"]),
     # The one-sign fast paths of × and ÷.
     ("mul: wrong extreme corner", INTERVAL,
      "                corners = b, c, a, d\n        elif b < 0.0:",

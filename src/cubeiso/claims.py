@@ -43,8 +43,6 @@ from .partition import (
 
 F = Fraction
 
-CERT_DIR_ENV = "CUBEISO_CERT_DIR"
-
 
 @dataclass(frozen=True)
 class ClaimRun:

@@ -27,11 +27,11 @@ from fractions import Fraction
 
 from . import claims as claims_mod
 from . import funcs
-from .claims import CERT_DIR_ENV
 from .interval import Interval
 
 F = Fraction
 
+CERT_DIR_ENV = "CUBEISO_CERT_DIR"  # certify's directory where --out-dir is not given
 ENVELOPES_DEPTH = 6  # the grid of plot-data's envelopes figure
 
 
@@ -121,7 +121,7 @@ def _cmd_oracle_profile(args) -> int:
     points = oracle.profile_bruteforce(args.n, args.beta)
     rows = [("k", "x", "value", "argmin_mask")]
     for k, p in enumerate(points):
-        rows.append((k, str(p.x), repr(p.value), p.argmin.mask))
+        rows.append((k, str(p.x), repr(p.value), p.argmin))
     _write_rows(args.out, rows)
     return 0
 

@@ -17,7 +17,7 @@ comes from an infinite or overflowed sum, which steps its end, so a true
 from a finite sum whose error term overflowed (MAX + -4.7e307 rounds up,
 and the float sum minus -4.7e307 exceeds MAX), which is compared with the
 exact sum as fractions.  This is the one
-directed sum in the module: the cdf series and width use it too.  Products,
+directed sum in the module: the cdf series uses it too.  Products,
 quotients and integer powers share one rule (Moore, Kearfott & Cloud,
 Introduction to Interval Analysis, SIAM 2009, ch. 2): take the float result
 at each corner, take the min and max, and step each end one float outward.
@@ -34,7 +34,10 @@ both ends nonzero and of one sign, the signs name the corners that give the
 ends (Moore, Kearfott & Cloud), and only those two are computed.  Operands
 with a zero or a straddling end, and quotients by an infinite divisor, take
 all four corners.  An integer power applies the rule at each step of its
-repeated multiplication of the end magnitudes.  A product of nonnegative
+repeated multiplication of the end magnitudes, so each of its n - 1 steps
+may add a float: x**n measured up to 2n - 3 floats beyond the
+outward-rounded exact end.  A negative power is 1 / x**-n, or (1/x)**-n
+where x holds no 0 but x**-n underflowed onto 0.  A product of nonnegative
 factors and an even power keep a lower end of at least 0, where stepping an
 underflowed 0.0 down would give -2^-1074.  Library
 transcendentals (exp, log) are assumed correct to <= 1 ulp and are widened
@@ -190,19 +193,8 @@ class Interval:
         return self.lo == self.lo
 
     @property
-    def width(self) -> float:
-        return (self - Interval(self.lo, _INF)).hi
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: ScalarLike) -> bool:
-        if not self.valid:
-            return False
-        if isinstance(x, Fraction):
-            return Fraction(self.lo) <= x <= Fraction(self.hi)
-        return self.lo <= x <= self.hi
 
     def __repr__(self) -> str:
         if not self.valid:
@@ -422,7 +414,10 @@ class Interval:
         if n == 0:
             return ONE
         if n < 0:
-            return ONE / self.ipow(-n)
+            out = ONE / self.ipow(-n)
+            if out.valid or self.lo <= 0.0 <= self.hi:
+                return out
+            return (ONE / self).ipow(-n)  # |x|**-n underflowed onto 0
         if n == 1:
             return self
         out = _new(Interval)

@@ -9,8 +9,7 @@ edges from a member vertex x to the complement (0 off A), E f is the uniform
 average 2^-n sum f(x), and the beta-moment is E h_A^beta with 0^beta := 0.
 
 Exhaustive sweeps (all 2^(2^n) subsets, n <= 4) are vectorized with numpy
-over one table of h and |A| per n; boundary_counts is the definitional loop
-for one subset, n <= 5.
+over one table of h and |A| per n.
 
 envelope_approx solves the two-point cap system on a grid of size points,
 at most 2^MAX_INTERNAL_DEPTH + 1, by Howard policy iteration.  Each policy
@@ -33,46 +32,18 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 F = Fraction
 
 MAX_N_EXHAUSTIVE = 4
-MAX_N = 5
 # The largest beta or p the oracle commands take: up to it, for every
 # n <= MAX_N_EXHAUSTIVE, the least term of the deviation power,
 # (2^-n)^p (1 - 2^-n), is a normal float, and n^beta is finite.
 MAX_EXPONENT = math.floor((1 - sys.float_info.min_exp + math.log2(1 - 2.0 ** -MAX_N_EXHAUSTIVE))
                           / MAX_N_EXHAUSTIVE)
-
-
-@dataclass(frozen=True)
-class CubeSubset:
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n={self.n} outside 1..{MAX_N}")
-        if not 0 <= self.mask < (1 << (1 << self.n)):
-            raise ValueError("mask has bits beyond 2^n vertices")
-
-
-def boundary_counts(a: CubeSubset) -> list[int]:
-    """h_A(x) for every vertex x (0 for x outside A)."""
-    nverts = 1 << a.n
-    out = [0] * nverts
-    m = a.mask
-    for v in range(nverts):
-        if (m >> v) & 1:
-            h = 0
-            for i in range(a.n):
-                if not (m >> (v ^ (1 << i))) & 1:
-                    h += 1
-            out[v] = h
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +81,11 @@ def _cube_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(h.T), member.sum(axis=0, dtype=np.int8)
 
 
-def _h_table(n: int) -> np.ndarray:
-    return _cube_tables(n)[0]
-
-
-def _popcounts(n: int) -> np.ndarray:
-    return _cube_tables(n)[1]
-
-
 def all_beta_moments(n: int, beta: float) -> np.ndarray:
     """E h_A^beta for every mask, as float64; exact at beta = 1, where it
     sums at most 2^n small integers and divides by 2^n."""
     powtab = np.array([0.0] + [float(k) ** beta for k in range(1, n + 1)])
-    h = _h_table(n)
+    h, _ = _cube_tables(n)
     # 4096 rows at a time, so that the float copy of h stays at 512 KB
     sums = [powtab[h[i:i + 4096]].sum(axis=1) for i in range(0, len(h), 4096)]
     return np.concatenate(sums) / (1 << n)
@@ -132,20 +95,19 @@ def all_beta_moments(n: int, beta: float) -> np.ndarray:
 class ProfilePoint:
     x: Fraction
     value: float
-    argmin: CubeSubset
+    argmin: int  # the first mask attaining value
 
 
 def profile_bruteforce(n: int, beta: float) -> list[ProfilePoint]:
     """Minimum of E h_A^beta over all A with |A| = k 2^-n, for k = 0..2^n,
     with the first mask attaining it."""
     vals = all_beta_moments(n, beta)
-    pops = _popcounts(n)
+    _, pops = _cube_tables(n)
     points = []
     for k in range((1 << n) + 1):
         sel = np.flatnonzero(pops == k)
         arg = int(sel[np.argmin(vals[sel])])
-        points.append(ProfilePoint(x=F(k, 1 << n), value=float(vals[arg]),
-                                   argmin=CubeSubset(n, arg)))
+        points.append(ProfilePoint(x=F(k, 1 << n), value=float(vals[arg]), argmin=arg))
     return points
 
 
@@ -167,6 +129,7 @@ class EnvelopeGrid:
 
 MAX_INTERNAL_DEPTH = 13  # of the solver's grid: 8,193 points, a scan of 16.8M cap evaluations
 _MAX_OUTER = 80  # policy scans at most; beta = 1/2 takes 28 at depth 13, 36 at 11
+_TOL = 1e-10  # a solve stops once no interior B differs from its cap by this much
 # The least grid size whose scans are split across processes.  On a 2-CPU
 # x86-64 machine, starting a 1-worker pool and running the first scan took
 # 20-45 ms; a scan then took 11 ms serial and 10-13 ms split at 2,049
@@ -260,8 +223,7 @@ def _envelope_scan(b_vals: np.ndarray, beta: float, dx_all: np.ndarray, dxp_all:
     return caps, r_best, form1
 
 
-def _envelope_policy_solve(beta: float, size: int,
-                           tol: float) -> tuple[np.ndarray, int, float]:
+def _envelope_policy_solve(beta: float, size: int) -> tuple[np.ndarray, int, float]:
     """Greatest fixed point of the cap system by Howard policy iteration.
 
     Every cap is concave and nondecreasing in the neighboring values, so
@@ -299,7 +261,7 @@ def _envelope_policy_solve(beta: float, size: int,
             caps, r_best, form1 = _envelope_scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
             iterations += 1
             residual = float(np.max(np.abs(b_vals[interior] - caps[interior])))
-            if residual < tol:
+            if residual < _TOL:
                 break
             b_vals = np.minimum(b_vals, caps)
             # Newton on the fixed-policy system  B[m] = cap_{r,form}(B)
@@ -320,7 +282,7 @@ def _envelope_policy_solve(beta: float, size: int,
                     )
                 dcap_dy = np.nan_to_num(dcap_dy, nan=0.0, posinf=0.0)
                 res = b_vals[interior] - cap_vals
-                if float(np.max(np.abs(res))) < 0.1 * tol:
+                if float(np.max(np.abs(res))) < 0.1 * _TOL:
                     break
                 # the pinned endpoints' rows hold their diagonal 1 only; zeros stay
                 # out of the sparsity pattern, which sets SuperLU's column ordering
@@ -351,12 +313,7 @@ def _envelope_policy_solve(beta: float, size: int,
     return b_vals, iterations, residual
 
 
-def envelope_approx(
-    beta: float,
-    depth: int,
-    tol: float = 1e-10,
-    refine: Optional[int] = None,
-) -> EnvelopeGrid:
+def envelope_approx(beta: float, depth: int, refine: Optional[int] = None) -> EnvelopeGrid:
     """Approximate envelope on the dyadic grid {k 2^-depth} as the greatest
     fixed point of the two-point cap system
 
@@ -379,14 +336,14 @@ def envelope_approx(
     if internal_depth > MAX_INTERNAL_DEPTH:
         raise ValueError(f"depth + refine = {internal_depth} exceeds {MAX_INTERNAL_DEPTH}")
     size = (1 << internal_depth) + 1
-    values, iterations, residual = _envelope_policy_solve(beta, size, tol)
+    values, iterations, residual = _envelope_policy_solve(beta, size)
     step = 1 << refine
     return EnvelopeGrid(beta=beta, depth=depth, values=values[::step].copy(),
                         iterations=iterations, residual=residual)
 
 
 # ---------------------------------------------------------------------------
-# Poincare and Bobkov checks
+# Poincare comparison
 # ---------------------------------------------------------------------------
 
 def poincare_exhaustive(n: int, p: float) -> np.ndarray:
@@ -400,48 +357,7 @@ def poincare_exhaustive(n: int, p: float) -> np.ndarray:
     """
     moments = all_beta_moments(n, p / 2)
     lhs_p = 2.0 ** (-p) * (moments + moments[::-1])
-    meas = _popcounts(n).astype(np.float64) / (1 << n)
+    _, pops = _cube_tables(n)
+    meas = pops.astype(np.float64) / (1 << n)
     rhs_p = meas ** p * (1 - meas) + meas * (1 - meas) ** p
     return np.stack([lhs_p, rhs_p], axis=1)
-
-
-def sqrt_moment_lower_bound(meas: float) -> float:
-    """|A| sqrt(log2(1/|A|) + 1) - |A|, the sharp small-set comparison."""
-    if meas <= 0.0:
-        return 0.0
-    return meas * math.sqrt(math.log2(1.0 / meas) + 1.0) - meas
-
-
-def mf_values(f: Sequence[float], n: int) -> list[float]:
-    """M f(x) = sqrt(sum_i (f(x) - f(x xor e_i))_+^2)."""
-    nverts = 1 << n
-    if len(f) != nverts:
-        raise ValueError("f must assign a value to every vertex")
-    out = []
-    for v in range(nverts):
-        acc = 0.0
-        for i in range(n):
-            d = f[v] - f[v ^ (1 << i)]
-            if d > 0:
-                acc += d * d
-        out.append(math.sqrt(acc))
-    return out
-
-
-def bobkov_check(f: Sequence[float], n: int) -> tuple[float, float]:
-    """(B(E f), E sqrt(B(f)^2 + (Mf)^2)) for B = L_{1/2}; values in [0, 1/2].
-
-    The inequality lhs <= rhs is the two-point induction conclusion; with
-    f = (1/2) 1_A it specializes to E sqrt(h_A) >= |A| sqrt(log2(1/|A|)+1) - |A|.
-    """
-    if any(not 0.0 <= v <= 0.5 for v in f):
-        raise ValueError("f must take values in [0, 1/2]")
-
-    def ell(t: float) -> float:
-        return 0.0 if t <= 0.0 else t * math.sqrt(math.log2(1.0 / t))
-
-    nverts = 1 << n
-    mean = sum(f) / nverts
-    mf = mf_values(f, n)
-    rhs = sum(math.sqrt(ell(v) ** 2 + m * m) for v, m in zip(f, mf)) / nverts
-    return ell(mean), rhs

@@ -87,9 +87,6 @@ class Dyadic:
             raise ValueError(f"{fr} is not dyadic")
         return Dyadic(fr.numerator, exp)
 
-    def to_float(self) -> float:
-        return self.value
-
     def __str__(self) -> str:
         return f"{self.num}:{self.exp}"
 

@@ -28,7 +28,13 @@ before their one-axis factors were memoized: every factor evaluated per box,
 with the q_range and qprime_range memos bypassed.  The memoized bounds must
 return their bits.  envelope_scan_per_point is the oracle's envelope policy
 scan as one argmin over the offsets r of each grid point, whose caps, binding
-offsets and forms the scan by offset must return bit for bit.
+offsets and forms the scan by offset must return bit for bit.  width and
+contains measure and test an interval for the tests' asserts.
+boundary_counts is the definitional loop over one subset that the oracle's
+h table must match; sqrt_moment_lower_bound, mf_values and bobkov_check
+state the paper's small-set bound and Bobkov's two-point inequality for
+B = L_{1/2} on the cube, which the oracle's moments and random functions
+must satisfy.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -404,13 +411,17 @@ def div_eight_quotients(x: Interval, y: Interval) -> Interval:
 
 def ipow_directed(x: Interval, n: int) -> Interval:
     """x**n by repeated directed multiplication of the end magnitudes, and
-    1 / x**-n through div_eight_quotients for n < 0."""
+    1 / x**-n through div_eight_quotients for n < 0, or (1 / x)**-n where
+    x holds no 0 but x**-n has an end at 0."""
     if not x.valid:
         return INVALID
     if n == 0:
         return ONE
     if n < 0:
-        return div_eight_quotients(ONE, ipow_directed(x, -n))
+        out = div_eight_quotients(ONE, ipow_directed(x, -n))
+        if out.valid or x.lo <= 0.0 <= x.hi:
+            return out
+        return ipow_directed(div_eight_quotients(ONE, x), -n)  # x**-n underflowed onto 0
     if n == 1:
         return x
     if n % 2 == 0:
@@ -659,3 +670,83 @@ def envelope_scan_per_point(b_vals, beta: float, dx_all, dxp_all):
         r_best[m] = k + 1
         form1[m] = c1[k] >= c2[k]
     return caps, r_best, form1
+
+
+# ---------------------------------------------------------------------------
+# Interval width and membership
+# ---------------------------------------------------------------------------
+
+def width(iv: Interval) -> float:
+    """iv.hi - iv.lo rounded up, by the kernel's directed subtraction."""
+    return (iv - Interval(iv.lo, math.inf)).hi
+
+
+def contains(iv: Interval, x) -> bool:
+    """Whether x lies in iv, compared exactly for a Fraction x; False for
+    Invalid."""
+    if not iv.valid:
+        return False
+    if isinstance(x, Fraction):
+        return Fraction(iv.lo) <= x <= Fraction(iv.hi)
+    return iv.lo <= x <= iv.hi
+
+
+# ---------------------------------------------------------------------------
+# Hamming-cube definitions, one subset or function at a time
+# ---------------------------------------------------------------------------
+
+def boundary_counts(n: int, mask: int) -> list[int]:
+    """h_A(x) for every vertex x of {0,1}^n (0 for x outside A), where
+    vertex v is in A when bit v of mask is set."""
+    nverts = 1 << n
+    out = [0] * nverts
+    for v in range(nverts):
+        if (mask >> v) & 1:
+            h = 0
+            for i in range(n):
+                if not (mask >> (v ^ (1 << i))) & 1:
+                    h += 1
+            out[v] = h
+    return out
+
+
+def sqrt_moment_lower_bound(meas: float) -> float:
+    """|A| sqrt(log2(1/|A|) + 1) - |A|, the sharp small-set comparison."""
+    if meas <= 0.0:
+        return 0.0
+    return meas * math.sqrt(math.log2(1.0 / meas) + 1.0) - meas
+
+
+def mf_values(f: Sequence[float], n: int) -> list[float]:
+    """M f(x) = sqrt(sum_i (f(x) - f(x xor e_i))_+^2)."""
+    nverts = 1 << n
+    if len(f) != nverts:
+        raise ValueError("f must assign a value to every vertex")
+    out = []
+    for v in range(nverts):
+        acc = 0.0
+        for i in range(n):
+            d = f[v] - f[v ^ (1 << i)]
+            if d > 0:
+                acc += d * d
+        out.append(math.sqrt(acc))
+    return out
+
+
+def bobkov_check(f: Sequence[float], n: int) -> tuple[float, float]:
+    """(B(E f), E sqrt(B(f)^2 + (Mf)^2)) for B = L_{1/2}; values in [0, 1/2].
+
+    The inequality lhs <= rhs is the two-point induction conclusion; with
+    f = (1/2) 1_A it specializes to E sqrt(h_A) >= |A| sqrt(log2(1/|A|)+1) - |A|.
+    """
+    if any(not 0.0 <= v <= 0.5 for v in f):
+        raise ValueError("f must take values in [0, 1/2]")
+
+    def ell(t: float) -> float:
+        return 0.0 if t <= 0.0 else t * math.sqrt(math.log2(1.0 / t))
+
+    nverts = 1 << n
+    mean = sum(f) / nverts
+    mf = mf_values(f, n)
+    rhs = sum(math.sqrt(ell(v) ** 2 + m * m) for v, m in zip(f, mf)) / nverts
+    return ell(mean), rhs

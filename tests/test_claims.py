@@ -42,8 +42,8 @@ def test_registry_shape():
 def test_g_LJQ_2_second_coordinate_is_beta():
     c = claims.claim_by_id("g_LJQ_2")
     dom = c.runs[0].domain
-    assert F(dom.lo[1].to_float()) == F(1, 2)
-    assert F(dom.hi[1].to_float()) == F(1)
+    assert F(dom.lo[1].value) == F(1, 2)
+    assert F(dom.hi[1].value) == F(1)
 
 
 def test_g_J_1_param_sets():
@@ -59,7 +59,7 @@ def test_registry_agrees_with_docs_table():
     for c in claims.registry():
         for run in c.runs:
             dom = ";".join(
-                f"{F(a.to_float())}..{F(b.to_float())}"
+                f"{F(a.value)}..{F(b.value)}"
                 for a, b in zip(run.domain.lo, run.domain.hi)
             )
             derived.append({
@@ -94,8 +94,8 @@ def test_negative_control_beta_half():
     dom = DyadicRect.build((F(1, 2), F(5, 8)), (F(0), F(3, 16)))
     rects, fail, _ = partition(lambda box: eval_bound_fn(bf, box), dom, 12)
     assert rects is None and fail is not None
-    xlo = F(fail.deepest_box.lo[0].to_float())
-    xhi = F(fail.deepest_box.hi[0].to_float())
+    xlo = F(fail.deepest_box.lo[0].value)
+    xhi = F(fail.deepest_box.hi[0].value)
     assert xlo <= F(1, 2) <= xhi
 
 

@@ -257,8 +257,8 @@ def test_verify_failure_prints_the_bound_of_the_deepest_box(capsys):
         val = run.evaluate(box.float_box())
         assert bound == repr(val) and not (val.valid and val.lo > 0.0)
         for d in range(box.n):  # a box of depth 3
-            side = F(box.hi[d].to_float()) - F(box.lo[d].to_float())
-            assert side == (F(run.domain.hi[d].to_float()) - F(run.domain.lo[d].to_float())) / 8
+            side = F(box.hi[d].value) - F(box.lo[d].value)
+            assert side == (F(run.domain.hi[d].value) - F(run.domain.lo[d].value)) / 8
 
 
 @pytest.mark.parametrize("argv", [

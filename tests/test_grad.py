@@ -129,7 +129,7 @@ def test_formula_gradient_encloses_mpmath(claim_id, run, rng):
     formula, parts = FORMULAS[claim_id]
     beta = run.fn.params.beta
     bc = beta_consts(run.fn.params)
-    dom = [(a.to_float(), b.to_float()) for a, b in zip(run.domain.lo, run.domain.hi)]
+    dom = [(a.value, b.value) for a, b in zip(run.domain.lo, run.domain.hi)]
     n_boxes = scale(300, 30)
     with_gradient = 0
     for _ in range(n_boxes):

@@ -30,8 +30,8 @@ from cubeiso.partition import (
 def test_dyadic_normalization_and_roundtrip():
     d = Dyadic(6, 3)
     assert (d.num, d.exp) == (3, 2)
-    assert F(d.to_float()) == F(3, 4)
-    assert d.to_float() == 0.75
+    assert F(d.value) == F(3, 4)
+    assert d.value == 0.75
     assert str(d) == "3:2"
     with pytest.raises(ValueError):
         Dyadic.from_fraction(F(1, 3))
@@ -50,7 +50,7 @@ def test_dyadic_midpoint_exact():
     a = Dyadic.from_fraction(F(1, 2))
     b = Dyadic.from_fraction(F(2047, 2048))
     m = dyadic_mid(a, b)
-    assert F(m.to_float()) == (F(1, 2) + F(2047, 2048)) / 2
+    assert F(m.value) == (F(1, 2) + F(2047, 2048)) / 2
 
 
 def test_children_order_is_deterministic():
@@ -58,7 +58,7 @@ def test_children_order_is_deterministic():
     kids = list(r.children())
     assert len(kids) == 4
     # dimension-1 low half first, then dimension-2
-    assert [(F(k.lo[0].to_float()), F(k.lo[1].to_float())) for k in kids] == [
+    assert [(F(k.lo[0].value), F(k.lo[1].value)) for k in kids] == [
         (F(0), F(0)), (F(0), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1, 2)),
     ]
 
@@ -83,7 +83,7 @@ def test_boundary_zero_fails_at_every_depth():
     for depth in (0, 3, 6):
         rects, fail, _ = partition(_affine_bound(1.0, 0.0), dom, depth)
         assert rects is None and fail is not None
-        assert F(fail.deepest_box.lo[0].to_float()) == 0
+        assert F(fail.deepest_box.lo[0].value) == 0
         assert fail.depth == depth
 
 
@@ -241,7 +241,7 @@ def test_float_box_is_the_exact_double_of_each_corner(exp):
     rect = DyadicRect((lo, Dyadic(1, exp)), (hi, Dyadic(5, exp)))
     assert rect.float_box() == ((math.ldexp(-(2**52) - 1, -exp), math.ldexp(2**52 + 3, -exp)),
                                 (math.ldexp(1, -exp), math.ldexp(5, -exp)))
-    assert F(lo.to_float()) == F(-(2**52) - 1, 2**exp)
+    assert F(lo.value) == F(-(2**52) - 1, 2**exp)
 
 
 _HEAD = b"claim g_Q_2 beta 1/2 c 1/1 domain 1:2 1:1 1:2 1:1\n"
@@ -274,7 +274,7 @@ def test_malformed_tokens_beside_shared_corners_keep_their_error(data, message):
 
 
 def _exact_area(r: DyadicRect) -> F:
-    return math.prod(F(b.to_float()) - F(a.to_float()) for a, b in zip(r.lo, r.hi))
+    return math.prod(F(b.value) - F(a.value) for a, b in zip(r.lo, r.hi))
 
 
 def test_tiling_area_is_exact(sample_cert):
@@ -286,7 +286,7 @@ def _moved(r: DyadicRect, dim: int, side: str, delta: F) -> DyadicRect:
     """r with its low or high side (or both) in dimension dim moved by delta."""
     lo, hi = list(r.lo), list(r.hi)
     for ends in ([lo] if side == "lo" else [hi] if side == "hi" else [lo, hi]):
-        ends[dim] = Dyadic.from_fraction(F(ends[dim].to_float()) + delta)
+        ends[dim] = Dyadic.from_fraction(F(ends[dim].value) + delta)
     return DyadicRect(tuple(lo), tuple(hi))
 
 
@@ -312,7 +312,7 @@ def _mutated(data, domain: DyadicRect, rects: list[DyadicRect]) -> list[DyadicRe
             elif kind == "split":
                 rects[i:i + 1] = list(rects[i].children())
             elif kind == "outside":  # by the domain's width: just outside it
-                width = F(domain.hi[dim].to_float()) - F(domain.lo[dim].to_float())
+                width = F(domain.hi[dim].value) - F(domain.lo[dim].value)
                 shift = data.draw(st.sampled_from([width, -width]))
                 rects[i] = _moved(rects[i], dim, "both", shift)
             else:
