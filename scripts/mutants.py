@@ -10,7 +10,10 @@ old text by the new one in the file there, and runs pytest on the test ids
 with a fixed hypothesis seed.  The old text must occur exactly once, or the
 row is an error.  A mutant is killed when a test fails and survives when
 all pass; a pytest that cannot run the tests is an error.  Before the
-mutants, the named tests must pass on an unmutated copy.
+mutants, each row's tests must pass on an unmutated copy; that run's time,
+times TIMEOUT_FACTOR, bounds the mutant's pytest.  A mutant whose pytest
+outlives the bound, a hang say, is killed with every process it started
+and counts as "killed (timeout)".
 
 One line per mutant and a summary are printed.  The exit code is 1 if a
 mutant survived or a row is an error, and 0 otherwise.
@@ -20,12 +23,14 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_FACTOR = 10
 INTERVAL = "src/cubeiso/interval.py"
 T = "tests/test_interval.py::"
 FIXED = T + "test_arithmetic_matches_references_on_fixed_operands"
@@ -45,6 +50,8 @@ CS = "tests/test_cdf_series.py::"
 DEEP = CS + "test_deep_tail_brackets_are_narrow"
 C = "tests/test_cli.py::"
 P = "tests/test_partition.py::"
+CLAIMS = "src/cubeiso/claims.py"
+TC = "tests/test_claims.py::"
 
 MUTANTS = [
     # The kernel's rounding rule.
@@ -62,7 +69,10 @@ MUTANTS = [
      "out.lo = max(_pow_mag(m.lo, n, -_INF), 0.0)", "out.lo = max(_pow_mag(m.lo, n, _INF), 0.0)",
      [IPOW]),
     ("ipow: odd lower end stepped up", INTERVAL,
-     "else _pow_mag(lo, n, -_INF)", "else _pow_mag(lo, n, _INF)", [IPOW]),
+     "max(_pow_mag(lo, n, -_INF), 0.0)", "max(_pow_mag(lo, n, _INF), 0.0)", [IPOW]),
+    ("ipow: an odd power of a base >= 0 that underflowed goes below 0", INTERVAL,
+     "max(_pow_mag(lo, n, -_INF), 0.0)", "_pow_mag(lo, n, -_INF)",
+     [T + "test_ipow_contains_exact_powers"]),
     ("ipow: odd upper end stepped down", INTERVAL,
      "else _pow_mag(hi, n, _INF)", "else _pow_mag(hi, n, -_INF)",
      [T + "test_ipow_contains_exact_powers"]),
@@ -173,6 +183,25 @@ MUTANTS = [
     ("envelope scan: a chunk strides one offset too far", ORACLE,
      "1 + j, chunks)", "1 + j, chunks + 1)",
      [O + "test_envelope_scan_matches_the_per_point_reference"]),
+    # The fork helper of verify-all and the envelope scan.
+    ("fork workers: results merged in arrival order", CLAIMS,
+     "return [got[i][1] for i in range(len(tasks))]", "return [v for _, v in got.values()]",
+     [TC + "test_fork_workers_merge_in_task_order"]),
+    ("fork workers: a child drops its last task", CLAIMS,
+     "pickle.dumps(done, pickle.HIGHEST_PROTOCOL)", "pickle.dumps(done[:-1], pickle.HIGHEST_PROTOCOL)",
+     [TC + "test_fork_workers_merge_in_task_order"]),
+    ("fork workers: a child sends an exception unchecked", CLAIMS,
+     "v if ok else _portable(v)", "v",
+     [TC + "test_an_exception_a_child_cannot_pickle_becomes_a_runtime_error"]),
+    ("fork workers: children left alive by an exception", CLAIMS,
+     "self._close(kill=exc_type is not None)", "self._close(kill=False)",
+     [TC + "test_an_interrupt_in_the_caller_kills_every_child"]),
+    ("fork workers: a child keeps its own request end", CLAIMS,
+     "for fd in (req_w, res_r, self._index_w):", "for fd in (res_r, self._index_w):",
+     [O + "test_pooled_envelope_equals_the_serial_one"]),
+    ("run_all: several workers take the units in registry order", CLAIMS,
+     "        if workers.workers > 1:\n", "        if False:\n",
+     [TC + "test_several_workers_take_the_long_units_first"]),
     # The poincare command's verdict.
     ("poincare: violations counted with an absolute slack", CLI,
      "lhs_p < rhs_p * (1.0 - 2.0**-40)", "lhs_p < rhs_p - 1e-15",
@@ -216,12 +245,20 @@ def copy_checkout(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def run_tests(checkout: str, tests: list[str]) -> int:
+def run_tests(checkout: str, tests: list[str], timeout: float | None = None) -> int | None:
+    """pytest's exit code on tests in checkout, or None if it outlived timeout
+    seconds; then it and every process it started are killed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # the copy's own src/
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *tests]
-    return subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.Popen(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # its own process group, from start_new_session
+        proc.wait()
+        return None
 
 
 def main(argv: list[str]) -> int:
@@ -231,13 +268,16 @@ def main(argv: list[str]) -> int:
         print(f"no such mutant: {', '.join(sorted(unknown))}")
         return 1
     t0 = time.perf_counter()
+    timeouts = {}  # each row's tests: TIMEOUT_FACTOR times their unmutated run
     with tempfile.TemporaryDirectory() as tmp:
         copy_checkout(tmp)
-        tests = sorted({t for m in rows for t in m[4]})
-        if run_tests(tmp, tests) != 0:
-            print("the named tests fail on the unmutated checkout")
-            return 1
-    outcomes = {"killed": 0, "survived": 0, "error": 0}
+        for tests in dict.fromkeys(tuple(m[4]) for m in rows):
+            t1 = time.perf_counter()
+            if run_tests(tmp, list(tests)) != 0:
+                print(f"the named tests fail on the unmutated checkout: {' '.join(tests)}")
+                return 1
+            timeouts[tests] = TIMEOUT_FACTOR * (time.perf_counter() - t1)
+    outcomes = {"killed": 0, "killed (timeout)": 0, "survived": 0, "error": 0}
     for name, path, old, new, tests in rows:
         t1 = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
@@ -250,13 +290,16 @@ def main(argv: list[str]) -> int:
             else:
                 with open(target, "w") as fh:
                     fh.write(text.replace(old, new))
-                code = run_tests(tmp, tests)
-                outcome = {0: "survived", 1: "killed"}.get(code, f"error: pytest exit {code}")
+                code = run_tests(tmp, tests, timeouts[tuple(tests)])
+                outcome = {0: "survived", 1: "killed", None: "killed (timeout)"}.get(
+                    code, f"error: pytest exit {code}")
         outcomes[outcome.split(":")[0]] += 1
         print(f"{outcome:9s} {time.perf_counter() - t1:5.1f} s  {name}", flush=True)
-    print(f"{len(rows)} mutants: {outcomes['killed']} killed, {outcomes['survived']} survived, "
-          f"{outcomes['error']} errors, in {time.perf_counter() - t0:.0f} s")
-    return 0 if outcomes["killed"] == len(rows) else 1
+    killed = outcomes["killed"] + outcomes["killed (timeout)"]
+    print(f"{len(rows)} mutants: {killed} killed ({outcomes['killed (timeout)']} by timeout), "
+          f"{outcomes['survived']} survived, {outcomes['error']} errors, "
+          f"in {time.perf_counter() - t0:.0f} s")
+    return 0 if killed == len(rows) else 1
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ unless ALLOWLIST names it with its reason.  An ALLOWLIST entry that a
 command does enter, or that names nothing, is printed too.  The exit code
 is 1 if anything was printed, and 0 otherwise.
 
-A process pool's workers are not traced.  verify-all runs at --threads 1 so
-that its units run in this process; an envelope solve that splits its scans
-across workers scans chunk 0 here, through the same functions.
+The children that claims.ForkWorkers forks are not traced.  verify-all runs
+at --threads 1 so that its units run in this process; an envelope solve
+that splits its scans across processes scans some chunks here, through the
+same functions.
 """
 
 from __future__ import annotations

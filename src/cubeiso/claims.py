@@ -8,12 +8,15 @@ margin was met is reported but not enforced (margins depend on the tightness
 of the underlying enclosures).
 
 The work splits into 19 independent (claim, run) units.  run_all proves
-them on a fork_pool with one worker per CPU this process may run on, at most
-one per unit; with one worker, or without the fork start method, it runs
-them in-process.  The longest unit, g_J_1 at beta0, is the critical path:
-more workers cannot take verify-all below it.  Reports are folded in
-registry order, and certificate bytes depend only on the claim and its
-parameters, never on the worker count or timing.
+them with one worker process per CPU this process may run on, at most one
+per unit: this process is worker 0 and the others are children forked by
+ForkWorkers, which uses os.fork, pipes and pickle, no multiprocessing.
+Each process takes the next unit not yet taken, the long ones first.  With
+one worker, or without os.fork, run_all proves them in-process.  The
+longest unit, g_J_1 at beta0, is the critical path: more workers cannot
+take verify-all below it.  Reports are folded in registry order, and
+certificate bytes depend only on the claim and its parameters, never on
+the worker count or timing.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
+import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -159,8 +163,7 @@ def claim_by_id(claim_id: str) -> Claim:
 
 def _run_unit(claim_id: str, run: ClaimRun, depth: int, emit_dir: Optional[str]) -> RunReport:
     """Prove one (claim, run) unit and, if it holds and emit_dir is set, write
-    its certificate into emit_dir, which the caller has created.  Module-level,
-    so that a process pool can send it to a worker by name."""
+    its certificate into emit_dir, which the caller has created."""
     t0 = time.perf_counter()
     stats = PartitionStats()
     rects, failure, margin = partition(run.evaluate, run.domain, depth, stats)
@@ -259,28 +262,192 @@ def worker_count(threads: Optional[int], units: int) -> int:
     return max(1, min(threads, units))
 
 
-@contextmanager
-def fork_pool(workers: int):
-    """A fork-context pool of workers processes for the with block, or None
-    when workers < 1 or the fork start method is missing: the caller then
-    runs the work in-process.  Leaving the block, also by an exception,
-    shuts the pool down and cancels its pending work, so no worker outlives
-    it.  Fork rather than spawn, so that the workers inherit the imported
-    modules and what the caller computed before the block; forking is safe
-    only while the calling process has no other threads.  The imports stay
-    in here, so that importing this module does not pay for them.
-    """
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+# A task index in ForkWorkers' shared pipe: task i is the record i + 1, and
+# the end mark is 0, as is the empty read at the end of a pipe whose writers
+# are all gone.  Every write there is a whole number of records of at
+# most _ATOMIC_WRITE bytes, which POSIX makes atomic (PIPE_BUF >= 512), and
+# every read asks for one record; so the pipe only ever holds whole records,
+# and a read cannot split one.
+_RECORD = 4
+_ATOMIC_WRITE = 512
 
-    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield None
-        return
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+def _send(fd: int, data: bytes) -> None:
+    """Write data, after its length, to the pipe fd."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """n bytes from the pipe fd; EOFError if the pipe ends first."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            raise EOFError
+        buf += chunk
+    return bytes(buf)
+
+
+def _recv(fd: int):
+    """The object whose pickle _send wrote to the pipe fd; EOFError if the
+    pipe ends first."""
+    return pickle.loads(_read_exact(fd, int.from_bytes(_read_exact(fd, 8), "little")))
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives pickling, else a RuntimeError carrying its repr."""
     try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(repr(exc))
+    return exc
+
+
+class ForkWorkers:
+    """fn(*task) for each task of a list, on this process and workers - 1
+    children forked on entering the with block, which live until it is left.
+
+    map(tasks) returns the results in task order.  Every process, this one
+    included as worker 0, reads the index of its next task from one shared
+    pipe, so the load stays balanced however long each task runs; each child
+    sends its results back pickled through its own pipe, which this process
+    reads to the end before it reaps any child.  A task that raises makes
+    map raise the first such exception in task order, with its type and
+    message; an exception a child cannot pickle comes back as a RuntimeError
+    carrying its repr.  A child that ends without sending its results, say
+    because it was killed, makes map raise a RuntimeError.
+
+    With workers < 2, or without os.fork, nothing is forked and map runs
+    the tasks here in task order.  fn reaches the children by fork, never
+    pickled; each map pickles its tasks to every child.  Fork rather than
+    spawn, so that the children inherit the imported modules and what this
+    process computed before the block; forking is safe only while this
+    process has no other threads.  Children end with os._exit: they flush
+    no inherited stdio buffer and run no atexit handler.  Leaving the block
+    closes the children's request pipes, so that they exit, and reaps them;
+    leaving it by an exception, KeyboardInterrupt included, kills them
+    first.  No child outlives the block.
+    """
+
+    def __init__(self, fn, workers: int):
+        self.fn = fn
+        self.workers = workers if workers > 1 and hasattr(os, "fork") else 1
+        self._children: list[tuple[int, int, int]] = []  # pid, request fd, result fd
+
+    def __enter__(self) -> "ForkWorkers":
+        if self.workers > 1:
+            self._index_r, self._index_w = os.pipe()
+            try:
+                for _ in range(self.workers - 1):
+                    self._fork()
+            except BaseException:
+                self._close(kill=True)
+                raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.workers > 1:
+            self._close(kill=exc_type is not None)
+
+    def _fork(self) -> None:
+        req_r, req_w = os.pipe()
+        res_r, res_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (req_r, req_w, res_r, res_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # The caller's ends.  Holding its own request end, a child
+                # would never read the end of its requests; holding the
+                # others, it could outlive a caller killed mid-map.
+                for fd in (req_w, res_r, self._index_w):
+                    os.close(fd)
+                self._serve(req_r, res_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(req_r)
+        os.close(res_w)
+        self._children.append((pid, req_w, res_r))
+
+    def _serve(self, req_fd: int, res_fd: int) -> None:
+        """A child's life: for each map, its tasks in, its results out."""
+        while True:
+            try:
+                tasks = _recv(req_fd)
+            except EOFError:  # the block was left
+                return
+            done = [(i, ok, v if ok else _portable(v)) for i, ok, v in self._pull(tasks)]
+            _send(res_fd, pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+
+    def _pull(self, tasks: list[tuple]) -> list[tuple[int, bool, object]]:
+        """(index, True, result) or (index, False, exception) for each task
+        whose index this process reads, up to its end mark."""
+        done = []
+        while True:
+            i = int.from_bytes(os.read(self._index_r, _RECORD), "little") - 1
+            if i < 0:
+                return done
+            try:
+                done.append((i, True, self.fn(*tasks[i])))
+            except Exception as exc:
+                done.append((i, False, exc))
+
+    def map(self, tasks: list[tuple]) -> list:
+        if self.workers == 1:
+            return [self.fn(*task) for task in tasks]
+        data = pickle.dumps(tasks, pickle.HIGHEST_PROTOCOL)
+        for pid, req_w, _ in self._children:
+            try:
+                _send(req_w, data)
+            except BrokenPipeError:
+                raise RuntimeError(f"worker process {pid} ended before its tasks were sent") from None
+        records = b"".join((i + 1).to_bytes(_RECORD, "little") for i in range(len(tasks)))
+        records += bytes(_RECORD * self.workers)  # one end mark for each process
+        for at in range(0, len(records), _ATOMIC_WRITE):
+            os.write(self._index_w, records[at:at + _ATOMIC_WRITE])
+        got = {i: (ok, v) for i, ok, v in self._pull(tasks)}
+        for pid, _, res_r in self._children:
+            try:
+                got.update((i, (ok, v)) for i, ok, v in _recv(res_r))
+            except EOFError:
+                raise RuntimeError(f"worker process {pid} ended without sending its results") from None
+        for i in range(len(tasks)):
+            if not got[i][0]:
+                raise got[i][1]
+        return [got[i][1] for i in range(len(tasks))]
+
+    def _close(self, kill: bool) -> None:
+        for pid, req_w, res_r in self._children:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.close(req_w)  # a child left alive reads the end and exits
+            os.close(res_r)
+        for pid, _, _ in self._children:
+            os.waitpid(pid, 0)
+        self._children = []
+        os.close(self._index_r)
+        os.close(self._index_w)
+
+
+# Several workers take these claims' units first, in this order: on a 2-CPU
+# x86-64 VM each takes 27-260 ms, and every other unit at most 7 ms.  So the
+# last units taken are short and the workers end together; in registry
+# order a 61 ms g_QJ_2 unit was often the last to start, and one worker ended
+# 20-55 ms after the other.
+_LONG_UNITS_FIRST = ("g_J_1", "g_LJQ_2", "g_QJ_2", "g_J_2", "g_QJ_1", "g_LJQ_1")
+
+
+def _unit_rank(claim_id: str) -> int:
+    if claim_id in _LONG_UNITS_FIRST:
+        return _LONG_UNITS_FIRST.index(claim_id)
+    return len(_LONG_UNITS_FIRST)
 
 
 def run_all(
@@ -288,24 +455,28 @@ def run_all(
     emit_dir: Optional[str] = None,
     threads: Optional[int] = None,
 ) -> list[ClaimReport]:
-    """Run the whole registry on worker_count(threads, units) processes;
-    reports come back in registry order.
+    """Run the whole registry on worker_count(threads, units) processes, this
+    one included; reports come back in registry order.
 
-    The workers are a fork_pool, hence the cap at the unit count.  One
-    worker is this process: it runs everything in-process with no pool, as
-    does a platform without the fork start method.  A caller that runs
-    threads of its own should pass threads=1.
+    The units go to ForkWorkers, hence the cap at the unit count: each
+    process proves the next unit not yet taken, the long ones first
+    (_LONG_UNITS_FIRST).  One worker, or a platform without os.fork, proves
+    them here in registry order.  A caller that runs threads of its own
+    should pass threads=1.
     """
     claims = registry()
     _make_emit_dir(emit_dir)
-    workers = worker_count(threads, sum(len(c.runs) for c in claims))
+    units = [args for c in claims for args in _unit_args(c, max_depth, emit_dir)]
     gauss.profile_constants()  # computed once here, inherited by every worker
-    with fork_pool(workers if workers > 1 else 0) as pool:
-        if pool is None:
-            return [run_claim(c, max_depth, emit_dir) for c in claims]
-        futures = [[pool.submit(_run_unit, *args) for args in _unit_args(c, max_depth, emit_dir)]
-                   for c in claims]
-        return [_fold(c, [f.result() for f in fs]) for c, fs in zip(claims, futures)]
+    # A child gets a unit's index, not a pickled copy of the run: the run it
+    # inherited holds funcs' own BetaParams, which beta_consts finds by identity.
+    with ForkWorkers(lambda i: _run_unit(*units[i]), worker_count(threads, len(units))) as workers:
+        order = list(range(len(units)))
+        if workers.workers > 1:
+            order.sort(key=lambda i: _unit_rank(units[i][0]))
+        reports = dict(zip(order, workers.map([(i,) for i in order])))
+    registry_order = iter(reports[i] for i in range(len(units)))
+    return [_fold(c, [next(registry_order) for _ in c.runs]) for c in claims]
 
 
 def _find_run(cert: Certificate) -> ClaimRun:

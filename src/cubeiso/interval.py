@@ -427,7 +427,8 @@ class Interval:
             out.hi = _pow_mag(m.hi, n, _INF)
             return out
         lo, hi = self.lo, self.hi
-        out.lo = -_pow_mag(-lo, n, _INF) if lo < 0.0 else _pow_mag(lo, n, -_INF)
+        # x >= 0: an underflowed x**n stops at 0, as x*y does
+        out.lo = -_pow_mag(-lo, n, _INF) if lo < 0.0 else max(_pow_mag(lo, n, -_INF), 0.0)
         out.hi = -_pow_mag(-hi, n, -_INF) if hi < 0.0 else _pow_mag(hi, n, _INF)
         return out
 

@@ -428,7 +428,7 @@ def ipow_directed(x: Interval, n: int) -> Interval:
         m = abs(x)  # x**n >= 0: an underflowed lower end stops at 0
         return Interval(max(_pow_mag_down(m.lo, n), 0.0), _pow_mag_up(m.hi, n))
     lo, hi = x.lo, x.hi
-    rlo = -_pow_mag_up(-lo, n) if lo < 0.0 else _pow_mag_down(lo, n)
+    rlo = -_pow_mag_up(-lo, n) if lo < 0.0 else max(_pow_mag_down(lo, n), 0.0)  # x >= 0: stops at 0
     rhi = -_pow_mag_down(-hi, n) if hi < 0.0 else _pow_mag_up(hi, n)
     return Interval(rlo, rhi)
 

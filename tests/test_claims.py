@@ -2,8 +2,10 @@
 
 import csv
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -163,37 +165,60 @@ def test_run_report_fields():
     assert "g_Q_1" in table
 
 
-class _PoolBuilt(Exception):
+class _Forked(Exception):
     pass
 
 
 @pytest.fixture
-def pool_requests(monkeypatch):
-    """Record the max_workers of every process pool run_all asks for, and
-    stop it there, so that no process is started."""
-    import concurrent.futures.process
-
+def fork_requests(monkeypatch):
+    """Record the worker count of every ForkWorkers run_all builds, and make
+    os.fork raise _Forked, so that no process is started."""
     asked = []
+    workers = claims.ForkWorkers
 
-    def fake_pool(max_workers=None, **kwargs):
-        asked.append(max_workers)
-        raise _PoolBuilt
+    def recording(fn, n):
+        asked.append(n)
+        return workers(fn, n)
 
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", fake_pool)
+    def no_fork():
+        raise _Forked
+
+    monkeypatch.setattr(claims, "ForkWorkers", recording)
+    monkeypatch.setattr(os, "fork", no_fork)
     return asked
 
 
+@pytest.fixture
+def proved(monkeypatch):
+    """The (claim, run) units run_all proves, in the order it proves them;
+    each proof is a stub report."""
+    order = []
+
+    def stub_unit(claim_id, run, depth, emit_dir):
+        order.append((claim_id, run.run_tag))
+        return claims.RunReport(run.run_tag, ok=True, margin=1.0, rect_count=1, evaluations=1)
+
+    monkeypatch.setattr(claims, "_run_unit", stub_unit)
+    return order
+
+
 UNITS = sum(len(c.runs) for c in claims.registry())
+REGISTRY_ORDER = [(c.claim_id, r.run_tag) for c in claims.registry() for r in c.runs]
 
 
-def test_default_worker_count_is_cpus_available(monkeypatch, pool_requests):
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_default_worker_count_is_cpus_available(monkeypatch, fork_requests):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    with pytest.raises(_PoolBuilt):
+    with pytest.raises(_Forked):
         claims.run_all()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    with pytest.raises(_PoolBuilt):
+    with pytest.raises(_Forked):
         claims.run_all()
-    assert pool_requests == [3, UNITS]
+    assert fork_requests == [3, UNITS]
 
 
 def test_default_worker_count_without_affinity(monkeypatch):
@@ -205,41 +230,73 @@ def test_default_worker_count_without_affinity(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [None, 1, 0, -3])
-def test_one_worker_builds_no_pool(monkeypatch, pool_requests, threads):
+def test_one_worker_builds_no_pool(monkeypatch, fork_requests, proved, threads):
     """One worker proves the registry in-process, in registry order."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(claims, "run_claim", lambda claim, max_depth, emit_dir: claim.claim_id)
-    assert claims.run_all(threads=threads) == [c.claim_id for c in claims.registry()]
-    assert pool_requests == []
+    reports = claims.run_all(threads=threads)
+    assert [r.claim_id for r in reports] == [c.claim_id for c in claims.registry()]
+    assert proved == REGISTRY_ORDER
+    assert fork_requests == [1]
 
 
-def test_without_fork_the_registry_runs_in_process(monkeypatch, pool_requests):
-    """Where the fork start method is missing, several workers fall back to
-    proving the registry in-process, in registry order, as the envelope
-    scan falls back to one process."""
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(claims, "run_claim", lambda claim, max_depth, emit_dir: claim.claim_id)
-    assert claims.run_all(threads=2) == [c.claim_id for c in claims.registry()]
-    assert pool_requests == []
+def test_without_fork_the_registry_runs_in_process(monkeypatch, fork_requests, proved):
+    """Where os.fork is missing, several workers fall back to proving the
+    registry in-process, in registry order, as the envelope scan falls
+    back to one process."""
+    monkeypatch.delattr(os, "fork")
+    claims.run_all(threads=2)
+    assert proved == REGISTRY_ORDER
+    assert fork_requests == [2]
 
 
-def test_worker_count_is_capped_at_the_units(pool_requests):
-    """A fork-context pool starts all its workers up front."""
-    with pytest.raises(_PoolBuilt):
+class _InProcess:
+    """A stand-in for ForkWorkers that claims its workers but runs every task
+    here, in the order map is given them."""
+
+    def __init__(self, fn, workers):
+        self.fn, self.workers = fn, workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def map(self, tasks):
+        return [self.fn(*task) for task in tasks]
+
+
+def test_several_workers_take_the_long_units_first(monkeypatch, proved):
+    """The long units are handed out first, and the reports still fold in
+    registry order."""
+    monkeypatch.setattr(claims, "ForkWorkers", _InProcess)
+    reports = claims.run_all(threads=2)
+    assert [claim_id for claim_id, _ in proved[:9]] == [
+        "g_J_1", "g_J_1", "g_LJQ_2", "g_QJ_2", "g_J_2", "g_QJ_1", "g_QJ_1", "g_LJQ_1", "g_LJQ_1"]
+    assert sorted(proved) == sorted(REGISTRY_ORDER)
+    assert [(r.claim_id, [u.run_tag for u in r.runs]) for r in reports] == [
+        (c.claim_id, [run.run_tag for run in c.runs]) for c in claims.registry()]
+
+
+def test_worker_count_is_capped_at_the_units(fork_requests):
+    """Every worker is forked up front, so one beyond the units would only
+    cost a process."""
+    with pytest.raises(_Forked):
         claims.run_all(threads=10**6)
-    assert pool_requests == [UNITS]
+    assert fork_requests == [UNITS]
+    _no_child_left()
 
 
 def test_unit_exception_reaches_the_caller(monkeypatch):
-    """A unit that raises in a worker process raises in run_all."""
+    """A unit that raises in any process raises in run_all, with its type
+    and message."""
     def broken_partition(*args, **kwargs):
         raise RuntimeError("partition broke")
 
     monkeypatch.setattr(claims, "partition", broken_partition)  # inherited by fork
     with pytest.raises(RuntimeError, match="partition broke"):
         claims.run_all(threads=2)
+    _no_child_left()
 
 
 def test_pool_reports_match_serial():
@@ -253,6 +310,138 @@ def test_pool_reports_match_serial():
     assert shape(pooled) == shape(claims.run_all(max_depth=3, threads=1))
     # A claim's seconds are its units' own compute time, not the wait for them.
     assert all(r.seconds >= sum(u.seconds for u in r.runs) > 0 for r in pooled)
+    _no_child_left()
+
+
+class _Handoff:
+    """Makes the caller's first task wait until a child has started one, so
+    that a child and the caller both take tasks, however they are
+    scheduled."""
+
+    def __init__(self):
+        self.caller = os.getpid()
+        self.r, self.w = os.pipe()
+        self.waited = False
+
+    def in_child(self) -> bool:
+        """In a child, say that it started a task and return True; in the
+        caller, return False, the first time once a child has started."""
+        if os.getpid() != self.caller:
+            os.write(self.w, b"x")
+            return True
+        if not self.waited:
+            os.read(self.r, 1)
+            self.waited = True
+        return False
+
+
+@pytest.fixture
+def handoff():
+    h = _Handoff()
+    yield h
+    os.close(h.r)
+    os.close(h.w)
+
+
+def test_fork_workers_merge_in_task_order(handoff):
+    """Results come back in task order, every one of them, also where the
+    caller proves tasks after the child's."""
+    def square(x):
+        if handoff.in_child():
+            time.sleep(0.01)
+        return x * x
+
+    with claims.ForkWorkers(square, 2) as workers:
+        for n in (12, 0, 5):  # the children serve every map of the block
+            assert workers.map([(x,) for x in range(n)]) == [x * x for x in range(n)]
+    # more processes than CPUs race for 2,000 indices, more than one write holds
+    with claims.ForkWorkers(lambda x: x * x, 6) as workers:
+        assert workers.map([(x,) for x in range(2000)]) == [x * x for x in range(2000)]
+    _no_child_left()
+
+
+def test_fork_workers_raise_the_first_error_in_task_order():
+    def task(x):
+        raise KeyError(f"task {x}")
+
+    with claims.ForkWorkers(task, 2) as workers:
+        with pytest.raises(KeyError, match="task 0"):
+            workers.map([(x,) for x in range(6)])
+    _no_child_left()
+
+
+def test_an_exception_a_child_cannot_pickle_becomes_a_runtime_error(handoff):
+    class Local(Exception):  # pickle cannot find the class by name
+        pass
+
+    def task(x):
+        if handoff.in_child():
+            raise Local(f"task {x}")
+        return x
+
+    with claims.ForkWorkers(task, 2) as workers:
+        with pytest.raises(RuntimeError, match=r"Local\('task \d+'\)"):
+            workers.map([(x,) for x in range(6)])
+    _no_child_left()
+
+
+def test_a_killed_worker_raises_and_leaves_no_child(monkeypatch, handoff):
+    """A child killed while it proves a unit makes run_all raise, not hang."""
+    def dying_unit(claim_id, run, depth, emit_dir):
+        if handoff.in_child():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return claims.RunReport(run.run_tag, ok=True, margin=1.0, rect_count=1, evaluations=1)
+
+    monkeypatch.setattr(claims, "_run_unit", dying_unit)
+    with pytest.raises(RuntimeError, match="ended without sending its results"):
+        claims.run_all(threads=2)
+    _no_child_left()
+
+
+def test_a_worker_killed_between_maps_raises(handoff):
+    """A child that dies between two maps, as one could between two
+    envelope scans, makes the next map raise."""
+    def pid(x):
+        handoff.in_child()
+        return os.getpid()
+
+    with pytest.raises(RuntimeError, match=r"worker process \d+ ended"):
+        with claims.ForkWorkers(pid, 2) as workers:
+            child = next(p for p in workers.map([(x,) for x in range(4)]) if p != os.getpid())
+            os.kill(child, signal.SIGKILL)
+            workers.map([(x,) for x in range(4)])
+    _no_child_left()
+
+
+def test_an_interrupt_in_the_caller_kills_every_child(handoff):
+    def task(x):
+        if handoff.in_child():
+            time.sleep(30)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        with claims.ForkWorkers(task, 3) as workers:
+            workers.map([(x,) for x in range(6)])
+    _no_child_left()
+
+
+_BUFFERED_STDOUT = """
+import sys
+from cubeiso import cli
+print("written before verify-all")
+cli.main(["verify-all", "--threads", "3", "--max-depth", "2"])
+print("modules:", "multiprocessing" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_verify_all_children_neither_flush_stdout_nor_import_multiprocessing():
+    """Text in the caller's stdout buffer at the fork appears once: the
+    children end without flushing their copy of it."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    out = subprocess.run([sys.executable, "-c", _BUFFERED_STDOUT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.count("written before verify-all") == 1
+    assert "modules: False False" in out
 
 
 def test_heine_borel_soundness(rng):

@@ -404,12 +404,14 @@ def test_ipow_matches_directed_powers(x):
 @settings(max_examples=3000, deadline=None)
 @given(_mul_operands().filter(lambda x: x.valid and -math.inf < x.lo and x.hi < math.inf))
 @example(Interval(5.245601649158839e-308))
+@example(Interval(2.7e-309))
 def test_ipow_contains_exact_powers(x):
     """x**n holds the exact Fraction power of each end, and 0 where an even
     power's base straddles 0; a negative power of a base holding 0 is
-    Invalid.  Unlike the test above, this needs no copy of the kernel's
-    rounding rule.  On the example x**2 and x**3 underflow onto 0, and
-    x**-2 and x**-3 are [MAX, inf]."""
+    Invalid; a positive power of a base x >= 0 stays >= 0.  Unlike the test above,
+    this needs no copy of the kernel's rounding rule.  On the first example
+    x**2 and x**3 underflow onto 0, and x**-2 and x**-3 are [MAX, inf]; on
+    the second, x**3 is [0, 5e-324], as x*x*x is."""
     for n in range(-3, 9):
         got = x.ipow(n)
         if n < 0 and x.lo <= 0.0 <= x.hi:
@@ -419,6 +421,7 @@ def test_ipow_contains_exact_powers(x):
         if n > 0 and n % 2 == 0 and x.lo < 0.0 < x.hi:
             exact.append(F(0))
         assert all(got.lo <= e <= got.hi for e in exact), n
+        assert n < 0 or x.lo < 0.0 or got.lo >= 0.0, n
 
 
 @settings(max_examples=3000, deadline=None)

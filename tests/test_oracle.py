@@ -1,7 +1,6 @@
 """Hamming-cube oracle: boundary counts, Hart, profiles, envelope, Poincare."""
 
 import math
-import multiprocessing
 import os
 import random
 from fractions import Fraction as F
@@ -184,39 +183,51 @@ def _cpus(monkeypatch, n):
 
 
 @pytest.fixture
-def scan_pools(monkeypatch):
-    """The pool argument of every policy scan."""
-    scan, pools = oracle._envelope_scan, []
+def scan_chunks(monkeypatch):
+    """The chunk count and the pool's worker count of every policy scan."""
+    scan, chunks = oracle._envelope_scan, []
 
-    def recording_scan(b_vals, beta, dx_all, dxp_all, chunks, pool):
-        pools.append(pool)
-        return scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
+    def recording_scan(b_vals, beta, dx_all, dxp_all, n, pool):
+        chunks.append((n, pool.workers))
+        return scan(b_vals, beta, dx_all, dxp_all, n, pool)
 
     monkeypatch.setattr(oracle, "_envelope_scan", recording_scan)
-    return pools
+    return chunks
 
 
-def test_pooled_envelope_equals_the_serial_one(monkeypatch, scan_pools):
-    """At the split threshold, a solve whose scans are split across a pool
-    of 2 workers returns the serial solve's bits, and leaves no process
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pooled_envelope_equals_the_serial_one(monkeypatch, scan_chunks):
+    """At the split threshold, a solve whose scans are split across 3
+    processes returns the serial solve's bits, and leaves no process
     behind.  beta = 1 converges in 2 scans."""
     _cpus(monkeypatch, 1)
     serial = oracle.envelope_approx(1.0, 5, refine=SPLIT_REFINE)
-    assert scan_pools and not any(scan_pools)
-    scan_pools.clear()
+    assert scan_chunks and all(c == (1, 1) for c in scan_chunks)
+    scan_chunks.clear()
     _cpus(monkeypatch, 3)
     pooled = oracle.envelope_approx(1.0, 5, refine=SPLIT_REFINE)
-    assert scan_pools and all(scan_pools)
-    assert multiprocessing.active_children() == []
+    assert scan_chunks and all(c == (3, 3) for c in scan_chunks)
+    _no_child_left()
     assert pooled.values.tobytes() == serial.values.tobytes()
     assert (pooled.iterations, pooled.residual) == (serial.iterations, serial.residual)
 
 
+def test_without_fork_the_scans_stay_serial(monkeypatch, scan_chunks):
+    monkeypatch.delattr(os, "fork")
+    _cpus(monkeypatch, 3)
+    oracle.envelope_approx(1.0, 5, refine=SPLIT_REFINE)
+    assert scan_chunks and all(c == (1, 1) for c in scan_chunks)
+
+
 def test_failed_pooled_solve_leaves_no_process(monkeypatch):
-    scan, pools = oracle._envelope_scan, []
+    scan, workers = oracle._envelope_scan, []
 
     def scan_then_fail(b_vals, beta, dx_all, dxp_all, chunks, pool):
-        pools.append(pool)
+        workers.append(pool.workers)
         scan(b_vals, beta, dx_all, dxp_all, chunks, pool)
         raise RuntimeError("solve broke")
 
@@ -224,8 +235,8 @@ def test_failed_pooled_solve_leaves_no_process(monkeypatch):
     _cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="solve broke"):
         oracle.envelope_approx(0.5, 5, refine=SPLIT_REFINE)
-    assert len(pools) == 1 and pools[0] is not None
-    assert multiprocessing.active_children() == []
+    assert workers == [2]
+    _no_child_left()
 
 
 def test_envelope_depth_cap():
