@@ -19,11 +19,18 @@ quartiles (statistics.quantiles, exclusive method), the pairs the change
 won, and whether the change passes the gain rule: it wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile distance.  The file is rewritten after every run.
+
+An existing --out is resumed: each workload continues after the pairs it
+holds.  Every run records the src digest its side printed, and a traced
+series records both; if one of them differs from the digest of the
+checkout now given for that side, the file holds another tree's runs, and
+the script names the side and exits with code 2 without running anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -53,6 +60,30 @@ def bench_run(checkout, workload, seed, seconds, trace=False):
             "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def src_digest(checkout):
+    """The src digest perfbench/run.py prints in checkout, by that checkout's
+    own tree_digest, so that it matches what the runs recorded."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_run", os.path.join(checkout, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.tree_digest(os.path.join(checkout, "src"))[:12]
+
+
+def foreign_run(workloads, digests):
+    """(workload, side, recorded digest) of the first recorded run, or
+    traced series, whose side's digest is not digests[side]; else None."""
+    for workload, entry in workloads.items():
+        series = [{side: pair[side]["src"] for side in digests} for pair in entry["runs"]]
+        if "trace" in entry:
+            series.append(entry["trace"].get("src", {}))
+        for recorded in series:
+            for side, digest in digests.items():
+                if recorded.get(side) != digest:
+                    return workload, side, recorded.get(side)
+    return None
 
 
 def spread(values):
@@ -119,16 +150,24 @@ def main(argv=None):
         "caches": "cold: every pass is a fresh worker interpreter",
         "workloads": {},
     }
+    sides = {"parent": args.parent, "change": args.change}
+    digests = {side: src_digest(path) for side, path in sides.items()}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc["workloads"] = json.load(fh).get("workloads", {})
+        foreign = foreign_run(doc["workloads"], digests)
+        if foreign is not None:
+            workload, side, src = foreign
+            print(f"bench_pairs: {args.out} holds {workload} runs of another {side} tree "
+                  f"(src={src}; the {side} checkout has src={digests[side]}); "
+                  "give a fresh --out", file=sys.stderr)
+            return 2
 
     def save():
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
 
-    sides = {"parent": args.parent, "change": args.change}
     for workload in args.workloads:
         entry = doc["workloads"].setdefault(workload, {"runs": []})
         for k in range(len(entry["runs"]), args.pairs):
@@ -151,7 +190,7 @@ def main(argv=None):
                     traced[side].append(run["metrics"])
                     print(f"{workload} seed {args.seed0 + k} {side}: traced", flush=True)
             entry["trace"] = {
-                "seeds": [args.seed0 + k for k in range(TRACED_RUNS)],
+                "seeds": [args.seed0 + k for k in range(TRACED_RUNS)], "src": digests,
                 "layers": {name: layer(name, traced) for name in traced["parent"][0]},
             }
             save()

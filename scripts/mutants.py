@@ -91,12 +91,13 @@ MUTANTS = [
      """            if lo < 0.0 < min(p, q):  # x, y > 0: an underflowed x*y stops at 0
                 lo = 0.0
 """, "", [FIXED]),
-    ("div: wrong extreme corner", INTERVAL,
-     "            if 0.0 < a:\n                corners = b, d, a, c",
-     "            if 0.0 < a:\n                corners = a, d, b, c", [FIXED]),
+    ("div: wrong lower corner for a positive divisor", INTERVAL,
+     "out.lo = _nextafter(a / (d if pos else c), -_INF)",
+     "out.lo = _nextafter(a / (c if pos else d), -_INF)", [FIXED]),
     ("div: one-sign ends not stepped", INTERVAL,
-     "out.lo = _nextafter(p / q, -_INF)\n            out.hi = _nextafter(r / s, _INF)",
-     "out.lo = p / q\n            out.hi = r / s", [FIXED, RULE]),
+     "out.lo = _nextafter(a / (d if pos else c), -_INF)\n"
+     "            out.hi = _nextafter(b / (c if pos else d), _INF)",
+     "out.lo = a / (d if pos else c)\n            out.hi = b / (c if pos else d)", [FIXED, RULE]),
     # The inline 2Sum of + and −.
     ("add: 2Sum error sign flipped", INTERVAL,
      "elo = (a - (lo - v)) + (c - v)", "elo = -((a - (lo - v)) + (c - v))", [FIXED, ADD]),
@@ -113,12 +114,14 @@ MUTANTS = [
     ("hash: Invalid hashed by its NaN ends", INTERVAL,
      "return hash((lo, self.hi)) if lo == lo else 0", "return hash((lo, self.hi))",
      [T + "test_every_invalid_hashes_alike"]),
-    # Rationals beyond the float range.
+    # Scalars entering the kernel: from_fraction and the constructor.
     ("from_fraction: overflow not caught", INTERVAL,
      "        try:\n            f = float(fr)\n        except OverflowError:",
      "        if True:\n            f = float(fr)\n        else:", [BIG]),
-    ("coerce: a large int taken as a float", INTERVAL,
-     "(isinstance(x, int) and -(2**53) <= x <= 2**53)", "isinstance(x, int)", [BIG]),
+    ("constructor: a rational end rounded to a float", INTERVAL,
+     "(isinstance(x, int) and -(2**53) <= x <= 2**53)",
+     "(isinstance(x, (int, Fraction)) and -(2**53) <= x <= 2**53)",
+     [T + "test_constructor_takes_only_ends_a_float_holds"]),
     # The Gaussian cdf series and the quantile bracket.
     ("cdf series: no truncation term", INTERVAL,
      "a_next * _pow_float(x, k) * _SLACK + _TINY)", "_TINY)",

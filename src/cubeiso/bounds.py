@@ -110,7 +110,6 @@ from .interval import (
     TWO,
     ZERO,
     Interval,
-    _coerce,
     strictly_less,
 )
 
@@ -150,8 +149,8 @@ def q_range(a: float, b: float, bc: BetaConsts) -> Interval:
         elif qp.hi <= 0.0:
             hi = qa.hi
         else:
-            m = 0.5 * (a + b)
-            centered = Q(Interval(m), bc, 0) + qp * (x - m)
+            m = Interval(0.5 * (a + b))
+            centered = Q(m, bc, 0) + qp * (x - m)
             hi = centered.hi
         return Interval(lo, hi)
     return Q(x, bc, 0)
@@ -235,12 +234,11 @@ class Grad:
         return Grad(self.v * o.v, self.dx * o.v + self.v * o.dx, self.dy * o.v + self.v * o.dy)
 
     def ipow(self, n: int) -> "Grad":
-        return self.pow(n)
+        return self.pow(Interval(float(n)))
 
-    def pow(self, p) -> "Grad":
+    def pow(self, p: Interval) -> "Grad":
         """self**p for a constant p; a non-integer p needs self.v.lo > 0 for
         a derivative enclosure."""
-        p = _coerce(p)
         if p.lo == p.hi and p.lo.is_integer():
             d = p * self.v.ipow(int(p.lo) - 1)
         elif self.v.lo > 0.0:
@@ -255,8 +253,8 @@ class Grad:
 
 
 def _lift(u) -> Grad:
-    """A Grad as is; an Interval or a constant with a zero gradient."""
-    return u if isinstance(u, Grad) else Grad(_coerce(u), ZERO, ZERO)
+    """A Grad as is; an Interval with a zero gradient."""
+    return u if isinstance(u, Grad) else Grad(u, ZERO, ZERO)
 
 
 def _atom(t, value, deriv):
@@ -305,8 +303,8 @@ def _mean_value(formula, x: Interval, y: Interval, bc: BetaConsts):
     naive value is Invalid; one without a gradient enclosure, or without a
     value at c, keeps the naive value.
     """
-    cx, cy = x.mid, y.mid
-    at_c = formula(Interval(cx), Interval(cy), bc)
+    cx, cy = Interval(x.mid), Interval(y.mid)
+    at_c = formula(cx, cy, bc)
     over = formula(Grad(x, ONE, ZERO), Grad(y, ZERO, ONE), bc)
     ex, ey = x - cx, y - cy
 

@@ -29,11 +29,11 @@ exact end (Rump, Zimmermann, Boldo & Melquiond, "Computing predecessor and
 successor in rounding to nearest", BIT 49, 2009).  A step at +-inf changes
 nothing, so an infinite factor or dividend keeps its infinite end, and
 nextafter(+-inf, -+inf) = +-MAX makes an end that overflowed the largest
-float, as directed rounding does.  When each factor, or the dividend, has
-both ends nonzero and of one sign, the signs name the corners that give the
-ends (Moore, Kearfott & Cloud), and only those two are computed.  Operands
-with a zero or a straddling end, and quotients by an infinite divisor, take
-all four corners.  An integer power applies the rule at each step of its
+float, as directed rounding does.  When each factor has both ends nonzero
+and of one sign, or the dividend does and the divisor is finite and
+positive, the signs name the corners that give the ends (Moore, Kearfott &
+Cloud), and only those two are computed.  Other operands take all four
+corners.  An integer power applies the rule at each step of its
 repeated multiplication of the end magnitudes, so each of its n - 1 steps
 may add a float: x**n measured up to 2n - 3 floats beyond the
 outward-rounded exact end.  A negative power is 1 / x**-n, or (1/x)**-n
@@ -64,8 +64,13 @@ Newton, never trusted; deep in the tail it runs on erfc, which resolves a p
 that 1 + erf cannot.
 
 Endpoints may be -inf (lower) or +inf (upper) to express one-sided bounds.
-Comparison against scalars is a partial order: ``strictly_greater(a, t)``
-returning False proves nothing.
+Every operand of + - * /, pow, min and max is an Interval; any other
+raises TypeError.  A scalar enters two ways: Interval(x) for a float, or an
+int of magnitude at most 2^53, which a float holds exactly; and
+Interval.from_fraction(q), the narrowest interval that holds a rational q.
+Comparison against a rational is exact (a float compares with a Fraction
+exactly, an infinite end included) and a partial order:
+``strictly_greater(a, t)`` returning False proves nothing.
 """
 
 from __future__ import annotations
@@ -74,15 +79,12 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Union
 
 _INF = math.inf
 _MAX = sys.float_info.max
 _MIN_NORMAL = sys.float_info.min
 _nextafter = math.nextafter
 _new = object.__new__
-
-ScalarLike = Union[int, float, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +148,16 @@ def _pow_mag(v: float, n: int, toward: float) -> float:
 class Interval:
     """A closed interval [lo, hi] of extended reals, or Invalid (NaN ends).
 
-    The constructor checks its ends.  The arithmetic operators and the
-    elementary functions build their results with _new and two slot stores,
-    as their ends are well formed by construction.
+    The constructor checks its ends (see _end).  The arithmetic operators
+    and the elementary functions build their results with _new and two slot
+    stores, as their ends are well formed by construction.
     """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float | None = None):
-        if hi is None:
-            hi = lo
-        lo = float(lo)
-        hi = float(hi)
+        lo = lo if lo.__class__ is float else _end(lo)
+        hi = lo if hi is None else hi if hi.__class__ is float else _end(hi)
         if lo != lo or hi != hi:
             lo = hi = math.nan
         elif lo > hi or lo == _INF or hi == -_INF:
@@ -172,7 +172,7 @@ class Interval:
         return Interval(math.nan)
 
     @staticmethod
-    def from_fraction(fr: ScalarLike) -> "Interval":
+    def from_fraction(fr: Fraction | int) -> "Interval":
         """Width-minimal interval containing an exact rational."""
         fr = Fraction(fr)
         try:
@@ -216,7 +216,7 @@ class Interval:
 
     def __add__(self, other) -> "Interval":
         if other.__class__ is not Interval:
-            other = _coerce(other)
+            return NotImplemented
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         lo = a + c
         hi = b + d
@@ -231,11 +231,9 @@ class Interval:
         out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF) if ehi == ehi else _sum_up(hi, b, d)
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Interval":
         if other.__class__ is not Interval:
-            other = _coerce(other)
+            return NotImplemented
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         lo = a - d
         hi = b - c
@@ -249,9 +247,6 @@ class Interval:
         out.hi = hi if ehi <= 0.0 else _nextafter(hi, _INF) if ehi == ehi else _sum_up(hi, b, -c)
         return out
 
-    def __rsub__(self, other) -> "Interval":
-        return _coerce(other).__sub__(self)
-
     def __neg__(self) -> "Interval":
         out = _new(Interval)  # exact; NaN ends stay NaN
         out.lo = -self.hi
@@ -260,7 +255,7 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         if other.__class__ is not Interval:
-            other = _coerce(other)
+            return NotImplemented
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         # Factors of one sign each: p*q is the lowest corner, r*s the highest.
         # Both ends step; an infinite end lies in one of them and stays.
@@ -295,31 +290,19 @@ class Interval:
             out.lo = 0.0
         return out
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "Interval":
         if other.__class__ is not Interval:
-            other = _coerce(other)
+            return NotImplemented
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # A dividend of one sign by a finite divisor of one sign: p/q is the
-        # lowest corner, r/s the highest.  Both ends step; an infinite end of
-        # the dividend lies in one of them and stays.
-        corners = None
-        if 0.0 < c and d < _INF:
-            if 0.0 < a:
-                corners = a, d, b, c
-            elif b < 0.0:
-                corners = a, c, b, d
-        elif d < 0.0 and -_INF < c:
-            if 0.0 < a:
-                corners = b, d, a, c
-            elif b < 0.0:
-                corners = b, c, a, d
-        if corners is not None:
-            p, q, r, s = corners
+        # A dividend of one sign by a finite positive divisor: a/d and b/c are
+        # the extreme corners of a positive dividend, a/c and b/d of a
+        # negative one.  Both ends step; an infinite end of the dividend lies
+        # in one of them and stays.
+        if 0.0 < c and d < _INF and (0.0 < a or b < 0.0):
+            pos = 0.0 < a
             out = _new(Interval)
-            out.lo = _nextafter(p / q, -_INF)
-            out.hi = _nextafter(r / s, _INF)
+            out.lo = _nextafter(a / (d if pos else c), -_INF)
+            out.hi = _nextafter(b / (c if pos else d), _INF)
             return out
         if not (self.valid and other.valid):
             return INVALID
@@ -329,9 +312,6 @@ class Interval:
         if ac != ac or ad != ad or bc != bc or bd != bd:  # inf / inf
             return INVALID
         return _hull(a, b, c, d, ac, ad, bc, bd)
-
-    def __rtruediv__(self, other) -> "Interval":
-        return _coerce(other).__truediv__(self)
 
     def __abs__(self) -> "Interval":
         if not self.valid:
@@ -343,14 +323,14 @@ class Interval:
             return -self
         return Interval(0.0, max(-a, b))
 
-    def min(self, other) -> "Interval":
-        other = _coerce(other)
+    def min(self, other: "Interval") -> "Interval":
+        _operand(other)
         if not (self.valid and other.valid):
             return INVALID
         return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
 
-    def max(self, other) -> "Interval":
-        other = _coerce(other)
+    def max(self, other: "Interval") -> "Interval":
+        _operand(other)
         if not (self.valid and other.valid):
             return INVALID
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
@@ -432,14 +412,14 @@ class Interval:
         out.hi = -_pow_mag(-hi, n, -_INF) if hi < 0.0 else _pow_mag(hi, n, _INF)
         return out
 
-    def pow(self, p) -> "Interval":
-        """Real power x**p, for p an Interval or anything _coerce takes.
+    def pow(self, p: "Interval") -> "Interval":
+        """Real power x**p.
 
         Non-integer exponents require lo >= 0.  0**p is 0 for p > 0; the
         degenerate exponent [0,0] yields [1,1] (the convention used by the
         tight-lower-bound formulas, where h**0 arises as a limit).
         """
-        p = _coerce(p)
+        _operand(p)
         if not (self.valid and p.valid):
             return INVALID
         if p.lo == p.hi:
@@ -466,19 +446,19 @@ class Interval:
         return (p * self.log()).exp()
 
 
-def _coerce(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
+def _operand(x) -> None:
+    """Refuse an operand of pow, min or max that is not an Interval."""
+    if x.__class__ is not Interval:
+        raise TypeError(f"an Interval operand is needed, not {type(x).__name__}")
+
+
+def _end(x) -> float:
+    """A constructor end that is not a float: an int that a float holds
+    exactly, or a float subclass."""
     if isinstance(x, float) or (isinstance(x, int) and -(2**53) <= x <= 2**53):
-        x = float(x)
-        if not -_INF < x < _INF:
-            return Interval(x)  # checked: NaN is Invalid, an infinite point is refused
-        out = _new(Interval)
-        out.lo = out.hi = x
-        return out
-    if isinstance(x, (int, Fraction)):  # an int beyond 2^53 may not be a float
-        return Interval.from_fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an interval")
+        return float(x)
+    raise TypeError(f"an Interval end is a float or an int of at most 2^53 in magnitude, "
+                    f"not {type(x).__name__} {x!r}; use Interval.from_fraction for a rational")
 
 
 INVALID = Interval.invalid()
@@ -495,21 +475,13 @@ SQRT_TWO_PI = (TWO * PI).sqrt()
 INV_SQRT_TWO_PI = ONE / SQRT_TWO_PI
 
 
-def strictly_greater(a: Interval, t: ScalarLike) -> bool:
+def strictly_greater(a: Interval, t: Fraction) -> bool:
     """True only if every x in a exceeds t.  False proves nothing."""
-    if not a.valid:
-        return False
-    if isinstance(t, Fraction):
-        return Fraction(a.lo) > t
-    return a.lo > t
+    return a.valid and a.lo > t
 
 
-def strictly_less(a: Interval, t: ScalarLike) -> bool:
-    if not a.valid:
-        return False
-    if isinstance(t, Fraction):
-        return Fraction(a.hi) < t
-    return a.hi < t
+def strictly_less(a: Interval, t: Fraction) -> bool:
+    return a.valid and a.hi < t
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +580,10 @@ def _cdf_series(t: float) -> Interval:
 
 def _upper_tail(z: Interval) -> Interval:
     """1 - Phi(z) for z >= _SERIES_CUT, by the alternating asymptotic series."""
-    iz2 = ONE / z.ipow(2)
+    w = ONE / z.ipow(2)  # 1/z^2
     # partial sums: ... + 105/z^8 is an upper bound, ... - 945/z^10 a lower one
-    acc_hi = ((((Interval(105.0) * iz2 - 15.0) * iz2 + 3.0) * iz2 - 1.0) * iz2) + 1.0
-    acc_lo = acc_hi - Interval(945.0) * iz2.ipow(5)
+    acc_hi = ((((Interval(105.0) * w - Interval(15.0)) * w + Interval(3.0)) * w - ONE) * w) + ONE
+    acc_lo = acc_hi - Interval(945.0) * w.ipow(5)
     out = normal_pdf(z) / z * Interval(max(acc_lo.lo, 0.0), acc_hi.hi)
     return Interval(max(out.lo, 0.0), out.hi)
 

@@ -114,9 +114,10 @@ def test_negative_control_perturbation(claim_id):
     """Shifting the bound down must break every claim (no vacuous bounds)."""
     claim = claims.claim_by_id(claim_id)
     delta = NEGATIVE_CONTROL_DELTAS.get(claim_id, NEGATIVE_CONTROL_DEFAULT)
+    shift = Interval(delta)
 
     def fails(run):
-        _, failure, _ = partition(lambda box: run.evaluate(box) - delta, run.domain,
+        _, failure, _ = partition(lambda box: run.evaluate(box) - shift, run.domain,
                                   claim.max_depth)
         return failure is not None
 

@@ -68,18 +68,19 @@ def test_atom_derivative_encloses_mpmath(name, rng):
                 assert _encloses(g.dx, d), (name, beta, a, b, p, d, g.dx)
 
 
-def _expr(x, y, ipow, pow_, sqrt):
-    """Every Grad operation once, written for Grads and for mpf alike."""
-    u = ipow(x * y - x * x, 2) + pow_(y * 3.0 - x, 1.5)
-    return sqrt(u) * (y - x) - ipow(x, 3) * 0.5 + ipow(y, -2)
+def _expr(x, y, ipow, pow_, sqrt, const):
+    """Every Grad operation once, written for Grads and for mpf alike;
+    const(c) is the constant c as an operand."""
+    u = ipow(x * y - x * x, 2) + pow_(y * const(3.0) - x, 1.5)
+    return sqrt(u) * (y - x) - ipow(x, 3) * const(0.5) + ipow(y, -2)
 
 
 def _grad_expr(x, y):
-    return _expr(x, y, Grad.ipow, lambda u, p: u.pow(Interval(p)), Grad.sqrt)
+    return _expr(x, y, Grad.ipow, lambda u, p: u.pow(Interval(p)), Grad.sqrt, Interval)
 
 
 def _mp_expr(x, y):
-    return _expr(x, y, lambda u, n: u**n, lambda u, p: u**p, mp.sqrt)
+    return _expr(x, y, lambda u, n: u**n, lambda u, p: u**p, mp.sqrt, mp.mpf)
 
 
 def test_grad_operations_enclose_mpmath(rng):
@@ -101,7 +102,7 @@ def test_grad_fallbacks():
     assert not g.sqrt().dx.valid and g.sqrt().v.valid
     assert not g.pow(Interval(1.5)).dx.valid
     # 2 * x, then times dx = 1: each product steps the upper end one float up
-    assert g.pow(F(2)).dx == Interval(0.0, 0.5 + 2 * math.ulp(0.5))
+    assert g.pow(Interval(2.0)).dx == Interval(0.0, 0.5 + 2 * math.ulp(0.5))
     assert g.ipow(3).dx.valid
     assert not bounds._J(Grad(Interval(0.75, 1.0), ZERO, ONE)).dy.valid
 

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from cubeiso import gauss
+from cubeiso.bounds import Grad
 from cubeiso.interval import (
     INVALID,
+    ONE,
     SQRT2,
+    ZERO,
     Interval,
     _bracket,
     normal_cdf,
@@ -84,6 +87,10 @@ def test_comparison_is_partial_order():
     assert not strictly_greater(Interval(0.1, 0.4), F(1, 5))  # unproven, not <=
     assert not strictly_greater(INVALID, 0)
     assert strictly_less(Interval(0.1, 0.15), F(1, 5))
+    # exact against the rational: 1/3 as a float lies below 1/3
+    assert strictly_less(Interval(1 / 3), F(1, 3)) and not strictly_greater(Interval(1 / 3), F(1, 3))
+    assert not strictly_greater(Interval(-math.inf, 1.0), F(0))
+    assert not strictly_less(Interval(-1.0, math.inf), F(0))
 
 
 def test_infinite_endpoints():
@@ -95,18 +102,38 @@ def test_infinite_endpoints():
         Interval(math.inf, math.inf)
 
 
-@pytest.mark.parametrize("op", [
-    lambda s: Interval(2.0) * s, lambda s: s * Interval(2.0), lambda s: Interval(1.0) + s,
-    lambda s: Interval(1.0) - s, lambda s: s - Interval(1.0), lambda s: Interval(1.0) / s,
-    lambda s: s / Interval(1.0), lambda s: Interval(2.0).pow(s), lambda s: Interval(1.0).max(s),
-], ids=["mul", "rmul", "add", "sub", "rsub", "div", "rdiv", "pow", "max"])
-def test_infinite_scalar_operand_is_refused_like_the_constructor(op):
-    """An operator refuses an infinite scalar as Interval(inf) does, rather
-    than build the point [inf, inf]; a NaN scalar is Invalid."""
-    for s in (math.inf, -math.inf):
-        with pytest.raises(ValueError, match="malformed interval"):
-            op(s)
-    assert not op(math.nan).valid
+@pytest.mark.parametrize("s", [0.5, 3, F(1, 3), Grad(Interval(1.0, 2.0), ONE, ZERO)],
+                         ids=["float", "int", "Fraction", "Grad"])
+def test_operands_other_than_intervals_are_refused(s):
+    """+ - * / and pow, min and max take Intervals only: a float, an int, a
+    Fraction or a Grad operand raises TypeError, on either side."""
+    iv = Interval(1.0, 2.0)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v):
+        with pytest.raises(TypeError):
+            op(iv, s)
+        if not isinstance(s, Grad):  # a Grad on the left lifts an Interval
+            with pytest.raises(TypeError):
+                op(s, iv)
+    for method in (iv.pow, iv.min, iv.max):
+        with pytest.raises(TypeError):
+            method(s)
+
+
+@pytest.mark.parametrize("bad", [F(1, 3), F(1, 2), 2**53 + 1, -(2**53) - 1, 10**400, "1"],
+                         ids=["third", "half", "above_2^53", "below_-2^53", "10^400", "str"])
+def test_constructor_takes_only_ends_a_float_holds(bad):
+    """Interval(x) takes a float, or an int of magnitude at most 2^53; a
+    rational or a larger int would be rounded to a point that may miss it
+    (Fraction(1, 3) to 0.333..., 2^53 + 1 to 2^53), so it is refused with a
+    pointer to from_fraction, which encloses it."""
+    assert Interval(2**53) == Interval(2.0**53) and Interval(-(2**53), 3) == Interval(-(2.0**53), 3.0)
+    with pytest.raises(TypeError, match="from_fraction"):
+        Interval(bad)
+    with pytest.raises(TypeError, match="from_fraction"):
+        Interval(-1.0, bad)
+    if not isinstance(bad, str):
+        out = Interval.from_fraction(bad)  # a float compares with a rational exactly
+        assert out.lo <= bad <= out.hi
 
 
 def test_arith_operators_cover_all_kinds():
@@ -325,22 +352,23 @@ def test_results_rounded_onto_the_least_normal_float_are_not_exact():
 def test_every_invalid_hashes_alike():
     """Arithmetic on Invalid gives new intervals with NaN ends; they equal
     INVALID, so they must hash like it, or memo lookups miss."""
-    for bad in (-INVALID, INVALID + 1.0, Interval(2.0) - INVALID, INVALID * Interval(0.3, 0.7),
+    for bad in (-INVALID, INVALID + Interval(1.0), Interval(2.0) - INVALID, INVALID * Interval(0.3, 0.7),
                 Interval(math.nan)):
         assert bad == INVALID and hash(bad) == hash(INVALID)
 
 
 def test_rationals_beyond_the_float_range_are_one_sided():
-    """A rational or int beyond the float range is [MAX, inf] or [-inf, -MAX],
-    also where an operator coerces it."""
+    """A rational or int beyond the float range is [MAX, inf] or [-inf, -MAX]."""
     for big in (10**400, F(10**400, 3)):
         assert Interval.from_fraction(big) == Interval(_MAX, math.inf)
         assert Interval.from_fraction(-big) == Interval(-math.inf, -_MAX)
     # 1 * [MAX, inf]: the finite end steps one float down, the infinite one stays
-    assert Interval(1.0) * 10**400 == Interval(math.nextafter(_MAX, 0.0), math.inf)
-    assert Interval(1.0) * -(10**400) == Interval(-math.inf, -math.nextafter(_MAX, 0.0))
-    assert Interval(1.0) - 10**400 == Interval(-math.inf, math.nextafter(-_MAX, 0.0))
-    assert Interval(0.0) + (2**53 + 1) == Interval(2.0**53, 2.0**53 + 2)  # above 2^53: not a float
+    big = Interval.from_fraction(10**400)
+    assert Interval(1.0) * big == Interval(math.nextafter(_MAX, 0.0), math.inf)
+    assert Interval(1.0) * -big == Interval(-math.inf, -math.nextafter(_MAX, 0.0))
+    assert Interval(1.0) - big == Interval(-math.inf, math.nextafter(-_MAX, 0.0))
+    # above 2^53: not a float
+    assert Interval(0.0) + Interval.from_fraction(2**53 + 1) == Interval(2.0**53, 2.0**53 + 2)
 
 
 def test_mul_rounds_every_tied_extremal_product():
