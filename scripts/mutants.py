@@ -217,27 +217,22 @@ MUTANTS = [
      "size = (2 * dom.n,)", "size = (2, 4)",
      [P + "test_both_formats_share_one_token_rule[rect_of_other_dimension-text]",
       P + "test_both_formats_share_one_token_rule[rect_of_other_dimension-json]"]),
-    ("tiling: the equality index holds only the first rect", PARTITION,
-     "    for i in idx:\n        equal.setdefault", "    for i in idx[:1]:\n        equal.setdefault",
-     [P + "test_verify_roundtrip_and_tampering"]),
-    ("tiling: the equality index names the last of equal rects", PARTITION,
-     "equal.setdefault(boxes[i], i)", "equal[boxes[i]] = i",
-     [P + "test_tiling_check_matches_rational_reference"]),
-    ("tiling: two child boxes routed in swapped order", PARTITION,
-     "(((a, m), (m, b)) for", "(((m, b), (a, m)) for",
-     [P + "test_verify_roundtrip_and_tampering"]),
-    ("tiling: gaps not reported", PARTITION,
-     'problems.append(f"gap: no rect covers {show(box)}")', "pass",
-     [P + "test_verify_roundtrip_and_tampering"]),
-    ("tiling: the walk never stops", PARTITION,
-     """        if len(problems) >= MAX_TILING_PROBLEMS:
-            problems.append(f"tiling check stopped after {len(problems)} problems")
-            break
-""", "", [P + "test_many_deep_rects_stop_the_walk"]),
-    ("tiling: no containment check at the root", PARTITION,
-     "inside = [all(a <= x and y <= b for (a, b), (x, y) in zip(root, r)) for r in boxes]",
-     "inside = [True for r in boxes]",
+    ("tiling: unequal k across dimensions accepted", PARTITION,
+     "if ratios == {1 << k} else None", "if all(q & (q - 1) == 0 for q in ratios) else None",
+     [P + "test_each_tiling_fault_has_its_line[halved_in_one_dimension]"]),
+    ("tiling: an index >= 2**k accepted", PARTITION,
+     "if rest or off or not 0 <= j < ratio:", "if rest or off or not 0 <= j:",
      [P + "test_rect_outside_domain_is_reported_and_kept_out_of_the_walk"]),
+    ("tiling: a nested cell not reported", PARTITION,
+     "for c, i in cells.items() if c in above]", "for c, i in cells.items() if False]",
+     [P + "test_each_tiling_fault_has_its_line[cell_above_its_children]"]),
+    ("tiling: a repeated cell not reported", PARTITION,
+     'problems.append(f"rects {cells[cell]} and {i} overlap")', "pass",
+     [P + "test_overlapping_rects_detected"]),
+    ("tiling: gaps not reported", PARTITION, "    if gaps:\n", "    if False:\n",
+     [P + "test_verify_roundtrip_and_tampering"]),
+    ("tiling: the upward walk stops one level short", PARTITION, "while k:", "while k > 1:",
+     [P + "test_each_tiling_fault_has_its_line[quarter_missing]"]),
 ]
 
 

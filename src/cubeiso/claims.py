@@ -493,6 +493,7 @@ def _find_run(cert: Certificate) -> ClaimRun:
 
 def verify_certificate_bytes(data: bytes):
     """Independently re-verify a serialized certificate against the registry."""
+    # per call, to see perfbench's traced partition.load; a top-level import zeroes partition.load_s
     from .partition import load
 
     cert = load(data)

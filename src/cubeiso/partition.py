@@ -13,10 +13,14 @@ so the geometry is exact and certificates serialize losslessly as
 (numerator, exponent) pairs, never as decimal floats.
 
 Certificate verification trusts nothing from the file beyond the claim
-identity.  It re-evaluates the bound on every rectangle and checks, on the
-integer grid of the file's finest step, that the rectangles are the leaves
-of a dyadic subdivision of the domain: one walk down that tree, halving
-every box that holds more than one rectangle, finds every gap and overlap.
+identity.  It re-evaluates the bound on every rectangle and checks exactly
+that the rectangles are the leaves of a dyadic subdivision of the domain:
+each is a cell of the domain's halving tree, no cell repeats or lies under
+another, and every child of an ancestor of a cell is a cell or such an
+ancestor.  A rectangle that is no cell, such as one outside the domain or
+one across a halving, and a repeated or nested cell get a line each; all
+empty cells share one line.  So [0, 1] cut at 1/4 is rejected, and the
+problems are at most one more than the rectangles.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .interval import Interval
 F = Fraction
 
 MAX_DEPTH_DEFAULT = 12
-MAX_TILING_PROBLEMS = 50  # the tiling walk stops once it has found this many
 
 
 # ---------------------------------------------------------------------------
@@ -379,70 +382,53 @@ class VerificationReport:
     failures: list[str] = field(default_factory=list)
 
 
+def _cell(domain: DyadicRect, r: DyadicRect) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(k, index) if r is the depth-k cell of the domain's halving tree: each
+    side is the domain's / 2**k, one k in every dimension d, and r's low end
+    lies index[d] sides above the domain's, 0 <= index[d] < 2**k; else None.
+    Exact, on the integers of the grid of r's and the domain's finest step."""
+    e = max(d.exp for d in domain.lo + domain.hi + r.lo + r.hi)
+    ratios, index = set(), []
+    for ends in zip(domain.lo, domain.hi, r.lo, r.hi):
+        lo, hi, a, b = (d.num << (e - d.exp) for d in ends)
+        (ratio, rest), (j, off) = divmod(hi - lo, b - a), divmod(a - lo, b - a)
+        if rest or off or not 0 <= j < ratio:
+            return None
+        ratios.add(ratio)
+        index.append(j)
+    k = max(ratios).bit_length() - 1
+    return (k, tuple(index)) if ratios == {1 << k} else None
+
+
 def _check_tiling(domain: DyadicRect, rects: list[DyadicRect]) -> list[str]:
     """Exact check that the rects, in any order, are the leaves of a dyadic
-    subdivision of the domain, as `partition` emits them.
-
-    Endpoints become integers num << (e - exp) on the grid of step 2**-e, e
-    the largest exponent.  After the rects outside the domain, a walk down
-    the tree takes each box with the rects inside it: one rect equal to the
-    box is a leaf, none is a gap, and one equal to the box beside others
-    overlaps them.  Any other box is halved in every coordinate; a rect that
-    straddles a midpoint, or lies in a box whose midpoint is off the grid,
-    is reported, and every other rect goes to the child that holds it.
-    Once it holds MAX_TILING_PROBLEMS problems, the walk stops and one line
-    says so: a hostile file of deep rects would make a gap message per
-    empty sibling on each of their paths.
-    """
-    e = max(d.exp for r in (domain, *rects) for d in r.lo + r.hi)
-
-    def grid(r: DyadicRect) -> tuple[tuple[int, int], ...]:
-        return tuple((a.num << (e - a.exp), b.num << (e - b.exp)) for a, b in zip(r.lo, r.hi))
-
-    def show(box) -> str:
-        ends = (F(g, 1 << e) for side in box for g in side)
-        return " ".join(f"{x.numerator}:{x.denominator.bit_length() - 1}" for x in ends)
-
-    root, boxes = grid(domain), [grid(r) for r in rects]
-    inside = [all(a <= x and y <= b for (a, b), (x, y) in zip(root, r)) for r in boxes]
-    problems = [f"rect {i} not inside domain" for i, ok in enumerate(inside) if not ok]
-    idx = [i for i, ok in enumerate(inside) if ok]
-    # the least rect equal to each box; every rect equal to a box the walk
-    # reaches is routed there, so the index stands for a scan of idx
-    equal = {}
-    for i in idx:
-        equal.setdefault(boxes[i], i)
-    # a loop, not recursion: a box can be up to 1060 halvings below the domain
-    stack = [(root, idx)]
-    while stack:
-        if len(problems) >= MAX_TILING_PROBLEMS:
-            problems.append(f"tiling check stopped after {len(problems)} problems")
-            break
-        box, idx = stack.pop()
-        if not idx:
-            problems.append(f"gap: no rect covers {show(box)}")
-        elif box in equal:
-            first = equal[box]
-            problems += [f"rects {first} and {i} overlap in {show(box)}" for i in idx if i != first]
-        elif any((a + b) % 2 for a, b in box):
-            problems += [f"rect {i} lies in {show(box)}, whose midpoint is off the grid"
-                         for i in idx]
-        else:
-            mid = [(a + b) // 2 for a, b in box]
-            # child k holds the rects whose low ends are >= mid in the
-            # dimensions of k's bits, dimension 1 the highest bit
-            halves = [[] for _ in range(1 << len(box))]
-            for i in idx:
-                k = 0
-                for (x, y), m in zip(boxes[i], mid):
-                    if x < m < y:
-                        problems.append(f"rect {i} straddles the midpoint of {show(box)}")
-                        break
-                    k += k + (x >= m)
-                else:
-                    halves[k].append(i)
-            children = itertools.product(*(((a, m), (m, b)) for (a, b), m in zip(box, mid)))
-            stack += reversed(list(zip(children, halves)))
+    subdivision of the domain: all are cells, none repeats or lies under
+    another, each child of a cell's ancestor is a cell or an ancestor.  A line
+    per non-cell, per repeated or nested cell, and one for all empty cells."""
+    problems, cells, above = [], {}, {}
+    for i, r in enumerate(rects):
+        cell = _cell(domain, r)
+        if cell is None:
+            problems.append(f"rect {i} is not a cell of the domain's dyadic subdivision")
+        elif cells.setdefault(cell, i) != i:
+            problems.append(f"rects {cells[cell]} and {i} overlap")
+    for (k, index), i in cells.items():
+        while k:  # up to the first ancestor recorded, whose own are recorded too
+            k, index = k - 1, tuple(j >> 1 for j in index)
+            if (k, index) in above:
+                break
+            above[k, index] = i
+    problems += [f"rects {i} and {above[c]} overlap" for c, i in cells.items() if c in above]
+    nodes = [(0, (0,) * domain.n)]  # the root, then each child of an ancestor
+    nodes += [(k + 1, child) for k, index in above
+              for child in itertools.product(*((2 * j, 2 * j + 1) for j in index))]
+    gaps = [node for node in nodes if node not in cells and node not in above]
+    if gaps:
+        k, index = min(gaps)
+        ends = (F(lo.value) + (F(hi.value) - F(lo.value)) * t / 2**k
+                for lo, hi, j in zip(domain.lo, domain.hi, index) for t in (j, j + 1))
+        problems.append(f"gap: {len(gaps)} empty cells, the least at "
+                        + " ".join(f"{x.numerator}:{x.denominator.bit_length() - 1}" for x in ends))
     return problems
 
 

@@ -20,9 +20,10 @@ evaluated with one interval operation per term, which the float Horner
 evaluation must never be wider than.  check_tiling_fractions is a general
 tiling check in exact rational arithmetic (containment, area sum, overlap
 sweep) that every tiling the certificate check accepts must pass.
-check_dyadic_tree_fractions is the certificate check's walk down the dyadic
-tree with a Fraction per endpoint, whose problem list the integer-grid walk
-must reproduce exactly.  g_J1_bound_per_box,
+is_tree_cell_fractions says with a Fraction per endpoint whether a rect is a
+node of the domain's halving tree: the certificate check must name exactly
+the rects it rejects, and accept a tiling exactly when every rect is such a
+node and check_tiling_fractions passes it.  g_J1_bound_per_box,
 g_LJQ2_bound_per_box and g_QJ1_bound_per_box are three bounds as they were
 before their one-axis factors were memoized: every factor evaluated per box,
 with the q_range and qprime_range memos bypassed.  The memoized bounds must
@@ -39,7 +40,6 @@ must satisfy.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -60,7 +60,6 @@ from cubeiso.interval import (
     ZERO,
     Interval,
 )
-from cubeiso.partition import MAX_TILING_PROBLEMS
 
 mp.mp.dps = 40
 
@@ -538,54 +537,19 @@ def check_tiling_fractions(domain, rects) -> list[str]:
     return problems
 
 
-def check_dyadic_tree_fractions(domain, rects) -> list[str]:
-    """The walk down the dyadic tree with a Fraction per endpoint.  A box is
-    halved into the children whose sides are its half sides, unless its
-    midpoint is not a multiple of the finest step 2**-e in the file; each
-    rect goes to the first child that contains it.  Like the certificate
-    check, the walk stops with one line once it holds MAX_TILING_PROBLEMS."""
-    step = Fraction(1, 1 << max(d.exp for r in (domain, *rects) for d in r.lo + r.hi))
-
-    def sides(r):
-        return tuple((_fr(a), _fr(b)) for a, b in zip(r.lo, r.hi))
-
-    def contains(box, r):
-        return all(a <= x and y <= b for (a, b), (x, y) in zip(box, r))
-
-    def show(box):
-        return " ".join(f"{x.numerator}:{x.denominator.bit_length() - 1}"
-                        for side in box for x in side)
-
-    root, boxes = sides(domain), [sides(r) for r in rects]
-    problems = [f"rect {i} not inside domain" for i, r in enumerate(boxes)
-                if not contains(root, r)]
-    stack = [(root, [i for i, r in enumerate(boxes) if contains(root, r)])]
-    while stack:
-        if len(problems) >= MAX_TILING_PROBLEMS:
-            problems.append(f"tiling check stopped after {len(problems)} problems")
-            break
-        box, idx = stack.pop()
-        equal = [i for i in idx if boxes[i] == box]
-        if not idx:
-            problems.append(f"gap: no rect covers {show(box)}")
-        elif equal:
-            problems.extend(f"rects {equal[0]} and {i} overlap in {show(box)}"
-                            for i in idx if i != equal[0])
-        elif any((a + b) / 2 % step for a, b in box):
-            problems.extend(f"rect {i} lies in {show(box)}, whose midpoint is off the grid"
-                            for i in idx)
-        else:
-            halves = [((a, (a + b) / 2), ((a + b) / 2, b)) for a, b in box]
-            children = list(itertools.product(*halves))
-            members = {child: [] for child in children}
-            for i in idx:
-                child = next((ch for ch in children if contains(ch, boxes[i])), None)
-                if child is None:
-                    problems.append(f"rect {i} straddles the midpoint of {show(box)}")
-                else:
-                    members[child].append(i)
-            stack.extend((child, members[child]) for child in reversed(children))
-    return problems
+def is_tree_cell_fractions(domain, r) -> bool:
+    """Whether r is a node of the domain's halving tree, with a Fraction per
+    endpoint: the domain's side over r's side is one power of two 2**k in
+    every dimension, and r's low end lies a whole number of r's sides, from
+    0 to 2**k - 1, above the domain's."""
+    sides = [_fr(b) - _fr(a) for a, b in zip(r.lo, r.hi)]
+    ratios = {(_fr(hi) - _fr(lo)) / side for lo, hi, side in zip(domain.lo, domain.hi, sides)}
+    offsets = [(_fr(a) - _fr(lo)) / side for lo, a, side in zip(domain.lo, r.lo, sides)]
+    if len(ratios) != 1:
+        return False
+    ratio = ratios.pop()
+    return (ratio.denominator == 1 and bin(ratio.numerator).count("1") == 1
+            and all(x.denominator == 1 and 0 <= x < ratio for x in offsets))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from cubeiso import claims
+from cubeiso.cli import main
 from cubeiso.interval import Interval
 from cubeiso.partition import (
-    MAX_TILING_PROBLEMS,
     Certificate,
     CertificateParseError,
     Dyadic,
@@ -347,78 +347,124 @@ def _tilings(draw):
     return domain, rects
 
 
+_NOT_A_CELL = "rect {} is not a cell of the domain's dyadic subdivision"
+
+
+def _check_against_reference(domain: DyadicRect, rects: list[DyadicRect]) -> None:
+    """The "not a cell" lines name exactly the rects that are no node of the
+    halving tree, and the rects are accepted exactly when every one is such a
+    node and they tile the domain."""
+    problems = _check_tiling(domain, rects)
+    cells = [ref.is_tree_cell_fractions(domain, r) for r in rects]
+    not_cells = [_NOT_A_CELL.format(i) for i, ok in enumerate(cells) if not ok]
+    assert [p for p in problems if p.startswith("rect ")] == not_cells
+    assert (problems == []) == (all(cells) and ref.check_tiling_fractions(domain, rects) == [])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tilings(), st.data())
 def test_tiling_check_matches_rational_reference(tiling, data):
     domain, rects = tiling
     assert _check_tiling(domain, data.draw(st.permutations(rects))) == []
-    rects = _mutated(data, domain, rects)
-    problems = _check_tiling(domain, rects)
-    assert problems == ref.check_dyadic_tree_fractions(domain, rects)
-    if not problems:  # soundness: an accepted certificate tiles its domain exactly
-        assert ref.check_tiling_fractions(domain, rects) == []
+    _check_against_reference(domain, _mutated(data, domain, rects))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_tiling_check_matches_reference_on_sample_certificate(sample_cert, data):
     domain = sample_cert.domain
-    assert _check_tiling(domain, sample_cert.rects) == []
-    rects = _mutated(data, domain, sample_cert.rects)
-    problems = _check_tiling(domain, rects)
-    assert problems == ref.check_dyadic_tree_fractions(domain, rects)
-    if not problems:
-        assert ref.check_tiling_fractions(domain, rects) == []
+    assert _check_tiling(domain, data.draw(st.permutations(sample_cert.rects))) == []
+    _check_against_reference(domain, _mutated(data, domain, sample_cert.rects))
 
 
-@pytest.mark.parametrize("domain, cut", [((F(0), F(1)), F(1, 4)), ((F(0), F(3)), F(1))],
-                         ids=["unit_at_quarter", "odd_width_at_one"])
-def test_exact_tiling_off_the_dyadic_tree_is_rejected(domain, cut):
+@pytest.mark.parametrize("domain, cut, problems", [
+    ((F(0), F(1)), F(1, 4), [_NOT_A_CELL.format(1), "gap: 2 empty cells, the least at 1:1 1:0"]),
+    ((F(0), F(3)), F(1), [_NOT_A_CELL.format(0), _NOT_A_CELL.format(1),
+                          "gap: 1 empty cells, the least at 0:0 3:0"]),
+], ids=["unit_at_quarter", "odd_width_at_one"])
+def test_exact_tiling_off_the_dyadic_tree_is_rejected(domain, cut, problems):
     """Two rects tile the domain exactly, but they are not the children of
     one halving: the check accepts only the leaves of a dyadic subdivision."""
     dom = DyadicRect.build(domain)
     rects = [DyadicRect.build((domain[0], cut)), DyadicRect.build((cut, domain[1]))]
     assert ref.check_tiling_fractions(dom, rects) == []
-    problems = _check_tiling(dom, rects)
-    assert problems and problems == ref.check_dyadic_tree_fractions(dom, rects)
+    assert _check_tiling(dom, rects) == problems
 
 
 def test_rect_outside_domain_is_reported_and_kept_out_of_the_walk():
     dom = DyadicRect.build((F(0), F(1)), (F(0), F(1)))
     outside = DyadicRect.build((F(1), F(3, 2)), (F(0), F(1, 2)))
-    assert _check_tiling(dom, [*dom.children(), outside]) == ["rect 4 not inside domain"]
+    assert _check_tiling(dom, [*dom.children(), outside]) == [_NOT_A_CELL.format(4)]
+
+
+_SQUARE = DyadicRect.build((F(0), F(1)), (F(0), F(1)))
+_QUARTERS = list(_SQUARE.children())
+
+
+@pytest.mark.parametrize("rects, problems", [
+    ([DyadicRect.build((F(0), F(1, 2)), (F(0), F(1))),
+      DyadicRect.build((F(1, 2), F(1)), (F(0), F(1)))],
+     [_NOT_A_CELL.format(0), _NOT_A_CELL.format(1),
+      "gap: 1 empty cells, the least at 0:0 1:0 0:0 1:0"]),
+    ([*_QUARTERS, _QUARTERS[2]], ["rects 2 and 4 overlap"]),
+    ([_SQUARE, *_QUARTERS], ["rects 0 and 1 overlap"]),
+    (_QUARTERS[:3], ["gap: 1 empty cells, the least at 1:1 1:0 1:1 1:0"]),
+    ([], ["gap: 1 empty cells, the least at 0:0 1:0 0:0 1:0"]),
+], ids=["halved_in_one_dimension", "repeated_cell", "cell_above_its_children",
+        "quarter_missing", "no_rects"])
+def test_each_tiling_fault_has_its_line(rects, problems):
+    """A rect halved in one dimension only is no cell, a repeated or nested
+    cell overlaps, and a quarter of the root left empty is a gap."""
+    assert _check_tiling(_SQUARE, rects) == problems
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_tiny_rect_is_rejected_without_recursion(n):
-    """One 2^-1000-wide rect in the unit box: the walk goes 1000 boxes deep,
-    then reports the 2^n - 1 empty children of each box on the way back up
-    until it holds MAX_TILING_PROBLEMS of them."""
+    """One 2^-1000-wide rect in the unit box: the 2^n - 1 empty siblings of
+    each of its 1000 ancestors below the root are one gap line."""
     dom = DyadicRect.build(*[(F(0), F(1))] * n)
     tiny = DyadicRect.build(*[(F(0), F(1, 2**1000))] * n)
     t0 = time.perf_counter()
     problems = _check_tiling(dom, [tiny])
     assert time.perf_counter() - t0 < 5.0
-    assert problems[0] == "gap: no rect covers " + " ".join(["0:0 1:1000"] * (n - 1) + ["1:1000 1:999"])
-    assert all(p.startswith("gap: ") for p in problems[:-1])
-    assert problems[MAX_TILING_PROBLEMS:] == [
-        f"tiling check stopped after {MAX_TILING_PROBLEMS} problems"]
+    least = " ".join(["0:0 1:1"] * (n - 1) + ["1:1 1:0"])
+    assert problems == [f"gap: {1000 * (2**n - 1)} empty cells, the least at {least}"]
+
+
+def _many_deep_rects() -> list[DyadicRect]:
+    """200 rects of side 2^-1000 near the origin of the unit square."""
+    rng = random.Random(19)
+    corners = {(rng.randrange(2**52), rng.randrange(2**52)) for _ in range(200)}
+    return [DyadicRect.build(*[(F(k, 2**1000), F(k + 1, 2**1000)) for k in corner])
+            for corner in corners]
 
 
 def test_many_deep_rects_stop_the_walk():
-    """200 rects of side 2^-1000 near the origin of the unit square, whose
-    paths split about 52 halvings above them: a full walk reports 31,382
-    empty siblings, but the walk stops after MAX_TILING_PROBLEMS."""
-    rng = random.Random(19)
-    dom = DyadicRect.build((F(0), F(1)), (F(0), F(1)))
-    corners = {(rng.randrange(2**52), rng.randrange(2**52)) for _ in range(200)}
-    rects = [DyadicRect.build(*[(F(k, 2**1000), F(k + 1, 2**1000)) for k in corner])
-             for corner in corners]
+    """The paths of the 200 deep rects split about 52 halvings above them,
+    and they have 31,382 empty siblings in all: one gap line counts them."""
+    rects = _many_deep_rects()
     t0 = time.perf_counter()
-    problems = _check_tiling(dom, rects)
+    problems = _check_tiling(_SQUARE, rects)
     assert time.perf_counter() - t0 < 5.0
-    assert 0 < len(problems) <= MAX_TILING_PROBLEMS + 1
-    assert problems[-1] == f"tiling check stopped after {MAX_TILING_PROBLEMS} problems"
+    assert len(problems) <= len(rects) + 1
+    assert problems == ["gap: 31382 empty cells, the least at 0:0 1:1 1:1 1:0"]
+
+
+def test_check_cert_prints_at_most_51_lines_on_many_deep_rects(tmp_path, capsys, monkeypatch):
+    """check-cert on the 200 deep rects fails cleanly and prints at most 50
+    problems and one line for the rest.  No registered domain holds the
+    origin, where a side of 2^-1000 is representable, so the unit square is
+    checked against the g_Q_2 bound."""
+    run = claims.claim_by_id("g_Q_2").runs[0]
+    monkeypatch.setattr(claims, "_find_run", lambda cert: run)
+    path = tmp_path / "deep.cert"
+    path.write_bytes(emit(Certificate("g_Q_2", run.fn.params.beta, run.fn.params.c, _SQUARE,
+                                      _many_deep_rects())))
+    assert main(["check-cert", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    head, *lines = out.splitlines()
+    assert head.startswith("FAIL: tiling_ok=False") and 0 < len(lines) <= 51
 
 
 def test_verify_roundtrip_and_tampering(sample_cert):
